@@ -130,7 +130,7 @@ def test_fastpath_speedup(report):
     kwargs = (
         dict(rows=4_000, kernels=256, queries=400, repeats=1) if SMOKE else {}
     )
-    with bench_report("estimate_fastpath") as rep:
+    with bench_report("estimate_fastpath", smoke=SMOKE) as rep:
         result = report(fastpath_speedup, **kwargs)
         rows = {(r[0], r[1]): r for r in result.rows}
         for (label, workload), row in rows.items():

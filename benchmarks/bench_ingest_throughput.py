@@ -133,7 +133,7 @@ def test_ingest_throughput(report):
         if SMOKE
         else {}
     )
-    with bench_report("ingest_throughput") as rep:
+    with bench_report("ingest_throughput", smoke=SMOKE) as rep:
         result = report(ingest_throughput, **kwargs)
         rows = {(r[0], r[1]): r for r in result.rows}
         for (estimator, path), row in rows.items():

@@ -241,7 +241,7 @@ def test_serving_throughput(report):
         if SMOKE
         else {}
     )
-    with bench_report("serving_throughput") as rep:
+    with bench_report("serving_throughput", smoke=SMOKE) as rep:
         result = report(serving_throughput, **kwargs)
         rows = {r[0]: r for r in result.rows}
         for label, row in rows.items():

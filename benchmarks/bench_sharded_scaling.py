@@ -138,7 +138,7 @@ def test_sharded_scaling(report):
         if SMOKE
         else {}
     )
-    with bench_report("sharded_scaling") as rep:
+    with bench_report("sharded_scaling", smoke=SMOKE) as rep:
         result = report(sharded_scaling, **kwargs)
         by_shards = {row[0]: row for row in result.rows}
         for shards, row in by_shards.items():

@@ -93,7 +93,7 @@ def snapshot_roundtrip(rows: int = 20_000, queries: int = 500, seed: int = 7) ->
 
 def test_snapshot_roundtrip(report):
     kwargs = dict(rows=4_000, queries=100) if SMOKE else {}
-    with bench_report("snapshot_roundtrip") as rep:
+    with bench_report("snapshot_roundtrip", smoke=SMOKE) as rep:
         result = report(snapshot_roundtrip, **kwargs)
         rep.note(f"smoke={SMOKE}")
         for name, save_ms, load_ms, size, drift in result.rows:

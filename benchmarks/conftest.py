@@ -10,9 +10,10 @@ written to ``benchmarks/results/`` so that
 record of every reproduced table and figure.
 
 Scale note: the benchmark configurations are reduced relative to the
-full-scale numbers recorded in EXPERIMENTS.md so the whole harness finishes
-in a few minutes on a laptop; pass larger parameters to the suite functions
-directly to reproduce the full-scale run.
+full-scale evaluation (see ARCHITECTURE.md for the layers each experiment
+exercises) so the whole harness finishes in a few minutes on a laptop; pass
+larger parameters to the suite functions directly to reproduce a full-scale
+run.  Recorded runs are kept under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

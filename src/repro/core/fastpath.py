@@ -17,7 +17,11 @@ make the family fast without changing its answers:
     some axis is culled via two ``searchsorted`` probes per axis; surviving
     axes are intersected with per-kernel radius checks.  Compact kernels
     (Epanechnikov & friends) use their exact support radius, so culling is
-    lossless; the Gaussian uses the ε-derived radius below.
+    lossless; the Gaussian uses the ε-derived radius below.  The index
+    precomputes, per axis, every kernel's support edges ``c ± r`` (by kernel
+    id and in the axis's sort order), so the refinement of the primary
+    axis's candidate slice is a contiguous slice compare and the other axes
+    gather only the survivors.
 
 :func:`weighted_box_masses`
     The single batched product-kernel CDF micro-kernel: a blocked,
@@ -26,6 +30,32 @@ make the family fast without changing its answers:
     near-duplicate inner loops that previously lived in ``core/kde.py`` and
     ``core/streaming.py`` (and that ``core/adaptive.py`` /
     ``core/feedback.py`` inherited).
+
+Routes
+------
+
+:func:`estimate_boxes` answers a multi-box plan on the *grouped route*:
+per-query candidate counts decide dense vs culled, selective boxes are
+grid-clustered and each group is evaluated against one shared candidate set
+with the per-axis blocked micro-kernel.  A one-box plan — the request an
+optimizer sends, one predicate at a time — takes the *one-box route*
+instead: no counting and no grouping, but :meth:`KernelSupportIndex.narrow_box`
+(which settles the same dense/culled rule from precomputed per-axis widths
+for any box that is narrow on some axis), one
+:meth:`KernelSupportIndex.box_candidates` probe, and the micro-kernel on the
+single box, which skips its work buffer and evaluates every axis in one
+broadcast when the estimator supplies a :data:`BoxMass` hook.  The one-box
+route answers bitwise what the grouped route answers for that box.  Upstream,
+:func:`repro.workload.queries.compile_queries` builds the request's plan in
+one pass over the queries' constraint dicts, so a 1-query request reaches the
+route after a few microseconds of compilation.
+
+The repository benchmark (``perfbench/``) traces this module through the
+module attributes ``estimate_boxes``, ``weighted_box_masses`` (reading the
+box count from ``lows.shape[0]``) and ``KernelSupportIndex`` with its
+``box_candidates(low, high)``, and the serving layer through
+``repro.serve.server.compile_queries``; these names are its trace
+boundaries, so every route must call through them rather than around them.
 
 Epsilon / atol policy
 ---------------------
@@ -114,6 +144,11 @@ _BUFFER_ELEMENTS = 1 << 17
 #: kernel mass of every (query, kernel) pair; ``ids`` selects a candidate
 #: kernel subset (``None`` means all kernels).
 AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
+
+#: ``box_mass(ids, low, high) -> (kernels, d)`` — the per-axis kernel masses
+#: of one box (``(d,)`` bounds) over every axis in one broadcast; ``ids`` as
+#: for :data:`AxisMass`.  Optional: it only serves one-box blocks.
+BoxMass = Callable[[np.ndarray | None, np.ndarray, np.ndarray], np.ndarray]
 
 _ENABLED = True
 
@@ -221,29 +256,47 @@ class KernelSupportIndex:
     """
 
     __slots__ = (
-        "centers",
-        "radii",
-        "orders",
-        "sorted_positions",
+        "axis_orders",
+        "axis_positions",
         "max_radii",
+        "lower_edges",
+        "upper_edges",
+        "sorted_lower_edges",
+        "sorted_upper_edges",
+        "dense_widths",
         "kernel_count",
         "dims",
     )
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray) -> None:
         centers = np.ascontiguousarray(np.atleast_2d(centers), dtype=float)
-        self.centers = centers
         self.kernel_count, self.dims = centers.shape
-        self.radii = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(radii, dtype=float), centers.shape)
-        )
-        #: per-axis argsort of the kernel positions (``(K, d)``)
-        self.orders = np.argsort(centers, axis=0, kind="stable")
-        self.sorted_positions = np.take_along_axis(centers, self.orders, axis=0)
-        self.max_radii = (
-            self.radii.max(axis=0)
+        radii = np.broadcast_to(np.asarray(radii, dtype=float), centers.shape)
+        # Everything below is stored per axis: ``(d, K)`` with contiguous
+        # rows, so a probe slices or searches one axis without copying a
+        # strided column.
+        orders = np.ascontiguousarray(np.argsort(centers, axis=0, kind="stable").T)
+        #: per-axis sort order of the kernel positions and the sorted positions
+        self.axis_orders = orders
+        self.axis_positions = np.take_along_axis(centers.T, orders, axis=1)
+        self.max_radii = radii.max(axis=0) if self.kernel_count else np.zeros(self.dims)
+        #: per-axis support edges ``c - r`` / ``c + r`` of every kernel, by
+        #: kernel id and in the axis's sort order (the primary-axis refinement
+        #: of :meth:`box_candidates` is then a contiguous slice)
+        self.lower_edges = np.ascontiguousarray((centers - radii).T)
+        self.upper_edges = np.ascontiguousarray((centers + radii).T)
+        self.sorted_lower_edges = np.take_along_axis(self.lower_edges, orders, axis=1)
+        self.sorted_upper_edges = np.take_along_axis(self.upper_edges, orders, axis=1)
+        #: per axis, the narrowest span of sorted positions holding the dense
+        #: share of kernels (see :meth:`narrow_box`)
+        run = int(np.ceil(self.kernel_count * _DENSE_FRACTION))
+        positions = self.axis_positions
+        self.dense_widths = (
+            (positions[:, run - 1 :] - positions[:, : self.kernel_count - run + 1])
+            .min(axis=1)
+            .tolist()
             if self.kernel_count
-            else np.zeros(self.dims)
+            else [0.0] * self.dims
         )
 
     def candidate_counts(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -255,43 +308,62 @@ class KernelSupportIndex:
         """
         counts = np.empty(lows.shape, dtype=np.int64)
         for axis in range(self.dims):
-            positions = self.sorted_positions[:, axis]
+            positions = self.axis_positions[axis]
             radius = self.max_radii[axis]
-            starts = np.searchsorted(positions, lows[:, axis] - radius, side="left")
-            stops = np.searchsorted(positions, highs[:, axis] + radius, side="right")
+            starts = positions.searchsorted(lows[:, axis] - radius, side="left")
+            stops = positions.searchsorted(highs[:, axis] + radius, side="right")
             counts[:, axis] = stops - starts
         return counts
+
+    def narrow_box(self, low: np.ndarray, high: np.ndarray) -> bool:
+        """Whether some axis certainly keeps under the dense share of kernels.
+
+        A box whose interval, widened by the axis's maximum support radius, is
+        narrower than every run of ``ceil(K · _DENSE_FRACTION)`` consecutive
+        sorted positions cannot hold that many kernels on the axis, so
+        :func:`estimate_boxes` would route it to the culled path.  The test is
+        exact under rounding (a rounded difference is monotone in its real
+        value); ``False`` only means "count to find out".
+        """
+        for lo, hi, radius, width in zip(
+            low.tolist(), high.tolist(), self.max_radii.tolist(), self.dense_widths
+        ):
+            if (hi + radius) - (lo - radius) < width:
+                return True
+        return False
 
     def box_candidates(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Ascending kernel ids whose support can overlap the box ``[low, high]``.
 
         The axis with the fewest in-range kernels supplies the initial
         contiguous slice of its sort order; every axis (including that one)
-        then refines with the exact per-kernel radius test, so the result is
-        the intersection of the per-axis support overlaps.  Reflected kernel
-        images (boundary-corrected KDE) need no extra probes: a reflected
-        image overlaps a domain-clipped interval only if its source kernel
-        sits within one support radius of the interval, which places the
-        source inside the same candidate slice.
+        then refines with the exact per-kernel support edges, so the result
+        is the intersection of the per-axis support overlaps.  Reflected
+        kernel images (boundary-corrected KDE) need no extra probes: a
+        reflected image overlaps a domain-clipped interval only if its source
+        kernel sits within one support radius of the interval, which places
+        the source inside the same candidate slice.
         """
-        starts = np.empty(self.dims, dtype=np.int64)
-        stops = np.empty(self.dims, dtype=np.int64)
-        for axis in range(self.dims):
-            positions = self.sorted_positions[:, axis]
-            radius = self.max_radii[axis]
-            starts[axis] = np.searchsorted(positions, low[axis] - radius, side="left")
-            stops[axis] = np.searchsorted(positions, high[axis] + radius, side="right")
-        primary = int(np.argmin(stops - starts))
-        ids = self.orders[starts[primary] : stops[primary], primary]
-        if ids.size == 0:
-            return ids
-        keep = np.ones(ids.size, dtype=bool)
-        for axis in range(self.dims):
-            centers = self.centers[ids, axis]
-            radii = self.radii[ids, axis]
-            keep &= centers + radii >= low[axis]
-            keep &= centers - radii <= high[axis]
-        return np.sort(ids[keep])
+        bounds = list(zip(low.tolist(), high.tolist()))
+        best = None
+        for axis, ((lo, hi), radius) in enumerate(zip(bounds, self.max_radii.tolist())):
+            positions = self.axis_positions[axis]
+            start = positions.searchsorted(lo - radius, side="left")
+            stop = positions.searchsorted(hi + radius, side="right")
+            if best is None or stop - start < best[1] - best[0]:
+                best = (start, stop, axis)
+        start, stop, primary = best
+        lo, hi = bounds[primary]
+        keep = self.sorted_upper_edges[primary, start:stop] >= lo
+        keep &= self.sorted_lower_edges[primary, start:stop] <= hi
+        ids = self.axis_orders[primary, start:stop][keep]
+        for axis, (lo, hi) in enumerate(bounds):
+            if axis != primary and ids.size:
+                keep = self.upper_edges[axis][ids] >= lo
+                keep &= self.lower_edges[axis][ids] <= hi
+                ids = ids[keep]
+        ids.sort()
+        return ids
 
 
 def weighted_box_masses(
@@ -302,6 +374,7 @@ def weighted_box_masses(
     total_weight: float,
     ids: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    box_mass: BoxMass | None = None,
 ) -> np.ndarray:
     """The product-kernel CDF micro-kernel: ``(1/W) Σ_i w_i Π_d mass_d(i)``.
 
@@ -311,6 +384,12 @@ def weighted_box_masses(
     large batches stay cache resident.  This is the single inner loop of the
     whole estimator family — the dense reference path runs it over all
     kernels, the fast path over culled candidate sets.
+
+    A one-box block of an estimator that supplies ``box_mass`` skips the
+    buffer and its fill and takes every axis from one broadcast: at one box
+    the per-call cost of the numpy operations, not their size, is what the
+    per-axis loop pays for.  It multiplies the same factors in the same order
+    as the loop, so its answer is bitwise the loop's.
     """
     n = lows.shape[0]
     dims = lows.shape[1]
@@ -320,6 +399,14 @@ def weighted_box_masses(
     count = kernel_weights.size
     if count == 0 or n == 0:
         out[:n] = 0.0
+        return out
+    if n == 1 and box_mass is not None:
+        axis_masses = box_mass(ids, lows[0], highs[0])
+        masses = axis_masses[:, 0]
+        for axis in range(1, dims):
+            masses = masses * axis_masses[:, axis]
+        np.matmul(masses[None, :], kernel_weights, out=out[:1])
+        out[:1] /= total_weight
         return out
     block = max(_BUFFER_ELEMENTS // count, 1)
     buffer = np.empty((min(block, n), count))
@@ -353,8 +440,8 @@ def _spatial_groups(
     if n <= 1:
         yield np.arange(n)
         return
-    position_low = index.sorted_positions[0, :]
-    position_high = index.sorted_positions[-1, :]
+    position_low = index.axis_positions[:, 0]
+    position_high = index.axis_positions[:, -1]
     centers = 0.5 * (
         np.maximum(lows, position_low) + np.minimum(highs, position_high)
     )
@@ -379,6 +466,7 @@ def estimate_boxes(
     weights: np.ndarray,
     total_weight: float,
     axis_mass: AxisMass,
+    box_mass: BoxMass | None = None,
 ) -> np.ndarray | None:
     """Support-culled batch estimation over a kernel index.
 
@@ -388,6 +476,13 @@ def estimate_boxes(
     group is evaluated against one shared culled candidate set.  Returns
     ``None`` when culling cannot pay at all (tiny synopses, or every query is
     wide) — the caller then takes the dense path itself.
+
+    A one-box plan skips the counting and grouping:
+    :meth:`~KernelSupportIndex.narrow_box` settles its route in the common
+    case (a full count settles the rest), one
+    :meth:`~KernelSupportIndex.box_candidates` probe supplies its candidate
+    set, and ``box_mass`` (when given) evaluates it in one broadcast.  Its
+    answer is bitwise the grouped route's for that box.
     """
     n = lows.shape[0]
     route_metrics = _ROUTE_METRICS
@@ -395,6 +490,23 @@ def estimate_boxes(
         if route_metrics is not None and n:
             route_metrics.counter("fastpath.dense_queries").inc(n)
         return None
+    if n == 1:
+        low, high = lows[0], highs[0]
+        if not index.narrow_box(low, high) and (
+            index.candidate_counts(lows, highs).min()
+            >= index.kernel_count * _DENSE_FRACTION
+        ):
+            if route_metrics is not None:
+                route_metrics.counter("fastpath.dense_queries").inc(1)
+            return None
+        if route_metrics is not None:
+            route_metrics.counter("fastpath.culled_queries").inc(1)
+        ids = index.box_candidates(low, high)
+        if ids.size == 0:
+            return np.zeros(1)  # no kernel reaches the box: mass 0
+        return weighted_box_masses(
+            lows, highs, axis_mass, weights, total_weight, ids=ids, box_mass=box_mass
+        )
     counts = index.candidate_counts(lows, highs)
     tightest = counts.min(axis=1)
     selective = tightest < index.kernel_count * _DENSE_FRACTION

@@ -1,11 +1,12 @@
 """The reconstructed evaluation suite: one callable per table and figure.
 
-Every function regenerates one table or figure of the evaluation described in
-DESIGN.md and returns a :class:`~repro.experiments.runner.TableResult` or
+Every function regenerates one table or figure of the evaluation (the layers
+they exercise are mapped in ARCHITECTURE.md) and returns a
+:class:`~repro.experiments.runner.TableResult` or
 :class:`~repro.experiments.runner.SeriesResult`.  The benchmark modules under
 ``benchmarks/`` call these functions (scaled down via their keyword
-arguments) and print the rendered output; EXPERIMENTS.md records a full-scale
-run.
+arguments) and print the rendered output; their recorded runs are kept under
+``benchmarks/results/``.
 
 Experiment index
 ----------------

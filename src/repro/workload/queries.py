@@ -443,9 +443,11 @@ class CompiledQueries:
             raise InvalidQueryError(
                 f"bound matrices have {lows.shape[1]} columns for {len(columns)} attributes"
             )
-        if np.any(np.isnan(lows)) or np.any(np.isnan(highs)):
-            raise InvalidQueryError("compiled bounds must not contain NaN")
-        if np.any(lows > highs):
+        # One comparison pass covers both checks (NaN compares false); which
+        # one failed is only worked out on the error path.
+        if not (lows <= highs).all():
+            if np.isnan(lows).any() or np.isnan(highs).any():
+                raise InvalidQueryError("compiled bounds must not contain NaN")
             raise InvalidQueryError("compiled lower bounds must not exceed upper bounds")
         lows.setflags(write=False)
         highs.setflags(write=False)
@@ -727,22 +729,36 @@ def compile_queries(
     query_list = list(queries)
     if schema is not None:
         return _lower_workload(query_list, columns, schema)
-    known = set(columns)
-    lows = np.full((len(query_list), len(columns)), -np.inf)
-    highs = np.full((len(query_list), len(columns)), np.inf)
+    if not query_list:
+        empty = np.empty((0, len(columns)))
+        return CompiledQueries(columns, empty, empty)
+    # One pass over the constraint dicts into nested lists; numpy sees the
+    # bounds once, in the CompiledQueries constructor.
+    index_get = {c: d for d, c in enumerate(columns)}.get
+    unconstrained_low = [-math.inf] * len(columns)
+    unconstrained_high = [math.inf] * len(columns)
+    lows: list[list[float]] = []
+    highs: list[list[float]] = []
     for i, query in enumerate(query_list):
         if isinstance(query, TypedQuery):
             raise InvalidQueryError(
                 f"query {i} uses typed predicates; compile it with a schema "
                 "(compile_queries(..., schema=table.schema))"
             )
-        unknown = set(query.attributes) - known
-        if unknown:
-            raise DimensionMismatchError(
-                f"query {i} constrains {sorted(unknown)} which are not covered "
-                f"by the plan columns {list(columns)}"
-            )
-        lows[i], highs[i] = query.bounds(columns)
+        low = unconstrained_low.copy()
+        high = unconstrained_high.copy()
+        for name, interval in query._constraints.items():
+            d = index_get(name)
+            if d is None:
+                unknown = set(query.attributes) - set(columns)
+                raise DimensionMismatchError(
+                    f"query {i} constrains {sorted(unknown)} which are not covered "
+                    f"by the plan columns {list(columns)}"
+                )
+            low[d] = interval.low
+            high[d] = interval.high
+        lows.append(low)
+        highs.append(high)
     return CompiledQueries(columns, lows, highs)
 
 

@@ -129,6 +129,81 @@ def test_fast_matches_dense_on_random_boxes(name: str, boxes) -> None:
     _assert_fast_matches_dense(estimator, _plan(estimator, boxes))
 
 
+@pytest.mark.parametrize("name", ALL_ESTIMATORS)
+@given(boxes=_boxes)
+@settings(max_examples=10, deadline=None)
+def test_one_row_plans_match_dense_and_the_multi_box_plan(name: str, boxes) -> None:
+    """Every random and special box as its own 1-row plan (the one-box route)."""
+    estimator = _fitted(name)
+    plan = _plan(estimator, boxes)
+    together = estimator.estimate_batch(plan)
+    for row in range(len(plan)):
+        single = CompiledQueries(plan.columns, plan.lows[row : row + 1], plan.highs[row : row + 1])
+        _assert_fast_matches_dense(estimator, single)
+        np.testing.assert_allclose(
+            estimator.estimate_batch(single), together[row : row + 1], rtol=0.0, atol=DEFAULT_ATOL
+        )
+
+
+@pytest.mark.parametrize("name", ["kde", "adaptive_kde", "streaming_ade"])
+@given(boxes=_boxes)
+@settings(max_examples=25, deadline=None)
+def test_narrow_box_only_claims_selective_boxes(name: str, boxes) -> None:
+    """`narrow_box` may settle a one-box route only where counting agrees."""
+    estimator = _fitted(name)
+    estimator.estimate_batch(_plan(estimator, boxes[:1]))  # builds the index
+    index = estimator._support_cache[1]
+    plan = _plan(estimator, boxes)
+    dense_count = index.kernel_count * fastpath._DENSE_FRACTION
+    for low, high in zip(plan.lows, plan.highs):
+        if index.narrow_box(low, high):
+            assert index.candidate_counts(low[None], high[None]).min() < dense_count
+
+
+class TestOneBoxRoute:
+    """The one-box route keeps the grouped route's dense/culled rule exactly."""
+
+    def test_route_at_the_dense_boundary(self) -> None:
+        # 40 kernels at x = 0..39 with radius 0.5: the dense share is 30
+        # kernels, the narrowest 30-kernel span is 29 wide.
+        centers = np.column_stack([np.arange(40.0), np.zeros(40)])
+        index = fastpath.KernelSupportIndex(centers, 0.5)
+        weights = np.ones(40)
+
+        def axis_mass(ids, axis, low, high):
+            means = centers[:, axis] if ids is None else centers[ids, axis]
+            return fastpath.normal_box_mass(low[:, None], high[:, None], means[None, :], 0.1)
+
+        def route(low_x: float, high_x: float):
+            lows, highs = np.array([[low_x, -1.0]]), np.array([[high_x, 1.0]])
+            counted = index.candidate_counts(lows, highs).min()
+            return (
+                index.narrow_box(lows[0], highs[0]),
+                counted,
+                fastpath.estimate_boxes(lows, highs, index, weights, 40.0, axis_mass),
+                fastpath.weighted_box_masses(lows, highs, axis_mass, weights, 40.0),
+            )
+
+        narrow, counted, culled, dense = route(0.5, 28.25)  # window [0, 28.75]: 29 kernels
+        assert narrow and counted == 29
+        assert culled == pytest.approx(dense, abs=1e-12)
+        narrow, counted, culled, _ = route(0.5, 28.5)  # window [0, 29]: 30 kernels
+        assert not narrow and counted == 30 and culled is None
+
+    def test_box_candidates_match_a_brute_force_overlap(self) -> None:
+        rng = np.random.default_rng(3)
+        centers = rng.normal(size=(500, 3))
+        radii = rng.uniform(0.05, 0.6, size=(500, 3))
+        index = fastpath.KernelSupportIndex(centers, radii)
+        for _ in range(50):
+            low = rng.uniform(-2.0, 1.0, size=3)
+            high = low + rng.uniform(0.0, 1.5, size=3)
+            overlap = np.all((centers + radii >= low) & (centers - radii <= high), axis=1)
+            np.testing.assert_array_equal(
+                index.box_candidates(low, high), np.flatnonzero(overlap)
+            )
+
+
 class TestDenseReferenceReachable:
     """`fastpath=False` pins the dense path and stays contract-complete."""
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import DimensionMismatchError, InvalidQueryError
 from repro.workload.queries import (
@@ -224,3 +226,68 @@ class TestCompiledQueries:
         rebuilt = plan.to_queries()[0]
         assert rebuilt["a"] == Interval(0, 1)
         assert rebuilt["b"] == Interval(-math.inf, 3.0)
+
+
+_NAMES = ("a", "b", "c", "d")
+_bound = st.floats(allow_nan=False)  # includes ±inf and -0.0
+
+
+@st.composite
+def _columns_and_queries(draw):
+    """A random column order/subset and RangeQuery list constraining subsets of it."""
+    order = draw(st.permutations(_NAMES))
+    columns = tuple(order[: draw(st.integers(1, len(order)))])
+    queries = []
+    for _ in range(draw(st.integers(0, 6))):
+        names = draw(st.lists(st.sampled_from(columns), min_size=1, unique=True))
+        queries.append(
+            RangeQuery({name: tuple(sorted(draw(st.tuples(_bound, _bound)))) for name in names})
+        )
+    return columns, queries
+
+
+class TestCompileProperties:
+    @given(_columns_and_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_compile_equals_stacked_bounds_bitwise(self, case) -> None:
+        columns, queries = case
+        plan = compile_queries(queries, columns)
+        expected = np.empty((2, len(queries), len(columns)))
+        for i, query in enumerate(queries):
+            expected[0, i], expected[1, i] = query.bounds(columns)
+        assert plan.columns == columns
+        assert plan.lows.shape == plan.highs.shape == (len(queries), len(columns))
+        assert plan.lows.tobytes() == expected[0].tobytes()
+        assert plan.highs.tobytes() == expected[1].tobytes()
+
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(
+                *(st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 2.0, np.inf, np.nan]),
+                           min_size=2 * n, max_size=2 * n) for _ in range(2))
+            ).map(lambda pair: [np.reshape(values, (n, 2)) for values in pair])
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_validation_errors_keep_their_type_and_message(self, bounds) -> None:
+        lows, highs = bounds
+        if np.isnan(lows).any() or np.isnan(highs).any():
+            expected = "compiled bounds must not contain NaN"
+        elif (lows > highs).any():
+            expected = "compiled lower bounds must not exceed upper bounds"
+        else:
+            expected = None
+        if expected is None:
+            assert len(CompiledQueries(("a", "b"), lows, highs)) == lows.shape[0]
+        else:
+            with pytest.raises(InvalidQueryError) as raised:
+                CompiledQueries(("a", "b"), lows, highs)
+            assert str(raised.value) == expected
+
+    def test_unknown_attribute_message_names_the_query_and_columns(self) -> None:
+        queries = [RangeQuery({"a": (0, 1)}), RangeQuery({"z": (1, 2), "a": (0, 1), "c": (0, 1)})]
+        with pytest.raises(DimensionMismatchError) as raised:
+            compile_queries(queries, ["b", "a"])
+        assert str(raised.value) == (
+            "query 1 constrains ['c', 'z'] which are not covered by the plan columns ['b', 'a']"
+        )
