@@ -39,16 +39,14 @@ per-query candidate counts decide dense vs culled, selective boxes are
 grid-clustered and each group is evaluated against one shared candidate set
 with the per-axis blocked micro-kernel.  A one-box plan — the request an
 optimizer sends, one predicate at a time — takes the *one-box route*
-instead: no counting and no grouping, but :meth:`KernelSupportIndex.narrow_box`
-(which settles the same dense/culled rule from precomputed per-axis widths
-for any box that is narrow on some axis), one
-:meth:`KernelSupportIndex.box_candidates` probe, and the micro-kernel on the
-single box, which skips its work buffer and evaluates every axis in one
-broadcast when the estimator supplies a :data:`BoxMass` hook.  The one-box
-route answers bitwise what the grouped route answers for that box.  Upstream,
+instead: the same candidate count and dense/culled rule, then no grouping
+and none of the group bookkeeping, just one
+:meth:`KernelSupportIndex.box_candidates` probe against the precomputed
+support edges and the micro-kernel on the single box.  The one-box route
+answers bitwise what the grouped route answers for that box.  Upstream,
 :func:`repro.workload.queries.compile_queries` builds the request's plan in
-one pass over the queries' constraint dicts, so a 1-query request reaches the
-route after a few microseconds of compilation.
+one pass over the queries into Python lists, so a 1-query request reaches
+the route after a few microseconds of compilation.
 
 The repository benchmark (``perfbench/``) traces this module through the
 module attributes ``estimate_boxes``, ``weighted_box_masses`` (reading the
@@ -144,11 +142,6 @@ _BUFFER_ELEMENTS = 1 << 17
 #: kernel mass of every (query, kernel) pair; ``ids`` selects a candidate
 #: kernel subset (``None`` means all kernels).
 AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
-
-#: ``box_mass(ids, low, high) -> (kernels, d)`` — the per-axis kernel masses
-#: of one box (``(d,)`` bounds) over every axis in one broadcast; ``ids`` as
-#: for :data:`AxisMass`.  Optional: it only serves one-box blocks.
-BoxMass = Callable[[np.ndarray | None, np.ndarray, np.ndarray], np.ndarray]
 
 _ENABLED = True
 
@@ -263,7 +256,6 @@ class KernelSupportIndex:
         "upper_edges",
         "sorted_lower_edges",
         "sorted_upper_edges",
-        "dense_widths",
         "kernel_count",
         "dims",
     )
@@ -287,17 +279,6 @@ class KernelSupportIndex:
         self.upper_edges = np.ascontiguousarray((centers + radii).T)
         self.sorted_lower_edges = np.take_along_axis(self.lower_edges, orders, axis=1)
         self.sorted_upper_edges = np.take_along_axis(self.upper_edges, orders, axis=1)
-        #: per axis, the narrowest span of sorted positions holding the dense
-        #: share of kernels (see :meth:`narrow_box`)
-        run = int(np.ceil(self.kernel_count * _DENSE_FRACTION))
-        positions = self.axis_positions
-        self.dense_widths = (
-            (positions[:, run - 1 :] - positions[:, : self.kernel_count - run + 1])
-            .min(axis=1)
-            .tolist()
-            if self.kernel_count
-            else [0.0] * self.dims
-        )
 
     def candidate_counts(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Per-query, per-axis candidate-count upper bounds (``(n, d)``).
@@ -314,23 +295,6 @@ class KernelSupportIndex:
             stops = positions.searchsorted(highs[:, axis] + radius, side="right")
             counts[:, axis] = stops - starts
         return counts
-
-    def narrow_box(self, low: np.ndarray, high: np.ndarray) -> bool:
-        """Whether some axis certainly keeps under the dense share of kernels.
-
-        A box whose interval, widened by the axis's maximum support radius, is
-        narrower than every run of ``ceil(K · _DENSE_FRACTION)`` consecutive
-        sorted positions cannot hold that many kernels on the axis, so
-        :func:`estimate_boxes` would route it to the culled path.  The test is
-        exact under rounding (a rounded difference is monotone in its real
-        value); ``False`` only means "count to find out".
-        """
-        for lo, hi, radius, width in zip(
-            low.tolist(), high.tolist(), self.max_radii.tolist(), self.dense_widths
-        ):
-            if (hi + radius) - (lo - radius) < width:
-                return True
-        return False
 
     def box_candidates(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Ascending kernel ids whose support can overlap the box ``[low, high]``.
@@ -374,7 +338,6 @@ def weighted_box_masses(
     total_weight: float,
     ids: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    box_mass: BoxMass | None = None,
 ) -> np.ndarray:
     """The product-kernel CDF micro-kernel: ``(1/W) Σ_i w_i Π_d mass_d(i)``.
 
@@ -384,12 +347,6 @@ def weighted_box_masses(
     large batches stay cache resident.  This is the single inner loop of the
     whole estimator family — the dense reference path runs it over all
     kernels, the fast path over culled candidate sets.
-
-    A one-box block of an estimator that supplies ``box_mass`` skips the
-    buffer and its fill and takes every axis from one broadcast: at one box
-    the per-call cost of the numpy operations, not their size, is what the
-    per-axis loop pays for.  It multiplies the same factors in the same order
-    as the loop, so its answer is bitwise the loop's.
     """
     n = lows.shape[0]
     dims = lows.shape[1]
@@ -399,14 +356,6 @@ def weighted_box_masses(
     count = kernel_weights.size
     if count == 0 or n == 0:
         out[:n] = 0.0
-        return out
-    if n == 1 and box_mass is not None:
-        axis_masses = box_mass(ids, lows[0], highs[0])
-        masses = axis_masses[:, 0]
-        for axis in range(1, dims):
-            masses = masses * axis_masses[:, axis]
-        np.matmul(masses[None, :], kernel_weights, out=out[:1])
-        out[:1] /= total_weight
         return out
     block = max(_BUFFER_ELEMENTS // count, 1)
     buffer = np.empty((min(block, n), count))
@@ -466,7 +415,6 @@ def estimate_boxes(
     weights: np.ndarray,
     total_weight: float,
     axis_mass: AxisMass,
-    box_mass: BoxMass | None = None,
 ) -> np.ndarray | None:
     """Support-culled batch estimation over a kernel index.
 
@@ -477,12 +425,10 @@ def estimate_boxes(
     ``None`` when culling cannot pay at all (tiny synopses, or every query is
     wide) — the caller then takes the dense path itself.
 
-    A one-box plan skips the counting and grouping:
-    :meth:`~KernelSupportIndex.narrow_box` settles its route in the common
-    case (a full count settles the rest), one
-    :meth:`~KernelSupportIndex.box_candidates` probe supplies its candidate
-    set, and ``box_mass`` (when given) evaluates it in one broadcast.  Its
-    answer is bitwise the grouped route's for that box.
+    A one-box plan applies the same rule to its own count and then skips the
+    grouping: one :meth:`~KernelSupportIndex.box_candidates` probe supplies
+    its candidate set.  Its answer is bitwise the grouped route's for that
+    box.
     """
     n = lows.shape[0]
     route_metrics = _ROUTE_METRICS
@@ -491,22 +437,16 @@ def estimate_boxes(
             route_metrics.counter("fastpath.dense_queries").inc(n)
         return None
     if n == 1:
-        low, high = lows[0], highs[0]
-        if not index.narrow_box(low, high) and (
-            index.candidate_counts(lows, highs).min()
-            >= index.kernel_count * _DENSE_FRACTION
-        ):
+        if index.candidate_counts(lows, highs).min() >= index.kernel_count * _DENSE_FRACTION:
             if route_metrics is not None:
                 route_metrics.counter("fastpath.dense_queries").inc(1)
             return None
         if route_metrics is not None:
             route_metrics.counter("fastpath.culled_queries").inc(1)
-        ids = index.box_candidates(low, high)
+        ids = index.box_candidates(lows[0], highs[0])
         if ids.size == 0:
             return np.zeros(1)  # no kernel reaches the box: mass 0
-        return weighted_box_masses(
-            lows, highs, axis_mass, weights, total_weight, ids=ids, box_mass=box_mass
-        )
+        return weighted_box_masses(lows, highs, axis_mass, weights, total_weight, ids=ids)
     counts = index.candidate_counts(lows, highs)
     tightest = counts.min(axis=1)
     selective = tightest < index.kernel_count * _DENSE_FRACTION

@@ -789,9 +789,7 @@ class StreamingADE(StreamingEstimator):
         Selective batches run through the support-culling fast path
         (:func:`repro.core.fastpath.estimate_boxes`); everything else — and
         models built with ``fastpath=False`` — runs the dense reference path
-        on the same batched product-kernel CDF micro-kernel.  ``box_mass``
-        lets the fast path's one-box route take every axis in one broadcast
-        (:data:`repro.core.fastpath.BoxMass`).
+        on the same batched product-kernel CDF micro-kernel.
         """
         self.flush()
         n = lows.shape[0]
@@ -817,16 +815,9 @@ class StreamingADE(StreamingEstimator):
                 low[:, None], high[:, None], means[None, :], scale[None, :]
             )
 
-        def box_mass(
-            ids: np.ndarray | None, low: np.ndarray, high: np.ndarray
-        ) -> np.ndarray:
-            means = self._means if ids is None else self._means[ids]
-            scale = stds if ids is None else stds[ids]
-            return _normal_interval_mass(low, high, means, scale)
-
         if use_fastpath:
             culled = fastpath.estimate_boxes(
-                lows, highs, index, self._weights, total, axis_mass, box_mass
+                lows, highs, index, self._weights, total, axis_mass
             )
             if culled is not None:
                 return culled

@@ -732,11 +732,11 @@ def compile_queries(
     if not query_list:
         empty = np.empty((0, len(columns)))
         return CompiledQueries(columns, empty, empty)
-    # One pass over the constraint dicts into nested lists; numpy sees the
-    # bounds once, in the CompiledQueries constructor.
-    index_get = {c: d for d, c in enumerate(columns)}.get
-    unconstrained_low = [-math.inf] * len(columns)
-    unconstrained_high = [math.inf] * len(columns)
+    # One pass over the queries into nested lists; numpy sees the bounds
+    # once, in the CompiledQueries constructor.  As in RangeQuery.bounds,
+    # every position of a column name gets that attribute's bounds.
+    known = set(columns)
+    unbounded = Interval(-math.inf, math.inf)
     lows: list[list[float]] = []
     highs: list[list[float]] = []
     for i, query in enumerate(query_list):
@@ -745,20 +745,15 @@ def compile_queries(
                 f"query {i} uses typed predicates; compile it with a schema "
                 "(compile_queries(..., schema=table.schema))"
             )
-        low = unconstrained_low.copy()
-        high = unconstrained_high.copy()
-        for name, interval in query._constraints.items():
-            d = index_get(name)
-            if d is None:
-                unknown = set(query.attributes) - set(columns)
-                raise DimensionMismatchError(
-                    f"query {i} constrains {sorted(unknown)} which are not covered "
-                    f"by the plan columns {list(columns)}"
-                )
-            low[d] = interval.low
-            high[d] = interval.high
-        lows.append(low)
-        highs.append(high)
+        constraints = query._constraints
+        if not known.issuperset(constraints):
+            raise DimensionMismatchError(
+                f"query {i} constrains {sorted(set(constraints) - known)} which are "
+                f"not covered by the plan columns {list(columns)}"
+            )
+        intervals = [constraints.get(name, unbounded) for name in columns]
+        lows.append([interval.low for interval in intervals])
+        highs.append([interval.high for interval in intervals])
     return CompiledQueries(columns, lows, highs)
 
 

@@ -145,27 +145,11 @@ def test_one_row_plans_match_dense_and_the_multi_box_plan(name: str, boxes) -> N
         )
 
 
-@pytest.mark.parametrize("name", ["kde", "adaptive_kde", "streaming_ade"])
-@given(boxes=_boxes)
-@settings(max_examples=25, deadline=None)
-def test_narrow_box_only_claims_selective_boxes(name: str, boxes) -> None:
-    """`narrow_box` may settle a one-box route only where counting agrees."""
-    estimator = _fitted(name)
-    estimator.estimate_batch(_plan(estimator, boxes[:1]))  # builds the index
-    index = estimator._support_cache[1]
-    plan = _plan(estimator, boxes)
-    dense_count = index.kernel_count * fastpath._DENSE_FRACTION
-    for low, high in zip(plan.lows, plan.highs):
-        if index.narrow_box(low, high):
-            assert index.candidate_counts(low[None], high[None]).min() < dense_count
-
-
 class TestOneBoxRoute:
     """The one-box route keeps the grouped route's dense/culled rule exactly."""
 
     def test_route_at_the_dense_boundary(self) -> None:
-        # 40 kernels at x = 0..39 with radius 0.5: the dense share is 30
-        # kernels, the narrowest 30-kernel span is 29 wide.
+        # 40 kernels at x = 0..39 with radius 0.5: the dense share is 30 kernels.
         centers = np.column_stack([np.arange(40.0), np.zeros(40)])
         index = fastpath.KernelSupportIndex(centers, 0.5)
         weights = np.ones(40)
@@ -176,19 +160,17 @@ class TestOneBoxRoute:
 
         def route(low_x: float, high_x: float):
             lows, highs = np.array([[low_x, -1.0]]), np.array([[high_x, 1.0]])
-            counted = index.candidate_counts(lows, highs).min()
             return (
-                index.narrow_box(lows[0], highs[0]),
-                counted,
+                index.candidate_counts(lows, highs).min(),
                 fastpath.estimate_boxes(lows, highs, index, weights, 40.0, axis_mass),
                 fastpath.weighted_box_masses(lows, highs, axis_mass, weights, 40.0),
             )
 
-        narrow, counted, culled, dense = route(0.5, 28.25)  # window [0, 28.75]: 29 kernels
-        assert narrow and counted == 29
+        counted, culled, dense = route(0.5, 28.25)  # window [0, 28.75]: 29 kernels
+        assert counted == 29
         assert culled == pytest.approx(dense, abs=1e-12)
-        narrow, counted, culled, _ = route(0.5, 28.5)  # window [0, 29]: 30 kernels
-        assert not narrow and counted == 30 and culled is None
+        counted, culled, _ = route(0.5, 28.5)  # window [0, 29]: 30 kernels
+        assert counted == 30 and culled is None
 
     def test_box_candidates_match_a_brute_force_overlap(self) -> None:
         rng = np.random.default_rng(3)

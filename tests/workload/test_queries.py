@@ -234,9 +234,14 @@ _bound = st.floats(allow_nan=False)  # includes ±inf and -0.0
 
 @st.composite
 def _columns_and_queries(draw):
-    """A random column order/subset and RangeQuery list constraining subsets of it."""
+    """A random column order/subset and RangeQuery list constraining subsets of it.
+
+    Some draws repeat a column name: every position of it gets its bounds.
+    """
     order = draw(st.permutations(_NAMES))
     columns = tuple(order[: draw(st.integers(1, len(order)))])
+    if draw(st.booleans()):
+        columns += tuple(draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2)))
     queries = []
     for _ in range(draw(st.integers(0, 6))):
         names = draw(st.lists(st.sampled_from(columns), min_size=1, unique=True))
