@@ -34,13 +34,12 @@ Artifacts for CI: the gated phase's collector series as CSV
 (``telemetry_admission_control.csv``) and a rendered dashboard
 (``dashboard_admission_control.html``) under ``benchmarks/results/``.
 
-Set ``BENCH_ADMISSION_SMOKE=1`` for the reduced, non-gating CI configuration.
+Set ``BENCH_SMOKE=1`` for the reduced, non-gating CI configuration.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
@@ -50,9 +49,8 @@ from repro.obs.dashboard import write_dashboard
 from repro.serve import AdmissionController, EstimatorServer, TenantQuota
 from repro.traffic import TenantProfile, TrafficSimulator
 
-from report import RESULTS_DIR, bench_report
+from report import RESULTS_DIR, SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_ADMISSION_SMOKE") == "1"
 
 #: Gate: gated-storm victim p99 over its baseline p99.
 GATED_DEGRADATION_FACTOR = 1.25
@@ -246,7 +244,7 @@ def admission_control(
 
 def test_admission_control(report):
     kwargs = dict(rows=5_000, max_kernels=64, duration=0.4) if SMOKE else {}
-    with bench_report("admission_control", smoke=SMOKE) as rep:
+    with bench_report("admission_control") as rep:
         holder = {}
 
         def experiment(**kw):
@@ -265,7 +263,6 @@ def test_admission_control(report):
         rep.metric("storm_rejected", inputs["storm_rejected"])
         rep.metric("slo_target_seconds", inputs["slo_target"])
         rep.metric("final_write_allowance", inputs["controller"].write_allowance)
-        rep.note(f"smoke={SMOKE}")
         rep.telemetry(inputs["gated_registry"], inputs["collector"])
 
         # CI artifacts: the gated phase's collector series (columnar CSV,
@@ -287,7 +284,6 @@ def test_admission_control(report):
             "gated_victim_degradation_le_1_25x",
             ratio <= GATED_DEGRADATION_FACTOR,
             detail=ratio,
-            enforced=not SMOKE,
         ) or SMOKE, (
             f"gated victim p99 degraded {ratio:.2f}x > {GATED_DEGRADATION_FACTOR}x "
             f"(baseline {inputs['victim_p99_baseline'] * 1e3:.2f}ms, gated "
@@ -299,7 +295,6 @@ def test_admission_control(report):
             "storm_goodput_ge_50pct",
             goodput >= MIN_STORM_GOODPUT,
             detail=goodput,
-            enforced=not SMOKE,
         ) or SMOKE, (
             f"aggressor goodput {goodput:.0%} < {MIN_STORM_GOODPUT:.0%} "
             f"(shed: {inputs['storm_rejected']})"

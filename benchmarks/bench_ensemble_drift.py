@@ -22,7 +22,7 @@ phase change, and the spawn lifecycle adds a fresh expert (warm-started from
 the recent-row buffer) whenever the pool's own loss stays high — which is
 exactly what happens right after a sudden jump.
 
-Set ``BENCH_ENSEMBLE_SMOKE=1`` for the reduced CI smoke configuration (the
+Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration (the
 gates are recorded but not enforced — the tiny stream is too short for the
 weights to converge reliably on shared hardware).
 """
@@ -30,7 +30,6 @@ weights to converge reliably on shared hardware).
 from __future__ import annotations
 
 import copy
-import os
 
 from repro.core.estimator import estimator_from_config
 from repro.data.streams import rotating_drift_stream
@@ -43,9 +42,8 @@ from repro.workload.generators import UniformWorkload
 
 import numpy as np
 
-from report import bench_report
+from report import SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_ENSEMBLE_SMOKE") == "1"
 
 #: Acceptance gate: ensemble error relative to the best single expert.
 MAX_ERROR_VS_BEST_EXPERT = 0.95
@@ -149,7 +147,7 @@ def test_ensemble_drift(report):
         if SMOKE
         else {}
     )
-    with bench_report("ensemble_drift", smoke=SMOKE) as rep:
+    with bench_report("ensemble_drift") as rep:
         result = report(ensemble_drift, **kwargs)
         by_label = {row[0]: row for row in result.rows}
         expert_errors = {
@@ -162,19 +160,16 @@ def test_ensemble_drift(report):
         best_error = expert_errors[best_label]
         rep.metric("best_expert", best_label)
         rep.metric("ensemble_vs_best_ratio", ensemble_error / max(best_error, 1e-12))
-        rep.note(f"smoke={SMOKE}")
 
         ok_best = rep.gate(
             "ensemble_le_0_95x_best_expert",
             ensemble_error <= MAX_ERROR_VS_BEST_EXPERT * best_error,
             detail={"ensemble": ensemble_error, "best": best_error, "expert": best_label},
-            enforced=not SMOKE,
         )
         ok_all = rep.gate(
             "ensemble_beats_every_expert",
             all(ensemble_error < err for err in expert_errors.values()),
             detail=expert_errors,
-            enforced=not SMOKE,
         )
         if not SMOKE:
             assert ok_best, (

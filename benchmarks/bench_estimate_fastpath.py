@@ -13,14 +13,13 @@ the streaming ADE at a production-sized kernel budget.  A wide (full-domain)
 workload is reported alongside to show the fast path degrades gracefully —
 it must never be slower than 0.8x dense there.
 
-Set ``BENCH_FASTPATH_SMOKE=1`` for the reduced CI smoke configuration; the
+Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration; the
 speedup gates are skipped there (shared CI hardware) but the deviation gate
 — pure numerics — must hold anywhere.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -34,9 +33,7 @@ from repro.experiments.runner import TableResult
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import compile_queries
 
-from report import bench_report
-
-SMOKE = os.environ.get("BENCH_FASTPATH_SMOKE") == "1"
+from report import SMOKE, bench_report
 
 
 def _best_of(callable_, repeats: int = 3) -> float:
@@ -130,18 +127,20 @@ def test_fastpath_speedup(report):
     kwargs = (
         dict(rows=4_000, kernels=256, queries=400, repeats=1) if SMOKE else {}
     )
-    with bench_report("estimate_fastpath", smoke=SMOKE) as rep:
+    with bench_report("estimate_fastpath") as rep:
         result = report(fastpath_speedup, **kwargs)
         rows = {(r[0], r[1]): r for r in result.rows}
         for (label, workload), row in rows.items():
             rep.metric(f"{label}_{workload}_speedup", row[4])
             rep.metric(f"{label}_{workload}_max_abs_deviation", row[5])
-        rep.note(f"smoke={SMOKE}")
         # The deviation gate is pure numerics and holds on any hardware: the
         # fast path must match the dense path to 1e-9 (design budget 1e-12).
         for (label, workload), row in rows.items():
             assert rep.gate(
-                f"{label}_{workload}_deviation_le_1e9", row[5] <= 1e-9, detail=row[5]
+                f"{label}_{workload}_deviation_le_1e9",
+                row[5] <= 1e-9,
+                detail=row[5],
+                enforced=True,
             ), f"{label}/{workload} deviates {row[5]:.2e} > 1e-9"
         # ≥5x on the selective workload for every kernel-family estimator;
         # skipped (recorded as non-enforced) in smoke mode.
@@ -151,7 +150,6 @@ def test_fastpath_speedup(report):
                 f"{label}_selective_speedup_ge_5x",
                 speedup >= 5.0,
                 detail=speedup,
-                enforced=not SMOKE,
             )
             if not SMOKE:
                 assert ok, f"{label} selective speedup {speedup:.1f}x < 5x"
@@ -162,7 +160,6 @@ def test_fastpath_speedup(report):
                 f"{label}_wide_no_regression",
                 speedup >= 0.8,
                 detail=speedup,
-                enforced=not SMOKE,
             )
             if not SMOKE:
                 assert ok, f"{label} wide-workload slowdown {speedup:.2f}x < 0.8x"

@@ -22,7 +22,7 @@ Four deterministic fault campaigns, each driven entirely by a seeded
    survivor combine must stay within :data:`DEGRADED_TOLERANCE` mean
    relative deviation of the full ensemble.
 
-Set ``BENCH_FAULT_SMOKE=1`` for the reduced CI smoke configuration (the
+Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration (the
 latency gate is skipped there; recovery and availability gates hold
 everywhere).
 """
@@ -30,7 +30,6 @@ everywhere).
 from __future__ import annotations
 
 import copy
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -53,9 +52,8 @@ from repro.shard.sharded import ShardedEstimator
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import compile_queries
 
-from report import bench_report
+from report import SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_FAULT_SMOKE") == "1"
 
 #: Documented accuracy tolerance for degraded-mode serving: mean relative
 #: deviation of the renormalized survivor combine from the full ensemble
@@ -336,18 +334,23 @@ def fault_recovery(rows: int = 20_000, queries: int = 300, requests: int = 120) 
 
 def test_fault_recovery(report):
     kwargs = dict(rows=4_000, queries=80, requests=80) if SMOKE else {}
-    with bench_report("fault_recovery", smoke=SMOKE) as rep:
+    with bench_report("fault_recovery") as rep:
         result = report(fault_recovery, **kwargs)
         phases = result.phases
-        rep.note(f"smoke={SMOKE}")
         for campaign, values in phases.items():
             for metric, value in values.items():
                 rep.metric(f"{campaign}_{metric}", value)
 
         journal = phases["journal"]
-        assert rep.gate("journal_replay_bitwise", journal["clean_bitwise_equal"])
-        assert rep.gate("journal_torn_tail_bitwise", journal["torn_bitwise_equal"])
-        assert rep.gate("journal_torn_tail_detected", journal["torn_torn_tail"])
+        assert rep.gate(
+            "journal_replay_bitwise", journal["clean_bitwise_equal"], enforced=True
+        )
+        assert rep.gate(
+            "journal_torn_tail_bitwise", journal["torn_bitwise_equal"], enforced=True
+        )
+        assert rep.gate(
+            "journal_torn_tail_detected", journal["torn_torn_tail"], enforced=True
+        )
 
         rollback = phases["rollback"]
         assert rep.gate(
@@ -356,16 +359,19 @@ def test_fault_recovery(report):
             and rollback["rollback_bitwise_equal"]
             and rollback["pointer_repaired_to"] == 3.0,
             detail=rollback["served_version"],
+            enforced=True,
         )
         assert rep.gate(
             "rollback_quarantines_all_corrupt",
             rollback["quarantined"] == 3.0,
             detail=rollback["quarantined"],
+            enforced=True,
         )
         assert rep.gate(
             "verified_publish_absorbs_torn_write",
             rollback["verify_retries_fired"] >= 1.0
             and rollback["verified_publish_bitwise_equal"],
+            enforced=True,
         )
 
         breaker = phases["breaker"]
@@ -373,6 +379,7 @@ def test_fault_recovery(report):
             "breaker_zero_served_errors",
             breaker["served_errors"] == 0.0,
             detail=breaker["served_errors"],
+            enforced=True,
         )
         assert rep.gate(
             "breaker_tripped_and_recovered",
@@ -380,29 +387,37 @@ def test_fault_recovery(report):
             and breaker["final_state"] == "closed"
             and breaker["recovered_bitwise"],
             detail=breaker["breaker_trips"],
+            enforced=True,
         )
         assert rep.gate(
             "breaker_degraded_paths_used",
             breaker["stale_served"] + breaker["fallback_served"] > 0.0,
+            enforced=True,
         )
         p99 = breaker["p99_seconds"]
         ok = rep.gate(
             "breaker_p99_within_budget",
             p99 <= P99_BUDGET_SECONDS,
             detail=p99,
-            enforced=not SMOKE,
         )
         if not SMOKE:
             assert ok, f"p99 {p99:.4f}s > {P99_BUDGET_SECONDS:.3f}s while degraded"
 
         shards = phases["shards"]
         assert rep.gate(
-            "shard_transient_retries_absorbed", shards["transient_retries_absorbed"]
+            "shard_transient_retries_absorbed",
+            shards["transient_retries_absorbed"],
+            enforced=True,
         )
-        assert rep.gate("shard_loss_detected", shards["lost_shards"] == 1.0)
-        assert rep.gate("shard_degraded_flagged", shards["degraded_flagged"])
+        assert rep.gate(
+            "shard_loss_detected", shards["lost_shards"] == 1.0, enforced=True
+        )
+        assert rep.gate(
+            "shard_degraded_flagged", shards["degraded_flagged"], enforced=True
+        )
         assert rep.gate(
             "shard_degraded_within_tolerance",
             shards["mean_relative_deviation"] <= DEGRADED_TOLERANCE,
             detail=shards["mean_relative_deviation"],
+            enforced=True,
         )

@@ -8,14 +8,13 @@ window of tuples, averaged over periodic checkpoints — within 5%.  The
 streaming reservoir estimator is reported alongside as the
 vectorized-vs-row-loop baseline of the sampling family.
 
-Set ``BENCH_INGEST_SMOKE=1`` to run a tiny stream (CI smoke mode); the
+Set ``BENCH_SMOKE=1`` to run a tiny stream (CI smoke mode); the
 throughput and accuracy gates are skipped there — a 5k-row stream on shared
 CI hardware says nothing about either.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -28,9 +27,7 @@ from repro.engine.table import Table
 from repro.experiments.runner import TableResult
 from repro.workload.generators import UniformWorkload
 
-from report import bench_report
-
-SMOKE = os.environ.get("BENCH_INGEST_SMOKE") == "1"
+from report import SMOKE, bench_report
 
 
 def ingest_throughput(
@@ -133,25 +130,22 @@ def test_ingest_throughput(report):
         if SMOKE
         else {}
     )
-    with bench_report("ingest_throughput", smoke=SMOKE) as rep:
+    with bench_report("ingest_throughput") as rep:
         result = report(ingest_throughput, **kwargs)
         rows = {(r[0], r[1]): r for r in result.rows}
         for (estimator, path), row in rows.items():
             rep.metric(f"{estimator}_{path.replace('-', '_')}_rows_per_second", row[2])
             rep.metric(f"{estimator}_{path.replace('-', '_')}_rel_err_mean", row[4])
-        rep.note(f"smoke={SMOKE}")
         bulk = rows[("ade_streaming", "bulk")]
         sequential = rows[("ade_streaming", "sequential")]
         speedup = bulk[3]
-        rep.gate("bulk_ingest_speedup_ge_10x", speedup >= 10.0, detail=speedup,
-                 enforced=not SMOKE)
+        rep.gate("bulk_ingest_speedup_ge_10x", speedup >= 10.0, detail=speedup)
         accuracy_ok = bulk[4] <= sequential[4] * 1.05 + 1e-3
         rep.gate("bulk_accuracy_parity_5pct", accuracy_ok,
-                 detail={"bulk": bulk[4], "sequential": sequential[4]},
-                 enforced=not SMOKE)
+                 detail={"bulk": bulk[4], "sequential": sequential[4]})
         reservoir_ok = rows[("reservoir_sampling", "bulk")][3] >= 1.0
         rep.gate("reservoir_bulk_not_slower", reservoir_ok,
-                 detail=rows[("reservoir_sampling", "bulk")][3], enforced=not SMOKE)
+                 detail=rows[("reservoir_sampling", "bulk")][3])
         if SMOKE:
             return
         assert speedup >= 10.0, f"bulk ingest speedup {speedup:.1f}x < 10x"

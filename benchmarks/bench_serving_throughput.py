@@ -12,13 +12,12 @@ Two measurements on the same fitted model and compiled workload:
   publishing fresh generations; reported as sustained reads/sec under live
   model swaps (no gate: thread scheduling on shared hardware is noisy).
 
-Set ``BENCH_SERVE_SMOKE=1`` for the reduced CI smoke configuration.
+Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import statistics
 import threading
 import time
@@ -33,9 +32,8 @@ from repro.serve import EstimatorServer
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import compile_queries
 
-from report import bench_report
+from report import SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_SERVE_SMOKE") == "1"
 
 #: Acceptance gate: cached-batch throughput over the uncached path.
 MIN_CACHED_SPEEDUP = 2.0
@@ -241,18 +239,18 @@ def test_serving_throughput(report):
         if SMOKE
         else {}
     )
-    with bench_report("serving_throughput", smoke=SMOKE) as rep:
+    with bench_report("serving_throughput") as rep:
         result = report(serving_throughput, **kwargs)
         rows = {r[0]: r for r in result.rows}
         for label, row in rows.items():
             slug = label.replace(" ", "_").replace("(", "").replace(")", "").replace(",", "")
             rep.metric(f"{slug}_qps", row[1])
-        rep.note(f"smoke={SMOKE}")
         speedup = rows["server (warm cache)"][2]
         assert rep.gate(
             "warm_cache_speedup_ge_2x",
             speedup >= MIN_CACHED_SPEEDUP,
             detail=speedup,
+            enforced=True,
         ), f"cached-batch speedup {speedup:.1f}x < {MIN_CACHED_SPEEDUP:.0f}x"
         # Telemetry must be near-free: instrumented warm-cache throughput
         # within 5% of the uninstrumented server (best-of-3, interleaved).
@@ -262,7 +260,6 @@ def test_serving_throughput(report):
             "telemetry_overhead_ge_0_95",
             ratio >= MIN_TELEMETRY_RATIO,
             detail=ratio,
-            enforced=not SMOKE,
         ) or SMOKE, f"instrumented/uninstrumented ratio {ratio:.3f} < {MIN_TELEMETRY_RATIO}"
         # A live collector sampling the registry must stay near-free too:
         # instrumented+collected throughput within 10% of uninstrumented.
@@ -272,7 +269,6 @@ def test_serving_throughput(report):
             "collected_overhead_ge_0_90",
             collected >= MIN_COLLECTED_RATIO,
             detail=collected,
-            enforced=not SMOKE,
         ) or SMOKE, (
             f"instrumented+collected ratio {collected:.3f} < {MIN_COLLECTED_RATIO}"
         )
@@ -281,4 +277,5 @@ def test_serving_throughput(report):
             "concurrent_reads_alive",
             rows["server, concurrent"][1] > 0,
             detail=rows["server, concurrent"][1],
+            enforced=True,
         )

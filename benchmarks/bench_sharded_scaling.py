@@ -18,14 +18,13 @@ sharding buys at fixed budget.  Reported per shard count:
   accuracy cost of sharding, which the acceptance criteria bound at the 5 %
   documented in :mod:`repro.shard`.
 
-Set ``BENCH_SHARD_SMOKE=1`` for the reduced CI smoke configuration (the
+Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration (the
 speedup gate is skipped — shared CI hardware cannot guarantee parallel
 speedups — but the table is still produced and archived).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -37,9 +36,8 @@ from repro.shard.sharded import ShardedEstimator
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import compile_queries
 
-from report import bench_report
+from report import SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_SHARD_SMOKE") == "1"
 
 #: Acceptance gate: parallel 4-shard fit speedup over the monolithic fit.
 MIN_FIT_SPEEDUP_4_SHARDS = 1.5
@@ -138,14 +136,13 @@ def test_sharded_scaling(report):
         if SMOKE
         else {}
     )
-    with bench_report("sharded_scaling", smoke=SMOKE) as rep:
+    with bench_report("sharded_scaling") as rep:
         result = report(sharded_scaling, **kwargs)
         by_shards = {row[0]: row for row in result.rows}
         for shards, row in by_shards.items():
             rep.metric(f"shards_{shards}_fit_speedup", row[2])
             rep.metric(f"shards_{shards}_estimate_qps", row[3])
             rep.metric(f"shards_{shards}_mean_rel_dev", row[4])
-        rep.note(f"smoke={SMOKE}")
         # Accuracy gate holds at every scale (deviation is data-, not
         # hardware-dependent).
         for shards in (2, 4):
@@ -153,6 +150,7 @@ def test_sharded_scaling(report):
                 f"shards_{shards}_accuracy_le_5pct",
                 by_shards[shards][4] <= MAX_MEAN_RELATIVE_DEVIATION,
                 detail=by_shards[shards][4],
+                enforced=True,
             ), (
                 f"{shards}-shard estimates deviate "
                 f"{by_shards[shards][4]:.4f} from monolithic"
@@ -162,7 +160,6 @@ def test_sharded_scaling(report):
             "fit_speedup_4_shards_ge_1_5x",
             speedup >= MIN_FIT_SPEEDUP_4_SHARDS,
             detail=speedup,
-            enforced=not SMOKE,
         )
         if not SMOKE:
             assert ok, (

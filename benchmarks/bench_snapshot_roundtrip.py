@@ -10,14 +10,13 @@ The saved snapshot files are left under ``benchmarks/results/models/`` so CI
 archives them alongside the rendered benchmark tables — a published artifact
 of every estimator's on-disk format per build.
 
-Set ``BENCH_SNAPSHOT_SMOKE=1`` for the reduced CI smoke configuration (the
+Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration (the
 time gate is skipped there; shared CI hardware says nothing about latency,
 but fidelity must hold everywhere).
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import time
 
@@ -30,9 +29,8 @@ from repro.persist.snapshot import load_estimator
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import compile_queries
 
-from report import bench_report
+from report import SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_SNAPSHOT_SMOKE") == "1"
 
 #: Wall-clock budget for one save + load cycle (generous: snapshots are a
 #: few KB to a few MB of npz; regressions here mean accidental recompute).
@@ -93,16 +91,17 @@ def snapshot_roundtrip(rows: int = 20_000, queries: int = 500, seed: int = 7) ->
 
 def test_snapshot_roundtrip(report):
     kwargs = dict(rows=4_000, queries=100) if SMOKE else {}
-    with bench_report("snapshot_roundtrip", smoke=SMOKE) as rep:
+    with bench_report("snapshot_roundtrip") as rep:
         result = report(snapshot_roundtrip, **kwargs)
-        rep.note(f"smoke={SMOKE}")
         for name, save_ms, load_ms, size, drift in result.rows:
             rep.metric(f"{name}_save_ms", save_ms)
             rep.metric(f"{name}_load_ms", load_ms)
             rep.metric(f"{name}_bytes", size)
             rep.metric(f"{name}_drift", drift)
         for name, save_ms, load_ms, _, drift in result.rows:
-            assert rep.gate(f"{name}_fidelity_le_1e12", drift <= ATOL, detail=drift), (
+            assert rep.gate(
+                f"{name}_fidelity_le_1e12", drift <= ATOL, detail=drift, enforced=True
+            ), (
                 f"{name}: loaded estimates drift by {drift:g} > {ATOL:g}"
             )
             cycle = (save_ms + load_ms) / 1e3
@@ -110,7 +109,6 @@ def test_snapshot_roundtrip(report):
                 f"{name}_cycle_within_budget",
                 cycle <= TIME_BUDGET_SECONDS,
                 detail=cycle,
-                enforced=not SMOKE,
             )
             if not SMOKE:
                 assert ok, (

@@ -22,13 +22,12 @@ The run's full telemetry (per-tenant latency histograms, server counters,
 traffic op counts) is archived as ``BENCH_traffic_tails.json`` plus a JSONL
 export under ``benchmarks/results/`` for CI to collect.
 
-Set ``BENCH_TRAFFIC_SMOKE=1`` for the reduced, non-gating CI configuration.
+Set ``BENCH_SMOKE=1`` for the reduced, non-gating CI configuration.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
@@ -37,9 +36,8 @@ from repro.obs import JSONLExporter, MetricsRegistry
 from repro.serve import EstimatorServer
 from repro.traffic import TenantProfile, TrafficSimulator
 
-from report import RESULTS_DIR, bench_report
+from report import RESULTS_DIR, SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_TRAFFIC_SMOKE") == "1"
 
 #: Gate: per-tenant query p99 under the mixed read/write storm phase.
 SLO_P99_SECONDS = 0.05
@@ -153,7 +151,7 @@ def test_traffic_tails(report):
     kwargs = (
         dict(rows=5_000, max_kernels=64, duration=0.4) if SMOKE else {}
     )
-    with bench_report("traffic_tails", smoke=SMOKE) as rep:
+    with bench_report("traffic_tails") as rep:
         holder = {}
 
         def experiment(**kw):
@@ -173,7 +171,6 @@ def test_traffic_tails(report):
         rep.metric("storm_checksum", storm.checksum)
         rep.metric("storm_generation_swaps", storm.server["generation_swaps"])
         rep.metric("isolation_ratio", inputs["isolation_ratio"])
-        rep.note(f"smoke={SMOKE}")
         rep.telemetry(inputs["storm_registry"])
 
         # Archive the storm phase's raw telemetry as JSONL for CI to collect.
@@ -185,14 +182,12 @@ def test_traffic_tails(report):
             "mixed_p99_slo",
             worst <= SLO_P99_SECONDS,
             detail=worst,
-            enforced=not SMOKE,
         ) or SMOKE, f"storm-phase p99 {worst * 1e3:.1f}ms > {SLO_P99_SECONDS * 1e3:.0f}ms"
         ratio = inputs["isolation_ratio"]
         assert rep.gate(
             "isolation_p99_le_2x",
             ratio <= ISOLATION_FACTOR,
             detail=ratio,
-            enforced=not SMOKE,
         ) or SMOKE, (
             f"victim p99 degraded {ratio:.2f}x under the ingest storm "
             f"(baseline {inputs['victim_p99_baseline'] * 1e3:.2f}ms, "

@@ -17,13 +17,12 @@ equi-depth synopsis over a mixed-type table:
   workloads — lowering must not cost accuracy, so the typed error gate is
   enforced in every mode.
 
-Set ``BENCH_TYPED_SMOKE=1`` for the reduced CI smoke configuration (the
+Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration (the
 throughput gate is reported but not enforced on shared hardware).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -34,9 +33,8 @@ from repro.engine.catalog import Catalog
 from repro.experiments.runner import TableResult
 from repro.workload.generators import TypedWorkload, UniformWorkload
 
-from report import bench_report
+from report import SMOKE, bench_report
 
-SMOKE = os.environ.get("BENCH_TYPED_SMOKE") == "1"
 
 #: Acceptance gate: mixed typed workload throughput vs. pure numeric.
 MIN_THROUGHPUT_RATIO = 0.9
@@ -115,7 +113,7 @@ def test_typed_predicate_overhead(report):
     kwargs = (
         dict(rows=6_000, queries=60, estimate_repeats=2) if SMOKE else {}
     )
-    with bench_report("typed_predicates", smoke=SMOKE) as rep:
+    with bench_report("typed_predicates") as rep:
         result = report(typed_predicate_overhead, **kwargs)
         by_workload = {row[0]: row for row in result.rows}
         for label, row in by_workload.items():
@@ -123,7 +121,6 @@ def test_typed_predicate_overhead(report):
             rep.metric(f"{label}_mean_abs_error", row[3])
         ratio = by_workload["typed"][1] / max(by_workload["numeric"][1], 1e-9)
         rep.metric("throughput_ratio", ratio)
-        rep.note(f"smoke={SMOKE}")
         # Accuracy is data-, not hardware-dependent: enforced in every mode.
         for label in ("numeric", "typed"):
             error = by_workload[label][3]
@@ -131,12 +128,12 @@ def test_typed_predicate_overhead(report):
                 f"{label}_mean_abs_error_le_5pct",
                 error <= MAX_MEAN_ABS_ERROR,
                 detail=error,
+                enforced=True,
             ), f"{label} workload mean abs error {error:.4f} above gate"
         ok = rep.gate(
             "typed_throughput_ge_0_9x_numeric",
             ratio >= MIN_THROUGHPUT_RATIO,
             detail=ratio,
-            enforced=not SMOKE,
         )
         if not SMOKE:
             assert ok, (

@@ -16,13 +16,19 @@ machine-readable perf trajectory that CI archives per run.  Usage::
 ``gate`` records the outcome and returns it, so the test can still ``assert``
 on it; the JSON file is written when the ``with`` block exits *even when the
 assertion fails*, so a red gate is visible in the artifact, not just in the
-pytest output.  Gates skipped in smoke mode should be recorded with
-``enforced=False`` so the trajectory distinguishes "passed" from "not run".
+pytest output.
+
+``BENCH_SMOKE=1`` selects every bench's reduced smoke configuration.  Only
+this module reads it: benches import :data:`SMOKE` to size their runs, every
+report is stamped with it, and a gate is enforced only outside smoke mode
+unless it passes ``enforced=True`` (gates that hold on any hardware, such as
+numeric fidelity), so the trajectory distinguishes "passed" from "not run".
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import platform
 import subprocess
@@ -33,7 +39,10 @@ from typing import Any, Iterator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-__all__ = ["BenchReport", "bench_report", "RESULTS_DIR"]
+#: Whether this run uses the reduced smoke configuration (``BENCH_SMOKE=1``).
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
+
+__all__ = ["BenchReport", "bench_report", "RESULTS_DIR", "SMOKE"]
 
 
 def _numpy_version() -> str | None:
@@ -86,9 +95,8 @@ def _jsonable(value: Any) -> Any:
 class BenchReport:
     """Collects metrics and gate outcomes for one benchmark run."""
 
-    def __init__(self, name: str, *, smoke: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         self.name = str(name)
-        self.smoke = bool(smoke)
         self.metrics: dict[str, Any] = {}
         self.gates: dict[str, dict[str, Any]] = {}
         self.notes: list[str] = []
@@ -122,17 +130,17 @@ class BenchReport:
         self.metrics[str(key)] = _jsonable(value)
 
     def note(self, text: str) -> None:
-        """Attach a free-form annotation (configuration, smoke mode, ...)."""
+        """Attach a free-form annotation (configuration, caveats, ...)."""
         self.notes.append(str(text))
 
     def gate(
-        self, key: str, passed: bool, *, detail: Any = None, enforced: bool = True
+        self, key: str, passed: bool, *, detail: Any = None, enforced: bool = not SMOKE
     ) -> bool:
         """Record an acceptance-gate outcome and return ``passed``.
 
-        ``enforced=False`` marks a gate that was evaluated (or skipped) in a
-        non-gating configuration — smoke mode on shared CI hardware — so the
-        overall ``passed`` flag of the report ignores it.
+        A non-enforced gate — by default, every gate of a smoke run on shared
+        CI hardware — is recorded but ignored by the report's overall
+        ``passed`` flag.
         """
         self.gates[str(key)] = {
             "passed": bool(passed),
@@ -154,7 +162,7 @@ class BenchReport:
         payload = {
             "name": self.name,
             "passed": self.passed,
-            "smoke": self.smoke,
+            "smoke": SMOKE,
             "metrics": self.metrics,
             "gates": self.gates,
             "notes": self.notes,
@@ -173,15 +181,15 @@ class BenchReport:
 
 
 @contextmanager
-def bench_report(name: str, *, smoke: bool = False) -> Iterator[BenchReport]:
+def bench_report(name: str) -> Iterator[BenchReport]:
     """Context manager: yield a :class:`BenchReport`, write it on exit.
 
     The file is written even when the block raises (a failed gate assertion
-    must still leave its red record in the artifact).  ``smoke=True`` stamps
-    the envelope so archived trajectories can filter out non-gating runs on
-    shared CI hardware.
+    must still leave its red record in the artifact).  The envelope's
+    ``smoke`` stamp comes from :data:`SMOKE`, so archived trajectories can
+    filter out non-gating runs on shared CI hardware.
     """
-    rep = BenchReport(name, smoke=smoke)
+    rep = BenchReport(name)
     try:
         yield rep
     finally:

@@ -287,7 +287,7 @@ def main() -> None:
             f"{len(sections['histograms'])} histograms"
         )
     # Beyond snapshots: a repro.TelemetryCollector samples a registry on an
-    # interval into delta/rate time series (columnar CSV/parquet export,
+    # interval into delta/rate time series (columnar CSV export,
     # self-contained HTML dashboards, tail-driven admission control) — see
     # examples/telemetry_traffic.py for the full loop.
 

@@ -158,9 +158,7 @@ from repro.persist import (
     ModelStore,
     ModelVersion,
     load_estimator,
-    load_sharded,
     save_estimator,
-    save_sharded,
     verify_snapshot,
 )
 from repro.obs import (
@@ -170,7 +168,6 @@ from repro.obs import (
     LatencyHistogram,
     MetricsExporter,
     MetricsRegistry,
-    ParquetExporter,
     TelemetryCollector,
     TimeSeriesStore,
     exporter_for_path,
@@ -307,8 +304,6 @@ __all__ = [
     "save_estimator",
     "load_estimator",
     "verify_snapshot",
-    "save_sharded",
-    "load_sharded",
     "IngestJournal",
     "JournaledIngest",
     "EstimatorServer",
@@ -332,7 +327,6 @@ __all__ = [
     "JSONExporter",
     "JSONLExporter",
     "CSVExporter",
-    "ParquetExporter",
     "TelemetryCollector",
     "TimeSeriesStore",
     "exporter_for_path",

@@ -166,29 +166,10 @@ class SelectivityEstimator(ABC):
     #: (requires fitting every shard against the same :meth:`shard_frame`).
     merge_exact: bool = False
 
-    #: Optional telemetry sink (:class:`repro.obs.metrics.MetricsRegistry`).
-    #: A class attribute so the uninstrumented default costs one attribute
-    #: load and an ``is not None`` branch on hot maintenance paths.  Never
-    #: part of model state: registries deep-copy to themselves (checkout
-    #: keeps recording into the same sink) and are excluded from snapshots.
-    _metrics = None
-
     def __init__(self) -> None:
         self._fitted = False
         self._columns: tuple[str, ...] = ()
         self._row_count = 0
-
-    def attach_metrics(self, registry=None) -> "SelectivityEstimator":
-        """Attach an observability registry (``None`` detaches; returns self).
-
-        Instrumented maintenance paths (the streaming bulk-ingest pipeline)
-        record rows/latency into it; estimators without instrumentation
-        simply ignore the attachment.  The registry is a process-local sink,
-        not model state — it does not appear in ``config()``/``state_dict()``
-        and survives copy-on-write checkout by reference.
-        """
-        self._metrics = registry
-        return self
 
     # -- lifecycle ---------------------------------------------------------
     @abstractmethod

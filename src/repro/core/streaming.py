@@ -60,7 +60,6 @@ around a chunked, vectorized pipeline rather than a per-tuple loop:
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Sequence
 
 import numpy as np
@@ -248,9 +247,6 @@ class StreamingADE(StreamingEstimator):
         rows = self._validate_rows(rows)
         if rows is None:
             return
-        metrics = self._metrics
-        if metrics is not None:
-            ingest_start = perf_counter()
         n = rows.shape[0]
         chunk = self._chunk
         start = 0
@@ -269,11 +265,6 @@ class StreamingADE(StreamingEstimator):
                 self._process_chunk(self._pending)
                 self._pending_count = 0
         self._row_count += n
-        if metrics is not None:
-            metrics.histogram("ingest.insert_seconds").record(
-                perf_counter() - ingest_start
-            )
-            metrics.counter("ingest.rows").inc(n)
 
     def insert_sequential(self, rows: np.ndarray) -> None:
         """Reference per-tuple maintenance loop (the pre-bulk semantics).
@@ -299,16 +290,9 @@ class StreamingADE(StreamingEstimator):
     def flush(self) -> None:
         """Fold any buffered rows into the kernels (closes the current sub-chunk)."""
         if self._pending_count:
-            metrics = self._metrics
-            if metrics is not None:
-                flush_start = perf_counter()
             count = self._pending_count
             self._pending_count = 0
             self._process_chunk(self._pending[:count])
-            if metrics is not None:
-                metrics.histogram("ingest.flush_seconds").record(
-                    perf_counter() - flush_start
-                )
 
     def _validate_rows(self, rows: np.ndarray) -> np.ndarray | None:
         """Normalise ``rows`` to a ``(n, d)`` float matrix; ``None`` when empty."""

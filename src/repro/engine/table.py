@@ -112,7 +112,7 @@ class ColumnKind(str, Enum):
             ) from None
 
 
-#: Version stamp of the JSON schema payload carried by snapshots/manifests.
+#: Version stamp of the JSON schema payload carried by snapshots.
 SCHEMA_FORMAT_VERSION = 1
 
 
@@ -370,7 +370,7 @@ class TableSchema:
         )
 
     def to_json(self) -> dict:
-        """JSON-serialisable payload (travels in snapshot/manifest envelopes)."""
+        """JSON-serialisable payload (travels in snapshot headers)."""
         return {
             "schema_version": SCHEMA_FORMAT_VERSION,
             "kinds": {name: kind.value for name, kind in sorted(self._kinds.items())},

@@ -11,12 +11,10 @@ and sits below every instrumented layer:
   managers/decorators, and the no-op :data:`~repro.obs.metrics.NULL_REGISTRY`
   default that keeps uninstrumented hot paths at one-branch cost.
 * :mod:`repro.obs.export` — the exporter registry (``"json"`` /
-  ``"jsonl"`` plus the columnar formats below, registry-keyed) that
+  ``"jsonl"`` plus the columnar format below, registry-keyed) that
   serialises registry snapshots and collector series losslessly.
-* :mod:`repro.obs.columnar` — columnar exporters: stdlib ``"csv"`` (one
-  row per point, JSON-encoded cells, lossless) and optional ``"parquet"``
-  (pyarrow-gated; registers and constructs without the dependency, raises
-  cleanly on use).
+* :mod:`repro.obs.columnar` — the columnar exporter: stdlib ``"csv"`` (one
+  row per point, JSON-encoded cells, lossless).
 * :mod:`repro.obs.collector` — :class:`~repro.obs.collector.TelemetryCollector`
   sampling a registry on an interval (or explicit ``tick()``), diffing
   consecutive snapshots into per-metric delta/rate series with
@@ -29,8 +27,7 @@ and sits below every instrumented layer:
 
 Instrumented layers: :class:`~repro.serve.EstimatorServer` (per-request
 latency, cache hits/misses, generation swaps, per-tenant labels),
-:meth:`~repro.core.streaming.StreamingADE.insert`/``flush`` (bulk-ingest
-rows and latency), :meth:`~repro.persist.store.ModelStore.publish`,
+:meth:`~repro.persist.store.ModelStore.publish`,
 :class:`~repro.shard.parallel.ShardExecutor` per-shard task timings, and the
 query fast path's culled-vs-dense routing counters
 (:func:`repro.core.fastpath.set_route_metrics`).
@@ -44,7 +41,7 @@ from repro.obs.collector import (
     series_payload,
     store_from_payload,
 )
-from repro.obs.columnar import HAVE_PYARROW, CSVExporter, ParquetExporter
+from repro.obs.columnar import CSVExporter
 from repro.obs.dashboard import load_series, render_dashboard, write_dashboard
 from repro.obs.export import (
     JSONExporter,
@@ -88,8 +85,6 @@ __all__ = [
     "JSONExporter",
     "JSONLExporter",
     "CSVExporter",
-    "ParquetExporter",
-    "HAVE_PYARROW",
     "register_exporter",
     "create_exporter",
     "exporter_from_config",

@@ -320,7 +320,7 @@ def series_payload(
 
     One flat record per point under ``"points"``, plus the sampling
     ``interval`` and any extra ``meta`` keys — the shape every exporter
-    (JSON, JSONL, CSV, parquet) round-trips and the dashboard renders.
+    (JSON, JSONL, CSV) round-trips and the dashboard renders.
     """
     payload: dict[str, Any] = dict(meta)
     if interval is not None:

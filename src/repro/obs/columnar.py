@@ -1,19 +1,12 @@
-"""Columnar exporters: stdlib CSV plus an optional Arrow/Parquet backend.
+"""Columnar exporter: stdlib CSV with JSON-encoded cells.
 
-Both formats emit **one row per (timestamp, metric, labels) point** when the
+The exporter emits **one row per (timestamp, metric, labels) point** when the
 payload is a collector series (:func:`repro.obs.collector.series_payload`,
 recognised by its ``"points"`` list); any other metrics payload — e.g. a raw
 registry snapshot — falls back to one row per metric keyed by section, the
 same decomposition the JSONL exporter uses.  Either way the round-trip is
 lossless: every cell is JSON-encoded, so ``None`` vs ``0.0``, nested label
 mappings and sparse bucket dicts all survive ``export`` → ``load`` exactly.
-
-``csv`` is stdlib-only and always available.  ``parquet`` needs ``pyarrow``:
-the exporter class registers and constructs unconditionally (so
-:func:`~repro.obs.export.exporter_for_path` can enumerate suffixes without
-the dependency installed) but raises a clear :class:`InvalidParameterError`
-the moment serialisation is attempted without pyarrow — callers and tests
-gate on :data:`HAVE_PYARROW`.
 """
 
 from __future__ import annotations
@@ -21,22 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import pathlib
 from typing import Any, Mapping
 
 from repro.core.errors import InvalidParameterError
 from repro.obs.export import _SECTIONS, MetricsExporter, register_exporter
 
-try:  # optional columnar backend — never required at import time
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    HAVE_PYARROW = True
-except ImportError:  # pragma: no cover - exercised only without pyarrow
-    _pa = _pq = None
-    HAVE_PYARROW = False
-
-__all__ = ["CSVExporter", "ParquetExporter", "HAVE_PYARROW", "POINT_COLUMNS"]
+__all__ = ["CSVExporter", "POINT_COLUMNS"]
 
 #: Column order of a series-payload row (matches ``SeriesPoint.to_record``).
 POINT_COLUMNS = (
@@ -160,108 +143,5 @@ class CSVExporter(MetricsExporter):
             }
             if is_series:
                 row = _strip_absent(row)
-            rows.append(row)
-        return _reassemble(dict(head.get("data", {})), rows, is_series)
-
-
-@register_exporter("parquet")
-class ParquetExporter(MetricsExporter):
-    """Apache Parquet via ``pyarrow`` (optional dependency, binary format).
-
-    Same row model as :class:`CSVExporter` — numeric columns are native
-    float64/strings, structured cells (labels, buckets) are JSON strings,
-    payload metadata rides in the Parquet schema metadata.  Constructing the
-    exporter never needs pyarrow (suffix-based resolution must be able to
-    enumerate it); any serialisation without pyarrow raises
-    :class:`InvalidParameterError`.
-    """
-
-    suffix = ".parquet"
-
-    @staticmethod
-    def _require_pyarrow() -> None:
-        if not HAVE_PYARROW:
-            raise InvalidParameterError(
-                "parquet exporter requires pyarrow, which is not installed; "
-                "use the 'csv', 'json' or 'jsonl' exporter instead"
-            )
-
-    def dumps(self, payload: Mapping[str, Any]) -> str:
-        raise InvalidParameterError(
-            "parquet is a binary format; use export()/load(), not dumps()/loads()"
-        )
-
-    def loads(self, text: str) -> dict[str, Any]:
-        raise InvalidParameterError(
-            "parquet is a binary format; use export()/load(), not dumps()/loads()"
-        )
-
-    def export(
-        self, payload: Mapping[str, Any], path: "str | pathlib.Path"
-    ) -> pathlib.Path:
-        self._require_pyarrow()
-        meta, is_series = _split_meta(payload)
-        if not is_series:
-            meta = dict(meta)
-            meta["sections"] = [s for s in _SECTIONS if s in payload]
-        rows = _rows(payload, is_series)
-        if is_series:
-            arrays: dict[str, Any] = {}
-            for column in POINT_COLUMNS:
-                cells = [row.get(column) for row in rows]
-                if column in ("labels", "buckets"):
-                    arrays[column] = [
-                        json.dumps(cell, sort_keys=True) if cell is not None else None
-                        for cell in cells
-                    ]
-                else:
-                    arrays[column] = cells
-            table = _pa.table(
-                {column: _pa.array(arrays[column]) for column in POINT_COLUMNS}
-            )
-        else:
-            table = _pa.table(
-                {
-                    "section": _pa.array([row["section"] for row in rows]),
-                    "key": _pa.array([row["key"] for row in rows]),
-                    "data": _pa.array(
-                        [json.dumps(row["data"], sort_keys=True) for row in rows]
-                    ),
-                }
-            )
-        table = table.replace_schema_metadata(
-            {
-                "repro.meta": json.dumps(
-                    {"series": is_series, "data": meta}, sort_keys=True
-                )
-            }
-        )
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _pq.write_table(table, path)
-        return path
-
-    def load(self, path: "str | pathlib.Path") -> dict[str, Any]:
-        self._require_pyarrow()
-        table = _pq.read_table(pathlib.Path(path))
-        raw_meta = (table.schema.metadata or {}).get(b"repro.meta")
-        if raw_meta is None:
-            raise InvalidParameterError(
-                f"{path} is not a repro metrics parquet file (missing metadata)"
-            )
-        head = json.loads(raw_meta)
-        is_series = bool(head.get("series"))
-        columns = {name: table.column(name).to_pylist() for name in table.column_names}
-        count = table.num_rows
-        rows = []
-        for index in range(count):
-            row = {name: values[index] for name, values in columns.items()}
-            if is_series:
-                for column in ("labels", "buckets"):
-                    if row.get(column) is not None:
-                        row[column] = json.loads(row[column])
-                row = _strip_absent(row)
-            else:
-                row["data"] = json.loads(row["data"])
             rows.append(row)
         return _reassemble(dict(head.get("data", {})), rows, is_series)

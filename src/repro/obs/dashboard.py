@@ -58,9 +58,8 @@ polyline { fill: none; stroke: #88c0d0; stroke-width: 1.5; }
 def load_series(path: "str | pathlib.Path") -> TimeSeriesStore:
     """Load an exported collector series file into a :class:`TimeSeriesStore`.
 
-    The exporter is picked from the file suffix (JSON, JSONL, CSV — and
-    parquet when pyarrow is installed), so the dashboard renders from any
-    format the collector can export to.
+    The exporter is picked from the file suffix (JSON, JSONL, CSV), so the
+    dashboard renders from any format the collector can export to.
     """
     payload = exporter_for_path(path).load(path)
     return store_from_payload(payload)

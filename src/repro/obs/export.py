@@ -8,9 +8,9 @@ original payload, which the exporter test suite pins for every registered
 format.
 
 Exporters live in a registry keyed by format name — ``"json"`` (one
-indented document) and ``"jsonl"`` (line-delimited records, one metric per
-line, streaming/append-friendly) ship now; a columnar format (Arrow/Parquet)
-can slot in later by registering a new name, without touching any caller.
+indented document), ``"jsonl"`` (line-delimited records, one metric per
+line, streaming/append-friendly) and the columnar ``"csv"``
+(:mod:`repro.obs.columnar`).
 Specs resolve through :func:`repro.core.resolve.resolve_component` — the
 same instance / registry-name / config-mapping convention estimators use —
 so an exporter choice round-trips through configs exactly like every other

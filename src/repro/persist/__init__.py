@@ -32,12 +32,6 @@ streaming ingest is provided by :class:`~repro.persist.journal.IngestJournal`
 / :class:`~repro.persist.journal.JournaledIngest` — an append-only, fsync'd
 write-ahead journal whose replay reproduces the pre-crash model bitwise.
 
-Sharded models can additionally be persisted as a *manifest directory* —
-``manifest.json`` plus one self-contained snapshot file per shard — via
-:func:`~repro.persist.shards.save_sharded` / ``load_sharded``; see
-:mod:`repro.persist.shards` for the layout and why it coexists safely with a
-:class:`~repro.persist.store.ModelStore` directory tree.
-
 Format version policy
 ---------------------
 
@@ -58,7 +52,6 @@ into every header.
 """
 
 from repro.persist.journal import IngestJournal, JournaledIngest, JournalReplay
-from repro.persist.shards import load_sharded, save_sharded
 from repro.persist.snapshot import (
     FORMAT_VERSION,
     load_estimator,
@@ -74,8 +67,6 @@ __all__ = [
     "load_estimator",
     "read_snapshot_header",
     "verify_snapshot",
-    "save_sharded",
-    "load_sharded",
     "ModelStore",
     "ModelVersion",
     "IngestJournal",

@@ -50,7 +50,7 @@ from repro.core.errors import PersistenceError
 from repro.core.estimator import StreamingEstimator
 from repro.fault.plan import mutate_bytes
 from repro.obs.metrics import default_metrics
-from repro.persist.store import ModelStore, ModelVersion
+from repro.persist.store import ModelStore, ModelVersion, fsync_path
 
 __all__ = ["IngestJournal", "JournalReplay", "JournaledIngest"]
 
@@ -145,30 +145,23 @@ class IngestJournal:
 
     # -- appends ----------------------------------------------------------
 
-    def _append(self, kind: int, payload: bytes) -> int:
-        handle = self._open()
-        self._seq += 1
-        record = (
-            _REC_HEADER.pack(
-                _REC_MAGIC, kind, self._seq, len(payload), zlib.crc32(payload)
-            )
-            + payload
-        )
-        handle.write(mutate_bytes("persist.journal.append", record))
-        self._sync(handle)
-        return self._seq
-
     def append_rows(self, rows: np.ndarray) -> int:
         """Durably log one insert batch; returns the record sequence number."""
         batch = np.ascontiguousarray(np.atleast_2d(np.asarray(rows, dtype=float)), dtype="<f8")
         if batch.size == 0:
             return self._seq
         payload = _ROWS_PREFIX.pack(batch.shape[0], batch.shape[1]) + batch.tobytes()
-        return self._append(_KIND_ROWS, payload)
-
-    def append_checkpoint(self, version: int) -> int:
-        """Durably log that the model was published as store ``version``."""
-        return self._append(_KIND_CHECKPOINT, _CHECKPOINT_PAYLOAD.pack(int(version)))
+        handle = self._open()
+        self._seq += 1
+        record = (
+            _REC_HEADER.pack(
+                _REC_MAGIC, _KIND_ROWS, self._seq, len(payload), zlib.crc32(payload)
+            )
+            + payload
+        )
+        handle.write(mutate_bytes("persist.journal.append", record))
+        self._sync(handle)
+        return self._seq
 
     def reset(self, version: int) -> None:
         """Atomically truncate the journal to one checkpoint record.
@@ -188,11 +181,7 @@ class IngestJournal:
             self._sync(handle)
         os.replace(temp, self.path)
         if self.fsync:
-            fd = os.open(self.path.parent, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            fsync_path(self.path.parent)
         self._seq = 1
 
     def truncate(self, size: int) -> None:

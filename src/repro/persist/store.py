@@ -2,10 +2,12 @@
 
 A :class:`ModelStore` is a directory of named models.  Each publish writes an
 immutable snapshot file ``<root>/<name>/v<version>.npz`` with a monotonically
-increasing version number, then flips the model's ``LATEST`` pointer — both
-steps via write-to-temp + ``os.replace``, so readers never observe a torn
-file and the pointer flip is the atomic publication point.  A prune policy
-bounds how many historical versions a model keeps.
+increasing version number, then flips the model's ``LATEST`` pointer — the
+snapshot via write-to-temp + fsync + ``os.link``, the pointer via
+write-to-temp + ``os.replace`` followed by a model-directory fsync — so
+readers never observe a torn file, the pointer flip is the atomic
+publication point, and a published version survives power loss.  A prune
+policy bounds how many historical versions a model keeps.
 
 This is the catalog-facing persistence layer: ``Catalog.save(store)``
 publishes every attached synopsis and ``Catalog.restore(store)`` re-attaches
@@ -41,7 +43,7 @@ from repro.persist.snapshot import (
     verify_snapshot,
 )
 
-__all__ = ["ModelStore", "ModelVersion"]
+__all__ = ["ModelStore", "ModelVersion", "fsync_path"]
 
 logger = logging.getLogger("repro.persist")
 
@@ -56,6 +58,19 @@ _QUARANTINE_SUFFIX = ".corrupt"
 
 #: Write attempts per publish when read-back verification is on.
 _PUBLISH_ATTEMPTS = 4
+
+
+def fsync_path(path: str | os.PathLike[str]) -> None:
+    """Flush the file or directory at ``path`` to stable storage.
+
+    Syncing a directory makes the entries linked, renamed or created in it
+    durable; a rename alone can be lost to a power cut until then.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -140,9 +155,9 @@ class ModelStore:
 
         Foreign entries are ignored: files that do not match the version
         pattern, and — crucially — directories even when their name does
-        (a sharded-model manifest directory, a backup folder); treating a
-        directory as a snapshot would corrupt ``LATEST`` resolution and make
-        ``prune`` attempt to unlink it.
+        (a backup folder, another tool's output); treating a directory as a
+        snapshot would corrupt ``LATEST`` resolution and make ``prune``
+        attempt to unlink it.
         """
         if not model_dir.is_dir():
             return []
@@ -217,14 +232,15 @@ class ModelStore:
         snapshot header so dictionary-encoded columns travel with the model;
         it is surfaced again by :meth:`describe`.
 
-        The snapshot is written to a temporary file in the model directory
-        and then *claimed* into its version slot with ``os.link``, which is
-        atomic and fails if the slot already exists — so concurrent
+        The snapshot is written to a temporary file in the model directory,
+        fsynced, and then *claimed* into its version slot with ``os.link``,
+        which is atomic and fails if the slot already exists — so concurrent
         publishers (threads or separate processes) can never overwrite each
         other's snapshot; the loser simply takes the next version number.
         The ``LATEST`` pointer is flipped via write-to-temp + ``os.replace``
-        afterwards, so a crash mid-publish leaves the previous version
-        intact and readers never see a partial file.  With
+        afterwards and the model directory fsynced, so a crash mid-publish
+        leaves the previous version intact, readers never see a partial
+        file, and a returned version survives power loss.  With
         ``verify_publish`` (the default) the temp file is read back and
         checksum-verified before the claim; a failed verification rewrites
         it, up to 4 attempts, then raises
@@ -264,6 +280,7 @@ class ModelStore:
                         )
                         if attempt == _PUBLISH_ATTEMPTS - 1:
                             raise
+                fsync_path(temp_path)
                 while True:
                     final_path = self._version_path(name, version)
                     try:
@@ -285,6 +302,7 @@ class ModelStore:
             # the next publish claims the slot after the orphan.
             inject("persist.publish.crash")
             self._write_pointer(model_dir, version)
+            fsync_path(model_dir)
             keep = keep_versions if keep_versions is not None else self.keep_versions
             if keep is not None:
                 self._prune_locked(name, keep)

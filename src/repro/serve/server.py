@@ -599,6 +599,3 @@ class EstimatorServer:
         with self._swap_lock:
             sharded = self._require_sharded()
             return self.publish(sharded.with_shard(shard_id, shard_model))
-
-    # alias: "swap" is the wire-level name used in the design discussion
-    swap = publish

@@ -503,57 +503,6 @@ class ShardedEstimator(StreamingEstimator):
         clone._row_count = int(sum(shard.row_count for shard in clone._shards))
         return clone
 
-    def adopt(
-        self,
-        shards: Sequence[SelectivityEstimator],
-        partitioner: Partitioner,
-        frame: Mapping[str, np.ndarray] | None,
-        row_count: int | None = None,
-    ) -> "ShardedEstimator":
-        """Assemble a fitted front end from externally restored parts.
-
-        The loader of the sharded-manifest format
-        (:func:`repro.persist.shards.load_sharded`) restores shard synopses
-        and the partitioner from separate files and stitches them together
-        here.  Every shard must be a fitted synopsis of the template's
-        registry name over a common column tuple.
-        """
-        shards = list(shards)
-        if len(shards) != self.shard_count:
-            raise InvalidParameterError(
-                f"{len(shards)} shard synopses for a {self.shard_count}-shard "
-                "estimator"
-            )
-        columns: tuple[str, ...] | None = None
-        for shard in shards:
-            if shard.name != self._template.name:
-                raise InvalidParameterError(
-                    f"cannot adopt a {shard.name!r} synopsis into a sharded "
-                    f"{self._template.name!r} estimator"
-                )
-            if not shard.is_fitted:
-                raise NotFittedError("cannot adopt an unfitted shard synopsis")
-            if columns is None:
-                columns = shard.columns
-            elif shard.columns != columns:
-                raise DimensionMismatchError(
-                    "adopted shards must cover the same columns"
-                )
-        assert columns is not None
-        self._shards = shards
-        self._lost = set()
-        self._estimate_strikes = {}
-        self._partitioner = partitioner
-        self._frame = dict(frame) if frame is not None else None
-        self._merged = None
-        total = (
-            int(row_count)
-            if row_count is not None
-            else int(sum(shard.row_count for shard in shards))
-        )
-        self._mark_fitted(columns, total)
-        return self
-
     # -- configuration & persistence -------------------------------------------
     def _config_params(self) -> dict[str, Any]:
         if isinstance(self._partitioner_spec, Partitioner):

@@ -569,10 +569,6 @@ class LoweredQueries:
 MAX_BOXES_PER_QUERY = 4096
 
 
-def _contains_typed(queries: Sequence[object]) -> bool:
-    return any(isinstance(q, TypedQuery) for q in queries)
-
-
 def _lower_workload(
     query_list: Sequence["RangeQuery | TypedQuery"],
     columns: tuple[str, ...],

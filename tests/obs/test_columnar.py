@@ -1,12 +1,9 @@
-"""Columnar exporters: lossless CSV round-trips, guarded parquet support."""
+"""Columnar exporter: lossless CSV round-trips."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.errors import InvalidParameterError
 from repro.obs.collector import TelemetryCollector, store_from_payload
-from repro.obs.columnar import HAVE_PYARROW, CSVExporter, ParquetExporter
+from repro.obs.columnar import CSVExporter
 from repro.obs.export import available_exporters, create_exporter, exporter_for_path
 from repro.obs.metrics import MetricsRegistry
 
@@ -76,38 +73,3 @@ class TestCSV:
         # meta line + header + one row per series point
         assert len(lines) == 2 + len(payload["points"])
         assert lines[0].startswith("#meta ")
-
-
-class TestParquet:
-    def test_registered_and_constructible_without_pyarrow(self) -> None:
-        # Registration and construction must never require pyarrow; only
-        # actual export/load does.
-        assert "parquet" in available_exporters()
-        exporter = exporter_for_path("series.parquet")
-        assert isinstance(exporter, ParquetExporter)
-
-    def test_text_api_rejected(self) -> None:
-        exporter = ParquetExporter()
-        with pytest.raises(InvalidParameterError, match="binary"):
-            exporter.dumps({})
-        with pytest.raises(InvalidParameterError, match="binary"):
-            exporter.loads("")
-
-    @pytest.mark.skipif(HAVE_PYARROW, reason="pyarrow installed")
-    def test_missing_pyarrow_is_a_clean_error(self, tmp_path) -> None:
-        with pytest.raises(InvalidParameterError, match="pyarrow"):
-            ParquetExporter().export(collected_payload(), tmp_path / "s.parquet")
-
-    def test_series_round_trip_lossless(self, tmp_path) -> None:
-        pytest.importorskip("pyarrow")
-        exporter = create_exporter("parquet")
-        payload = collected_payload()
-        path = exporter.export(payload, tmp_path / "series.parquet")
-        assert exporter.load(path) == payload
-
-    def test_snapshot_round_trip_lossless(self, tmp_path) -> None:
-        pytest.importorskip("pyarrow")
-        exporter = create_exporter("parquet")
-        payload = snapshot_payload()
-        path = exporter.export(payload, tmp_path / "snap.parquet")
-        assert exporter.load(path) == payload

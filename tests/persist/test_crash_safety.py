@@ -7,6 +7,9 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +155,46 @@ class TestCrashedPublish:
         np.testing.assert_array_equal(
             _estimates(restarted.load("m")), _REFERENCE_ESTIMATES
         )
+
+
+class TestDurablePublish:
+    def test_publish_syncs_snapshot_before_claim_and_directory_after_flip(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """A returned publish survives power loss: the snapshot's bytes are
+        fsynced before the claim links them into the version slot, and the
+        model directory is fsynced after the LATEST flip renames the
+        pointer into place."""
+        events: list[tuple[str, object]] = []
+        real_fsync, real_link, real_replace = os.fsync, os.link, os.replace
+
+        def fsync(fd: int) -> None:
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def link(source, target, **kwargs) -> None:
+            real_link(source, target, **kwargs)
+            events.append(("rename", Path(target).name))
+
+        def replace(source, target, **kwargs) -> None:
+            real_replace(source, target, **kwargs)
+            events.append(("rename", Path(target).name))
+
+        store = ModelStore(tmp_path)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "link", link)
+        monkeypatch.setattr(os, "replace", replace)
+        published = store.publish("m", _REFERENCE)
+        monkeypatch.undo()
+
+        snapshot_sync = ("fsync", published.path.stat().st_ino)
+        directory_sync = ("fsync", (tmp_path / "m").stat().st_ino)
+        claim = ("rename", published.path.name)
+        flip = ("rename", "LATEST")
+        assert snapshot_sync in events and claim in events
+        assert events.index(snapshot_sync) < events.index(claim)
+        assert flip in events
+        assert directory_sync in events[events.index(flip) + 1 :]
 
 
 class TestPointerRegression:

@@ -12,6 +12,7 @@ from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table, uniform_table
 from repro.engine.catalog import Catalog
 from repro.experiments.runner import EstimatorSpec, fit_or_restore, use_model_store
+from repro.persist.snapshot import save_estimator
 from repro.persist.store import ModelStore
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import RangeQuery
@@ -247,9 +248,9 @@ class TestCatalogPersistence:
 
 
 class TestForeignEntriesTolerance:
-    """Regression: foreign files/directories in the store tree (a sharded
-    manifest directory, stray notes, backups) must not break version scans,
-    LATEST resolution or prune."""
+    """Regression: foreign files/directories in the store tree (an export
+    directory, stray notes, backups) must not break version scans, LATEST
+    resolution or prune."""
 
     def test_foreign_files_in_root_and_model_dir_ignored(self, store, fitted) -> None:
         store.publish("m", fitted)
@@ -287,15 +288,10 @@ class TestForeignEntriesTolerance:
         assert squatter.is_dir()  # never deleted, never crashed the prune
         assert store.versions("m") == [2]
 
-    def test_manifest_directory_beside_models(self, store, fitted, tmp_path) -> None:
-        from repro.persist.shards import save_sharded
-        from repro.shard.sharded import ShardedEstimator
-
-        table = uniform_table(rows=1500, dimensions=1, seed=9, name="u")
-        sharded = ShardedEstimator("equiwidth", shards=2).fit(table)
+    def test_foreign_directory_beside_models(self, store, fitted) -> None:
         store.publish("m", fitted)
-        save_sharded(sharded, store.root / "sharded-manifest")
-        save_sharded(sharded, store.root / "m" / "sharded-manifest")
+        save_estimator(fitted, store.root / "export" / "shard-0000.npz")
+        save_estimator(fitted, store.root / "m" / "export" / "shard-0000.npz")
         assert store.model_names() == ["m"]
         assert store.versions("m") == [1]
         assert store.load("m").is_fitted

@@ -1,9 +1,7 @@
-"""Schema payloads in persistence envelopes: snapshots, the model store and
-sharded manifests must carry the dictionary bitwise and reject drifted restores."""
+"""Schema payloads in persistence envelopes: snapshots and the model store
+must carry the dictionary bitwise and reject drifted restores."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -13,10 +11,8 @@ from repro.core.errors import CatalogError
 from repro.data.generators import mixed_type_table
 from repro.engine.catalog import Catalog
 from repro.engine.table import Table, TableSchema
-from repro.persist.shards import MANIFEST_NAME, save_sharded
 from repro.persist.snapshot import load_estimator, read_snapshot_header, save_estimator
 from repro.persist.store import ModelStore
-from repro.shard.sharded import ShardedEstimator
 from repro.workload.queries import SetMembership, StringPrefix, TypedQuery
 
 
@@ -132,22 +128,3 @@ class TestModelStoreSchema:
         fresh = Catalog()
         fresh.add_table(numeric)
         assert fresh.restore(store) == ["n"]
-
-
-class TestShardedManifestSchema:
-    def test_manifest_carries_schema(self, table: Table, tmp_path) -> None:
-        estimator = ShardedEstimator(
-            create_estimator("equidepth", buckets=8), shards=2
-        )
-        estimator.fit(table)
-        save_sharded(estimator, tmp_path / "sharded", schema=table.schema.to_json())
-        manifest = json.loads((tmp_path / "sharded" / MANIFEST_NAME).read_text())
-        assert manifest["schema"] == table.schema.to_json()
-
-    def test_manifest_without_schema(self, tmp_path) -> None:
-        numeric = Table("n", {"x": np.arange(64, dtype=float)})
-        estimator = ShardedEstimator(create_estimator("equidepth", buckets=8), shards=2)
-        estimator.fit(numeric)
-        save_sharded(estimator, tmp_path / "plain")
-        manifest = json.loads((tmp_path / "plain" / MANIFEST_NAME).read_text())
-        assert "schema" not in manifest

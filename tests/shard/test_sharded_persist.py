@@ -2,23 +2,19 @@
 
 The single-file snapshot contract for ``"sharded"`` is exercised by the
 registry-wide suites in ``tests/persist``; this module pins the sharded
-specifics: the manifest layout (one npz per shard), ModelStore round-trips,
-catalog save/restore, and serving through :class:`EstimatorServer` with
-per-shard generation swaps.
+specifics: ModelStore round-trips, catalog save/restore, and serving through
+:class:`EstimatorServer` with per-shard generation swaps.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.core.errors import InvalidParameterError, PersistenceError
+from repro.core.errors import InvalidParameterError
 from repro.core.estimator import create_estimator
 from repro.engine.catalog import Catalog
-from repro.persist.shards import MANIFEST_NAME, load_sharded, save_sharded
-from repro.persist.snapshot import FORMAT_VERSION, load_estimator
+from repro.persist.snapshot import save_estimator
 from repro.persist.store import ModelStore
 from repro.serve import EstimatorServer
 from repro.shard.sharded import ShardedEstimator
@@ -29,66 +25,6 @@ def sharded(mixture_table_2d) -> ShardedEstimator:
     return ShardedEstimator(
         {"name": "equidepth", "buckets": 32}, shards=3, partitioner="range"
     ).fit(mixture_table_2d)
-
-
-class TestManifest:
-    def test_roundtrip_is_bitwise(self, sharded, workload_2d, tmp_path) -> None:
-        before = sharded.estimate_batch(workload_2d)
-        manifest_path = save_sharded(sharded, tmp_path / "model")
-        assert manifest_path.name == MANIFEST_NAME
-        loaded = load_sharded(tmp_path / "model")
-        np.testing.assert_array_equal(loaded.estimate_batch(workload_2d), before)
-        assert loaded.config() == sharded.config()
-        assert loaded.row_count == sharded.row_count
-        assert loaded.shard_count == sharded.shard_count
-        np.testing.assert_array_equal(
-            loaded.partitioner.boundaries, sharded.partitioner.boundaries
-        )
-
-    def test_layout_is_one_snapshot_per_shard(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        files = sorted(p.name for p in (tmp_path / "model").iterdir())
-        assert files == [
-            MANIFEST_NAME,
-            "shard-0000.npz",
-            "shard-0001.npz",
-            "shard-0002.npz",
-        ]
-        manifest = json.loads((tmp_path / "model" / MANIFEST_NAME).read_text())
-        assert manifest["format"] == FORMAT_VERSION
-        assert manifest["estimator"] == "sharded"
-        assert manifest["shard_files"] == files[1:]
-
-    def test_each_shard_file_loads_standalone(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        shard = load_estimator(tmp_path / "model" / "shard-0001.npz")
-        assert shard.name == "equidepth"
-        assert shard.row_count == sharded.shard_row_counts()[1]
-
-    def test_missing_manifest_rejected(self, tmp_path) -> None:
-        with pytest.raises(PersistenceError, match="manifest"):
-            load_sharded(tmp_path)
-
-    def test_missing_shard_file_rejected(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        (tmp_path / "model" / "shard-0002.npz").unlink()
-        with pytest.raises(PersistenceError, match="missing shard"):
-            load_sharded(tmp_path / "model")
-
-    def test_future_format_rejected(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        manifest_path = tmp_path / "model" / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(PersistenceError, match="format"):
-            load_sharded(tmp_path / "model")
-
-    def test_unfitted_or_foreign_model_rejected(self, small_table, tmp_path) -> None:
-        with pytest.raises(PersistenceError, match="unfitted"):
-            save_sharded(ShardedEstimator("equiwidth", shards=2), tmp_path / "m")
-        with pytest.raises(PersistenceError, match="ShardedEstimator"):
-            save_sharded(create_estimator("equiwidth").fit(small_table), tmp_path / "m")
 
 
 class TestModelStoreIntegration:
@@ -103,14 +39,14 @@ class TestModelStoreIntegration:
         assert header["estimator"] == "sharded"
         assert header["config"]["shards"] == 3
 
-    def test_manifest_directory_coexists_with_store(
+    def test_foreign_directory_coexists_with_store(
         self, sharded, workload_2d, tmp_path
     ) -> None:
-        """A manifest dir inside the store tree must not break version scans."""
+        """A foreign dir of snapshot files in the store tree must not break scans."""
         store = ModelStore(tmp_path / "store")
         store.publish("stats", sharded)
-        save_sharded(sharded, tmp_path / "store" / "stats" / "manifest")
-        save_sharded(sharded, tmp_path / "store" / "loose-manifest")
+        save_estimator(sharded.shard(0), tmp_path / "store" / "stats" / "export" / "shard-0000.npz")
+        save_estimator(sharded.shard(0), tmp_path / "store" / "loose-export" / "shard-0000.npz")
         assert store.versions("stats") == [1]
         assert store.latest_version("stats") == 1
         assert store.model_names() == ["stats"]
