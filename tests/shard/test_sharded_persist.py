@@ -45,8 +45,8 @@ class TestModelStoreIntegration:
         """A foreign dir of snapshot files in the store tree must not break scans."""
         store = ModelStore(tmp_path / "store")
         store.publish("stats", sharded)
-        save_estimator(sharded.shard(0), tmp_path / "store" / "stats" / "export" / "shard-0000.npz")
-        save_estimator(sharded.shard(0), tmp_path / "store" / "loose-export" / "shard-0000.npz")
+        for foreign in (store.root / "stats" / "export", store.root / "loose-export"):
+            save_estimator(sharded.shard(0), foreign / "shard-0000.npz")
         assert store.versions("stats") == [1]
         assert store.latest_version("stats") == 1
         assert store.model_names() == ["stats"]
