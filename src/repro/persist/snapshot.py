@@ -18,6 +18,7 @@ accept legacy snapshots without one), so the format version is unchanged.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -56,9 +57,12 @@ CHECKSUM_KEY = "__repro_checksum__"
 _ARRAY_PREFIX = "a::"
 
 #: Exceptions that mean "the bytes on disk are not a readable archive".
-#: Deliberately excludes ``OSError``: a transient I/O failure (EIO, EACCES,
-#: too many open files) says nothing about the bytes, and classifying it as
-#: corruption would quarantine a perfectly intact snapshot — see
+#: ``RuntimeError`` covers ``zipfile`` refusing a damaged directory entry:
+#: ``NotImplementedError`` (a subclass) for an unsupported version,
+#: compression method or flag bit, plain ``RuntimeError`` for the encryption
+#: flag.  Deliberately excludes ``OSError``: a transient I/O failure (EIO,
+#: EACCES, too many open files) says nothing about the bytes, and classifying
+#: it as corruption would quarantine a perfectly intact snapshot — see
 #: :func:`_reraise_corrupt`.
 _CORRUPTION_ERRORS = (
     zipfile.BadZipFile,
@@ -66,6 +70,7 @@ _CORRUPTION_ERRORS = (
     ValueError,
     KeyError,
     EOFError,
+    RuntimeError,
     zlib.error,
     struct.error,
 )
@@ -77,11 +82,12 @@ def _reraise_corrupt(source: str, error: Exception) -> NoReturn:
     An ``OSError`` carrying an ``errno`` is the operating system reporting an
     I/O / permission / resource failure, not evidence that the archive bytes
     are damaged; it propagates unchanged so callers do not quarantine an
-    intact file.  Errno-less ``OSError`` (raised by parsers for unreadable
-    data) and every :data:`_CORRUPTION_ERRORS` member become the typed
-    corruption error.
+    intact file.  ``EINVAL`` is the exception: ``zipfile`` seeking to a
+    negative offset derived from a damaged directory record fails with it.
+    Errno-less ``OSError`` (raised by parsers for unreadable data) and every
+    :data:`_CORRUPTION_ERRORS` member become the typed corruption error.
     """
-    if isinstance(error, OSError) and error.errno is not None:
+    if isinstance(error, OSError) and error.errno not in (None, errno.EINVAL):
         raise error
     raise SnapshotCorruptError(
         source, f"unreadable archive ({error})", version=_version_of(source)
@@ -282,5 +288,14 @@ def load_estimator(path: str | os.PathLike[str] | IO[bytes]) -> SelectivityEstim
     estimator = estimator_from_config(
         {"name": header["estimator"], **header.get("config", {})}
     )
-    estimator.load_state({**header, "arrays": arrays})
+    try:
+        estimator.load_state({**header, "arrays": arrays})
+    except KeyError as error:
+        # A damaged directory length field can hide the trailing members —
+        # the checksum among them — so the archive reads like an
+        # unchecksummed legacy snapshot that lacks state arrays.
+        source = str(path)
+        raise SnapshotCorruptError(
+            source, f"missing state {error}", version=_version_of(source)
+        ) from error
     return estimator

@@ -73,6 +73,29 @@ class TestChecksumProperty:
             return
         np.testing.assert_array_equal(_estimates(loaded), _REFERENCE_ESTIMATES)
 
+    @pytest.mark.parametrize(
+        "signature, field, mask",
+        [
+            (b"PK\x01\x02", 6, 0x40),  # version needed: unsupported
+            (b"PK\x01\x02", 8, 0x01),  # flag bit 0: encrypted
+            (b"PK\x01\x02", 10, 0x01),  # compression method: unsupported
+            (b"PK\x01\x02", 33, 0x80),  # comment length: hides later members
+            (b"PK\x05\x06", 16, 0x08),  # directory offset: negative seek
+        ],
+    )
+    def test_zip_structure_flip_is_typed(
+        self, snapshot_bytes: bytes, tmp_path, signature, field, mask
+    ) -> None:
+        """Flips in the zip directory fields that the archive reader acts on
+        (rather than the checksummed payload) still surface as the typed
+        corruption error."""
+        corrupted = bytearray(snapshot_bytes)
+        corrupted[snapshot_bytes.index(signature) + field] ^= mask
+        path = tmp_path / "flip.npz"
+        path.write_bytes(bytes(corrupted))
+        with pytest.raises(SnapshotCorruptError):
+            load_estimator(path)
+
     def test_verify_snapshot_reports_checksum_presence(self, tmp_path) -> None:
         path = tmp_path / "ok.npz"
         save_estimator(_REFERENCE, path)
@@ -158,13 +181,10 @@ class TestCrashedPublish:
 
 
 class TestDurablePublish:
-    def test_publish_syncs_snapshot_before_claim_and_directory_after_flip(
-        self, tmp_path, monkeypatch
-    ) -> None:
-        """A returned publish survives power loss: the snapshot's bytes are
-        fsynced before the claim links them into the version slot, and the
-        model directory is fsynced after the LATEST flip renames the
-        pointer into place."""
+    @pytest.fixture()
+    def events(self, monkeypatch) -> list[tuple[str, object]]:
+        """Record, in call order, each ``os.fsync`` by the inode it syncs and
+        each ``os.link``/``os.replace`` by the name it puts in place."""
         events: list[tuple[str, object]] = []
         real_fsync, real_link, real_replace = os.fsync, os.link, os.replace
 
@@ -180,21 +200,88 @@ class TestDurablePublish:
             real_replace(source, target, **kwargs)
             events.append(("rename", Path(target).name))
 
-        store = ModelStore(tmp_path)
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "link", link)
         monkeypatch.setattr(os, "replace", replace)
-        published = store.publish("m", _REFERENCE)
-        monkeypatch.undo()
+        return events
 
+    @staticmethod
+    def _directory_sync_after_flip(events, published, model_dir: Path) -> int:
+        """Check one publish's sync order; return the directory sync's index."""
         snapshot_sync = ("fsync", published.path.stat().st_ino)
-        directory_sync = ("fsync", (tmp_path / "m").stat().st_ino)
+        directory_sync = ("fsync", model_dir.stat().st_ino)
         claim = ("rename", published.path.name)
         flip = ("rename", "LATEST")
         assert snapshot_sync in events and claim in events
         assert events.index(snapshot_sync) < events.index(claim)
         assert flip in events
         assert directory_sync in events[events.index(flip) + 1 :]
+        return events.index(directory_sync, events.index(flip))
+
+    def test_publish_syncs_snapshot_before_claim_and_directory_after_flip(
+        self, tmp_path, events
+    ) -> None:
+        """A returned publish survives power loss: the snapshot's bytes are
+        fsynced before the claim links them into the version slot, and the
+        model directory is fsynced after the LATEST flip renames the
+        pointer into place."""
+        published = ModelStore(tmp_path).publish("m", _REFERENCE)
+        self._directory_sync_after_flip(events, published, tmp_path / "m")
+
+    def test_unverified_publish_is_synced_too(self, tmp_path, events) -> None:
+        """Skipping the read-back verification does not skip the syncs."""
+        store = ModelStore(tmp_path, verify_publish=False)
+        published = store.publish("m", _REFERENCE)
+        self._directory_sync_after_flip(events, published, tmp_path / "m")
+
+    def test_checkpoint_is_durable_before_the_journal_is_reset(
+        self, tmp_path, events
+    ) -> None:
+        """The journal may drop acknowledged rows only once the snapshot that
+        holds them survives power loss: the model directory is synced after
+        the LATEST flip and before the reset record replaces the journal."""
+        ingest = JournaledIngest(
+            StreamingADE(max_kernels=48).fit(TABLE),
+            IngestJournal(tmp_path / "wal"),
+            ModelStore(tmp_path / "store"),
+            "m",
+        )
+        ingest.insert(TABLE.as_matrix()[:32])
+        events.clear()
+        published = ingest.checkpoint()
+        ingest.close()
+        directory_sync = self._directory_sync_after_flip(
+            events, published, tmp_path / "store" / "m"
+        )
+        assert directory_sync < events.index(("rename", "wal"))
+
+    def test_journal_reset_syncs_record_then_directory(self, tmp_path, events) -> None:
+        """The checkpoint record is synced before it replaces the journal and
+        the journal's directory after, so the truncation itself is durable."""
+        journal = IngestJournal(tmp_path / "wal")
+        journal.append_rows(np.ones((4, 2)))
+        events.clear()
+        journal.reset(7)
+        journal.close()
+        record_sync = ("fsync", (tmp_path / "wal").stat().st_ino)
+        directory_sync = ("fsync", tmp_path.stat().st_ino)
+        reset = ("rename", "wal")
+        assert record_sync in events and reset in events and directory_sync in events
+        assert (
+            events.index(record_sync)
+            < events.index(reset)
+            < events.index(directory_sync)
+        )
+
+    def test_journal_without_fsync_never_syncs(self, tmp_path, events) -> None:
+        """``fsync=False`` gives up durability on every journal path, the
+        reset's directory sync included."""
+        journal = IngestJournal(tmp_path / "wal", fsync=False)
+        journal.append_rows(np.ones((4, 2)))
+        journal.reset(7)
+        journal.close()
+        assert ("rename", "wal") in events
+        assert [event for event in events if event[0] == "fsync"] == []
 
 
 class TestPointerRegression:

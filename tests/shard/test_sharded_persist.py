@@ -2,8 +2,9 @@
 
 The single-file snapshot contract for ``"sharded"`` is exercised by the
 registry-wide suites in ``tests/persist``; this module pins the sharded
-specifics: ModelStore round-trips, catalog save/restore, and serving through
-:class:`EstimatorServer` with per-shard generation swaps.
+specifics: ModelStore round-trips, catalog save/restore, the checksummed
+routing state, and serving through :class:`EstimatorServer` with per-shard
+generation swaps.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import InvalidParameterError
+from repro.core.errors import InvalidParameterError, SnapshotCorruptError
 from repro.core.estimator import create_estimator
 from repro.engine.catalog import Catalog
-from repro.persist.snapshot import save_estimator
+from repro.persist.snapshot import load_estimator, save_estimator
 from repro.persist.store import ModelStore
 from repro.serve import EstimatorServer
 from repro.shard.sharded import ShardedEstimator
@@ -76,6 +77,21 @@ class TestModelStoreIntegration:
         np.testing.assert_array_equal(
             restored.estimate_batch(mixture_table_2d.name, workload_2d), before
         )
+
+
+class TestSnapshotIntegrity:
+    def test_routing_state_is_checksummed(self, sharded, tmp_path) -> None:
+        """The envelope checksum covers the partitioner's routing arrays:
+        a snapshot whose shard boundaries were altered is refused."""
+        path = tmp_path / "sharded.npz"
+        save_estimator(sharded, path)
+        with np.load(path, allow_pickle=False) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["a::part::boundaries"] = payload["a::part::boundaries"] + 0.5
+        with open(path, "wb") as handle:
+            np.savez(handle, **payload)
+        with pytest.raises(SnapshotCorruptError, match="checksum"):
+            load_estimator(path)
 
 
 class TestShardedServing:

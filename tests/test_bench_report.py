@@ -1,0 +1,61 @@
+"""The benchmark report envelope (``benchmarks/report.py``).
+
+One ``BENCH_SMOKE`` knob decides both the ``smoke`` stamp of every
+``BENCH_*.json`` and whether a gate is enforced by default, so no bench can
+label a run differently from how its gates were judged.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_REPORT = Path(__file__).resolve().parents[1] / "benchmarks" / "report.py"
+
+
+def _run(monkeypatch, tmp_path, smoke: str | None, **enforced: bool | None) -> dict:
+    """Import a fresh ``report`` module under ``BENCH_SMOKE=smoke``, record
+    one failing gate per keyword (``None`` keeps the default enforcement)
+    through ``bench_report`` and return the written envelope."""
+    if smoke is None:
+        monkeypatch.delenv("BENCH_SMOKE", raising=False)
+    else:
+        monkeypatch.setenv("BENCH_SMOKE", smoke)
+    spec = importlib.util.spec_from_file_location("bench_report_under_test", _REPORT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.RESULTS_DIR = tmp_path
+    with module.bench_report("demo") as report:
+        for key, value in enforced.items():
+            if value is None:
+                report.gate(key, False)
+            else:
+                report.gate(key, False, enforced=value)
+    return json.loads((tmp_path / "BENCH_demo.json").read_text())
+
+
+def test_smoke_run_is_stamped_and_only_records_default_gates(
+    monkeypatch, tmp_path
+) -> None:
+    payload = _run(monkeypatch, tmp_path, "1", speedup=None)
+    assert payload["smoke"] is True
+    assert payload["gates"]["speedup"]["enforced"] is False
+    assert payload["passed"] is True
+
+
+def test_explicitly_enforced_gate_fails_a_smoke_run(monkeypatch, tmp_path) -> None:
+    payload = _run(monkeypatch, tmp_path, "1", speedup=None, bitwise=True)
+    assert payload["smoke"] is True
+    assert payload["gates"]["bitwise"]["enforced"] is True
+    assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("smoke", [None, "0"])
+def test_full_run_enforces_gates_by_default(monkeypatch, tmp_path, smoke) -> None:
+    payload = _run(monkeypatch, tmp_path, smoke, speedup=None)
+    assert payload["smoke"] is False
+    assert payload["gates"]["speedup"]["enforced"] is True
+    assert payload["passed"] is False
