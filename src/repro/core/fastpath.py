@@ -89,16 +89,19 @@ Disable the fast path per estimator with ``fastpath=False`` (constructor
 parameter of the kernel-family estimators) or process-wide with the
 :func:`fastpath_disabled` context manager; both leave the dense reference
 path as the single evaluation route, which the equivalence suite compares
-against.
+against.  The process-wide switch and the route-count sink
+(:func:`set_route_metrics`) are :class:`~repro.core.slot.Slot` values, so
+reading either costs one attribute load.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, ContextManager, Iterator
 
 import numpy as np
 from scipy import special
+
+from repro.core.slot import Slot
 
 __all__ = [
     "DEFAULT_ATOL",
@@ -143,10 +146,11 @@ _BUFFER_ELEMENTS = 1 << 17
 #: kernel subset (``None`` means all kernels).
 AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
 
-_ENABLED = True
+#: The process-wide fast-path switch (see :func:`fastpath_disabled`).
+_ENABLED = Slot(True)
 
 #: Optional observability sink for routing decisions (``None`` = no-op).
-_ROUTE_METRICS = None
+_ROUTE_METRICS = Slot(None)
 
 
 def set_route_metrics(registry) -> None:
@@ -156,34 +160,26 @@ def set_route_metrics(registry) -> None:
     the culled path (``fastpath.culled_queries``) versus the dense
     micro-kernel (``fastpath.dense_queries``, including whole batches it
     declined).  ``None`` (the default) disables counting entirely — the hot
-    path then pays a single module-global ``is not None`` check.  Process-
+    path then pays one slot read and an ``is not None`` check.  Process-
     wide rather than per-estimator because the routing decision itself is a
     module-level policy.
     """
-    global _ROUTE_METRICS
-    _ROUTE_METRICS = registry if registry is not None and registry.enabled else None
+    _ROUTE_METRICS.set(registry if registry is not None and registry.enabled else None)
 
 
 def fastpath_enabled() -> bool:
     """Whether the process-wide fast-path switch is on (default: yes)."""
-    return _ENABLED
+    return _ENABLED.value
 
 
-@contextmanager
-def fastpath_disabled():
+def fastpath_disabled() -> ContextManager[None]:
     """Force every estimator onto the dense reference path within the block.
 
     The equivalence suite and the fast-path benchmark use this to reach the
     dense path without rebuilding estimators; it composes with (and is
     overridden by neither) the per-estimator ``fastpath=False`` parameter.
     """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+    return _ENABLED.use(False)
 
 
 def cull_epsilon(atol: float = DEFAULT_ATOL) -> float:
@@ -431,7 +427,7 @@ def estimate_boxes(
     box.
     """
     n = lows.shape[0]
-    route_metrics = _ROUTE_METRICS
+    route_metrics = _ROUTE_METRICS.value
     if index.kernel_count < _MIN_KERNELS or n == 0:
         if route_metrics is not None and n:
             route_metrics.counter("fastpath.dense_queries").inc(n)

@@ -13,8 +13,10 @@ and comma-separated values become tuples (e.g. ``--budgets 1024,4096``).
 Model persistence: ``--save-models DIR`` publishes every estimator fitted by
 the accuracy experiments into a versioned model store under ``DIR``, and
 ``--from-store DIR`` restores published models instead of refitting (models
-missing from the store are fitted fresh).  Both flags must precede the
-experiment name::
+missing from the store are fitted fresh).  Models fitted under ``--shards``
+are stored under their own names, so a restore only serves models fitted
+with the same ``--shards`` and ``--partitioner``.  Both flags must precede
+the experiment name::
 
     python -m repro.experiments --save-models models/ table1
     python -m repro.experiments --from-store models/ table1
@@ -178,15 +180,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         use_sharding(args.shards, args.partitioner) if args.shards else nullcontext()
     )
 
-    if args.estimator:
-        from repro.core.estimator import available_estimators
-
-        unknown = [n for n in args.estimator if n not in available_estimators()]
-        if unknown:
-            raise SystemExit(
-                f"unknown estimator(s) {unknown}; available: {available_estimators()}"
-            )
-    extra = use_estimators(args.estimator) if args.estimator else nullcontext()
+    try:
+        extra = use_estimators(args.estimator)
+    except KeyError as error:
+        raise SystemExit(error.args[0]) from None
 
     if (args.collect_interval or args.dashboard) and not args.telemetry:
         raise SystemExit("--collect-interval and --dashboard require --telemetry")

@@ -17,12 +17,13 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, ContextManager, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import PersistenceError
 from repro.core.estimator import SelectivityEstimator
+from repro.core.slot import Slot
 from repro.engine.executor import EvaluationResult, evaluate_estimator
 from repro.engine.table import Table
 from repro.metrics.report import render_series, render_table
@@ -118,7 +119,13 @@ class SeriesResult:
 # ---------------------------------------------------------------------------
 
 #: Active (store, save, load) triple set by :func:`use_model_store`.
-_ACTIVE_STORE: tuple[ModelStore | None, bool, bool] = (None, False, False)
+_ACTIVE_STORE: Slot[tuple[ModelStore | None, bool, bool]] = Slot((None, False, False))
+
+#: Active sharding overlay set by :func:`use_sharding` (None = monolithic).
+_ACTIVE_SHARDING: Slot[tuple[int, str] | None] = Slot(None)
+
+#: Extra registry estimators appended to the standard line-up (CLI --estimator).
+_ACTIVE_EXTRA_ESTIMATORS: Slot[tuple[str, ...]] = Slot(())
 
 
 @contextmanager
@@ -128,27 +135,17 @@ def use_model_store(
     """Route experiment estimators through a model store for this context.
 
     With ``save=True`` every estimator fitted by
-    :func:`run_accuracy_comparison` is published to ``store`` under
-    ``<table>.<label>`` after fitting; with ``load=True`` a published model of
-    that name is restored *instead of* fitting (falling back to a fresh fit
-    when the store has no such model).  This is what the experiment CLI's
-    ``--save-models`` / ``--from-store`` flags activate.
+    :func:`run_accuracy_comparison` is published to ``store`` after fitting;
+    with ``load=True`` a published model of that name is restored *instead
+    of* fitting (falling back to a fresh fit when the store has no such
+    model).  :func:`fit_or_restore` documents the model names.  This is what
+    the experiment CLI's ``--save-models`` / ``--from-store`` flags activate.
     """
-    global _ACTIVE_STORE
-    previous = _ACTIVE_STORE
-    _ACTIVE_STORE = (store, bool(save), bool(load))
-    try:
+    with _ACTIVE_STORE.use((store, bool(save), bool(load))):
         yield store
-    finally:
-        _ACTIVE_STORE = previous
 
 
-#: Active sharding overlay set by :func:`use_sharding` (None = monolithic).
-_ACTIVE_SHARDING: tuple[int, str] | None = None
-
-
-@contextmanager
-def use_sharding(shards: int, partitioner: str = "hash") -> Iterator[None]:
+def use_sharding(shards: int, partitioner: str = "hash") -> ContextManager[None]:
     """Run every experiment estimator as a sharded front end in this context.
 
     Inside the context, :func:`fit_or_restore` wraps each spec's estimator in
@@ -158,21 +155,10 @@ def use_sharding(shards: int, partitioner: str = "hash") -> Iterator[None]:
     table/figure of the evaluation can be reproduced against the sharded
     engine without touching the experiment code.
     """
-    global _ACTIVE_SHARDING
-    previous = _ACTIVE_SHARDING
-    _ACTIVE_SHARDING = (int(shards), partitioner)
-    try:
-        yield
-    finally:
-        _ACTIVE_SHARDING = previous
+    return _ACTIVE_SHARDING.use((int(shards), partitioner))
 
 
-#: Extra registry estimators appended to the standard line-up (CLI --estimator).
-_ACTIVE_EXTRA_ESTIMATORS: tuple[str, ...] = ()
-
-
-@contextmanager
-def use_estimators(names: Sequence[str]) -> Iterator[None]:
+def use_estimators(names: Sequence[str]) -> ContextManager[None]:
     """Append registry estimators to every accuracy-experiment line-up.
 
     Inside the context, :func:`extra_estimator_specs` yields one
@@ -181,22 +167,17 @@ def use_estimators(names: Sequence[str]) -> Iterator[None]:
     ``--estimator NAME`` flag activates (e.g. ``--estimator ensemble`` to
     score the expert ensemble against every table/figure).  The default
     line-up is untouched outside the context, so pinned row counts in the
-    experiment tests stay stable.
+    experiment tests stay stable.  An unknown name raises :class:`KeyError`
+    here, before the context is entered.
     """
     from repro.core.estimator import available_estimators
 
-    global _ACTIVE_EXTRA_ESTIMATORS
     unknown = [n for n in names if n not in available_estimators()]
     if unknown:
         raise KeyError(
             f"unknown estimator(s) {unknown}; available: {available_estimators()}"
         )
-    previous = _ACTIVE_EXTRA_ESTIMATORS
-    _ACTIVE_EXTRA_ESTIMATORS = tuple(names)
-    try:
-        yield
-    finally:
-        _ACTIVE_EXTRA_ESTIMATORS = previous
+    return _ACTIVE_EXTRA_ESTIMATORS.use(tuple(names))
 
 
 def extra_estimator_specs() -> list[EstimatorSpec]:
@@ -205,24 +186,27 @@ def extra_estimator_specs() -> list[EstimatorSpec]:
 
     return [
         EstimatorSpec(name, lambda n=name: create_estimator(n))
-        for name in _ACTIVE_EXTRA_ESTIMATORS
+        for name in _ACTIVE_EXTRA_ESTIMATORS.value
     ]
 
 
 def _apply_sharding(estimator: SelectivityEstimator) -> SelectivityEstimator:
     """Wrap an estimator per the active sharding overlay (identity outside)."""
-    if _ACTIVE_SHARDING is None:
+    overlay = _ACTIVE_SHARDING.value
+    if overlay is None:
         return estimator
     from repro.shard.sharded import ShardedEstimator  # lazy: avoids a cycle
 
     if isinstance(estimator, ShardedEstimator):
         return estimator
-    shards, partitioner = _ACTIVE_SHARDING
+    shards, partitioner = overlay
     return ShardedEstimator(estimator, shards=shards, partitioner=partitioner)
 
 
 def _store_model_name(table_name: str, label: str, scope: str) -> str:
-    raw = ".".join(part for part in (table_name, scope, label) if part)
+    overlay = _ACTIVE_SHARDING.value
+    sharding = f"shards{overlay[0]}-{overlay[1]}" if overlay is not None else ""
+    raw = ".".join(part for part in (table_name, scope, label, sharding) if part)
     return re.sub(r"[^A-Za-z0-9._-]", "_", raw).lstrip("._-") or "model"
 
 
@@ -238,9 +222,11 @@ def fit_or_restore(
     (``load=True``; estimators whose columns do not match the table, or that
     were never published, are fitted fresh).  ``scope`` disambiguates
     experiment loops that reuse one table name with different parameters
-    (budgets, dimensionalities, skew levels).
+    (budgets, dimensionalities, skew levels).  Under a :func:`use_sharding`
+    overlay the name gains a ``.shards<N>-<partitioner>`` suffix, so sharded
+    and monolithic models of one spec never restore in place of each other.
     """
-    store, save, load = _ACTIVE_STORE
+    store, save, load = _ACTIVE_STORE.value
     name = _store_model_name(table.name, spec.label, scope) if store is not None else ""
     if store is not None and load:
         try:

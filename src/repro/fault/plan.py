@@ -18,9 +18,11 @@ or on a draw from a per-point RNG seeded from ``(plan seed, point name)``
 replays the same faults — no real process kills, no flakiness.
 
 The default plan is the inert :data:`NULL_PLAN` (mirroring
-``obs.metrics.NULL_REGISTRY``): unarmed code pays one global load and a
-branch per point.  Arm a plan process-wide with :func:`set_default_fault_plan`
-or for a scope with the :func:`use_fault_plan` context manager.
+``obs.metrics.NULL_REGISTRY``), held in a :class:`~repro.core.slot.Slot`:
+unarmed code pays one slot read and a branch per point.  Arm a plan
+process-wide with :func:`set_default_fault_plan` or for a scope with the
+:func:`use_fault_plan` context manager.  Plans travel by reference through
+``copy.deepcopy`` (copied estimators keep injecting into the same schedule).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.errors import InjectedFault, InvalidParameterError
+from repro.core.slot import CopyByReference, Slot
 
 __all__ = [
     "ACTIONS",
@@ -124,7 +127,7 @@ _RULE_OPTIONS = frozenset(f.name for f in fields(FaultRule)) - {
 }
 
 
-class FaultPlan:
+class FaultPlan(CopyByReference):
     """A seedable schedule of faults armed against named injection points.
 
     Thread-safe: hit accounting and RNG draws are serialized, so concurrent
@@ -278,15 +281,6 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan(seed={self.seed}, rules={len(self.rules)})"
 
-    # Plans travel by reference through deepcopy (copied estimators keep
-    # injecting into the same schedule) and pickle to the inert plan, so a
-    # process-pool worker never double-counts hits armed in the parent.
-    def __deepcopy__(self, memo: dict) -> "FaultPlan":
-        return self
-
-    def __reduce__(self):
-        return (_null_plan, ())
-
 
 class NullFaultPlan(FaultPlan):
     """The inert default: every hook is a no-op and ``arm`` is refused."""
@@ -316,16 +310,12 @@ class NullFaultPlan(FaultPlan):
 NULL_PLAN = NullFaultPlan()
 
 
-def _null_plan() -> NullFaultPlan:
-    return NULL_PLAN
-
-
-_default_plan: FaultPlan = NULL_PLAN
+_DEFAULT_PLAN: Slot[FaultPlan] = Slot(NULL_PLAN)
 
 
 def default_fault_plan() -> FaultPlan:
     """Return the process-default fault plan (the inert plan unless armed)."""
-    return _default_plan
+    return _DEFAULT_PLAN.value
 
 
 def set_default_fault_plan(plan: FaultPlan | None) -> FaultPlan:
@@ -333,42 +323,36 @@ def set_default_fault_plan(plan: FaultPlan | None) -> FaultPlan:
 
     Returns the previous default so callers can restore it.
     """
-    global _default_plan
-    previous = _default_plan
-    _default_plan = NULL_PLAN if plan is None else plan
-    return previous
+    return _DEFAULT_PLAN.set(plan)
 
 
 @contextmanager
 def use_fault_plan(plan: FaultPlan | None) -> Iterator[FaultPlan]:
     """Scope ``plan`` as the process default for a ``with`` block."""
-    previous = set_default_fault_plan(plan)
-    try:
-        yield _default_plan
-    finally:
-        set_default_fault_plan(previous)
+    with _DEFAULT_PLAN.use(plan):
+        yield _DEFAULT_PLAN.value
 
 
 def inject(point: str) -> None:
     """Module-level hook: dispatch ``point`` against the default plan.
 
-    Inert-by-default: when no plan is armed this is one attribute load and a
+    Inert-by-default: when no plan is armed this is one slot read and a
     class-level flag check.
     """
-    plan = _default_plan
+    plan = _DEFAULT_PLAN.value
     if plan.enabled:
         plan.inject(point)
 
 
 def mutate_bytes(point: str, data: bytes) -> bytes:
-    plan = _default_plan
+    plan = _DEFAULT_PLAN.value
     if plan.enabled:
         return plan.mutate_bytes(point, data)
     return data
 
 
 def skew_clock(point: str, now: float) -> float:
-    plan = _default_plan
+    plan = _DEFAULT_PLAN.value
     if plan.enabled:
         return plan.skew_clock(point, now)
     return now

@@ -21,9 +21,8 @@ attribute load and a branch, nothing more.
 
 Registries are process-local *sinks*, not model state: ``copy.deepcopy`` of
 an object holding a registry reference (a served model checked out for a
-copy-on-write update) carries the *same* registry along, and pickling — e.g.
-shipping an estimator to a process-pool worker — degrades the reference to
-the no-op registry rather than dragging locks across the boundary.
+copy-on-write update) carries the *same* registry along
+(:class:`~repro.core.slot.CopyByReference`).
 
 :func:`hit_rate` is the single shared hit-rate computation used by the
 serving layer (``ServerCacheInfo.hit_rate`` and ``EstimatorServer.stats()``).
@@ -34,11 +33,11 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, ContextManager, Mapping, Sequence
 
 from repro.core.errors import InvalidParameterError
+from repro.core.slot import CopyByReference, Slot
 
 __all__ = [
     "Counter",
@@ -323,7 +322,7 @@ class _Timer:
         self._histogram.record(perf_counter() - self._start)
 
 
-class MetricsRegistry:
+class MetricsRegistry(CopyByReference):
     """Process-local store of named, labelled metrics.
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create (same name and
@@ -342,22 +341,6 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
         self._callbacks: dict[str, tuple[str, LabelsT, Callable[[], float]]] = {}
-
-    # -- registries are shared sinks, not state ------------------------------
-    def __deepcopy__(self, memo: dict) -> "MetricsRegistry":
-        # A copy-on-write model checkout must keep recording into the SAME
-        # sink; a registry is never part of model state.
-        return self
-
-    def __copy__(self) -> "MetricsRegistry":
-        return self
-
-    def __reduce__(self):
-        # Registries do not cross process boundaries (locks don't pickle and
-        # remote increments would be lost anyway): a pickled reference —
-        # e.g. an estimator shipped to a process-pool shard worker —
-        # degrades to the no-op registry.
-        return (_null_registry, ())
 
     # -- get-or-create -------------------------------------------------------
     def _get(self, table: dict, factory: type, name: str, labels: Mapping) -> Any:
@@ -463,7 +446,7 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 
 
-class _NullMetric:
+class _NullMetric(CopyByReference):
     """Inert counter/gauge singleton: every mutation is a no-op."""
 
     __slots__ = ()
@@ -482,9 +465,6 @@ class _NullMetric:
 
     def snapshot(self) -> dict[str, Any]:
         return {}
-
-    def __deepcopy__(self, memo: dict) -> "_NullMetric":
-        return self
 
 
 class _NullHistogram(_NullMetric):
@@ -520,7 +500,7 @@ class _NullTimer:
 _NULL_TIMER = _NullTimer()
 
 
-class NullRegistry:
+class NullRegistry(CopyByReference):
     """The no-op registry: accepts every call, records nothing.
 
     Instrumented layers default to this, so telemetry costs one attribute
@@ -553,29 +533,15 @@ class NullRegistry:
     def reset(self) -> None:
         pass
 
-    def __deepcopy__(self, memo: dict) -> "NullRegistry":
-        return self
-
-    def __copy__(self) -> "NullRegistry":
-        return self
-
-    def __reduce__(self):
-        return (_null_registry, ())
-
 
 NULL_REGISTRY = NullRegistry()
-
-
-def _null_registry() -> NullRegistry:
-    return NULL_REGISTRY
 
 
 # ---------------------------------------------------------------------------
 # Process-default registry (the CLI's --telemetry hook)
 # ---------------------------------------------------------------------------
 
-_default: "MetricsRegistry | None" = None
-_default_lock = threading.Lock()
+_DEFAULT: "Slot[MetricsRegistry | NullRegistry]" = Slot(NULL_REGISTRY)
 
 
 def default_metrics() -> "MetricsRegistry | NullRegistry":
@@ -586,25 +552,14 @@ def default_metrics() -> "MetricsRegistry | NullRegistry":
     instruments every layer built afterwards without threading a registry
     through each signature.
     """
-    return _default if _default is not None else NULL_REGISTRY
+    return _DEFAULT.value
 
 
 def set_default_metrics(registry: "MetricsRegistry | None") -> None:
     """Install (or with ``None``, clear) the process-default registry."""
-    global _default
-    with _default_lock:
-        _default = registry
+    _DEFAULT.set(registry)
 
 
-@contextmanager
-def use_default_metrics(registry: "MetricsRegistry | None") -> Iterator[None]:
+def use_default_metrics(registry: "MetricsRegistry | None") -> ContextManager[None]:
     """Scoped :func:`set_default_metrics` (restores the previous default)."""
-    global _default
-    with _default_lock:
-        previous = _default
-        _default = registry
-    try:
-        yield
-    finally:
-        with _default_lock:
-            _default = previous
+    return _DEFAULT.use(registry)

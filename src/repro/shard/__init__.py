@@ -2,8 +2,8 @@
 
 This package horizontally partitions a table *and its synopsis*: a
 :class:`~repro.shard.partition.Partitioner` routes rows to shards, one clone
-of the base estimator is fitted per shard (in parallel through a
-:class:`~repro.shard.parallel.ShardExecutor`), and the
+of the base estimator is fitted per shard (in parallel on a thread pool,
+through a :class:`~repro.shard.parallel.ShardExecutor`), and the
 :class:`~repro.shard.sharded.ShardedEstimator` front end — itself a
 :class:`~repro.core.estimator.SelectivityEstimator`, registered as
 ``"sharded"`` — serves the full estimator contract by routing per shard.

@@ -4,7 +4,7 @@
 (and a :class:`~repro.core.estimator.StreamingEstimator` when its shard
 synopses are): it partitions the fitted table with a
 :class:`~repro.shard.partition.Partitioner`, fits one clone of the base
-synopsis per shard (in parallel through a
+synopsis per shard (in parallel on a thread pool, through a
 :class:`~repro.shard.parallel.ShardExecutor`), and serves the whole estimator
 contract — ``fit`` / ``insert`` / ``flush`` / ``estimate_batch`` /
 ``state_dict`` — by routing per shard.
@@ -78,16 +78,6 @@ logger = logging.getLogger("repro.shard")
 _PARALLEL_ESTIMATE_THRESHOLD = 4096
 
 
-def _fit_one(
-    estimator: SelectivityEstimator,
-    table: Table,
-    columns: Sequence[str],
-    frame: Mapping[str, np.ndarray] | None,
-) -> SelectivityEstimator:
-    """Per-shard fit task (module-level so process pools can pickle it)."""
-    return estimator.fit_shard(table, list(columns), frame)
-
-
 @register_estimator("sharded")
 class ShardedEstimator(StreamingEstimator):
     """Partition-wise synopsis: one base-estimator clone per table shard.
@@ -108,10 +98,8 @@ class ShardedEstimator(StreamingEstimator):
         Estimation mode (see module docstring): ``"auto"``, ``"weighted"``
         or ``"merge"``.
     parallel:
-        Execution backend for per-shard fit work: ``"thread"`` (default),
-        ``"process"`` or ``"serial"``.  In-place shard mutation (``insert``,
-        ``flush``) and estimation never cross process boundaries; they use
-        threads (or run serially) even under ``"process"``.
+        Execution backend for per-shard fit, ingest and estimation work:
+        ``"thread"`` (default) or ``"serial"`` (also ``None``).
     max_workers:
         Pool width (default: ``min(shards, cpu_count)``).
     """
@@ -148,10 +136,7 @@ class ShardedEstimator(StreamingEstimator):
         self.max_workers = max_workers
         self._template = template
         self._partitioner_spec = partitioner
-        self._fit_executor = ShardExecutor(parallel, max_workers)
-        # In-place shard mutation and estimation must stay in-process.
-        serve_backend = "thread" if parallel == "process" else parallel
-        self._serve_executor = ShardExecutor(serve_backend, max_workers)
+        self._executor = ShardExecutor(parallel, max_workers)
         self._partitioner: Partitioner | None = None
         self._shards: list[SelectivityEstimator] = []
         self._frame: dict[str, np.ndarray] | None = None
@@ -180,12 +165,10 @@ class ShardedEstimator(StreamingEstimator):
             else None
         )
         clones = [self._clone_template() for _ in range(self.shard_count)]
-        self._shards = self._fit_executor.map(
-            _fit_one,
+        self._shards = self._executor.map(
+            lambda clone, sub_table: clone.fit_shard(sub_table, columns, self._frame),
             clones,
             sub_tables,
-            [columns] * self.shard_count,
-            [self._frame] * self.shard_count,
             op="fit",
         )
         self._merged = None
@@ -308,7 +291,7 @@ class ShardedEstimator(StreamingEstimator):
             targets.append((self._shards[shard_id], batch))
         if dropped:
             default_metrics().counter("shard.dropped_rows").inc(dropped)
-        self._serve_executor.map(
+        self._executor.map(
             lambda shard, batch: shard.insert(batch),
             [shard for shard, _ in targets],
             [batch for _, batch in targets],
@@ -325,7 +308,7 @@ class ShardedEstimator(StreamingEstimator):
             if isinstance(s, StreamingEstimator) and i not in self._lost
         ]
         if streaming:
-            self._serve_executor.map(lambda shard: shard.flush(), streaming, op="flush")
+            self._executor.map(lambda shard: shard.flush(), streaming, op="flush")
             self._merged = None
 
     # -- estimation ------------------------------------------------------------
@@ -383,7 +366,7 @@ class ShardedEstimator(StreamingEstimator):
                 return error
 
         if lows.shape[0] * len(live) >= _PARALLEL_ESTIMATE_THRESHOLD:
-            raw = self._serve_executor.map(one, live, op="estimate")
+            raw = self._executor.map(one, live, op="estimate")
         else:
             raw = [one(shard_id) for shard_id in live]
         survivors: list[int] = []
@@ -453,7 +436,7 @@ class ShardedEstimator(StreamingEstimator):
             {name: table.column(name)[mask] for name in table.column_names},
             schema=table.schema,
         )
-        fresh = _fit_one(self._clone_template(), sub_table, self._columns, self._frame)
+        fresh = self._clone_template().fit_shard(sub_table, self._columns, self._frame)
         self._shards[shard_id] = fresh
         self._lost.discard(shard_id)  # a rebuilt synopsis heals a lost shard
         self._estimate_strikes.pop(shard_id, None)

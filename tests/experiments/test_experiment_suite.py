@@ -5,16 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.histogram import EquiDepthHistogram
+from repro.core.errors import InvalidParameterError
 from repro.core.kde import KDESelectivityEstimator
 from repro.data.generators import gaussian_mixture_table
+from repro.experiments.__main__ import main
 from repro.experiments.runner import (
     EstimatorSpec,
     SeriesResult,
     TableResult,
+    fit_or_restore,
     fit_timed,
     run_accuracy_comparison,
+    use_estimators,
+    use_sharding,
 )
 from repro.experiments.suite import (
+    _budgeted_specs,
     fig3_query_volume,
     fig5_drift,
     fig6_feedback,
@@ -24,6 +30,8 @@ from repro.experiments.suite import (
     table3_cost,
     table4_stream_cost,
 )
+from repro.shard.partition import RangePartitioner
+from repro.shard.sharded import ShardedEstimator
 from repro.workload.generators import UniformWorkload
 
 
@@ -65,6 +73,44 @@ class TestRunner:
         result.add_point("s", 0.7)
         assert result.series["s"] == [0.5, 0.7]
         assert "0.7" in result.render(precision=1)
+
+
+class TestOverlays:
+    """The CLI's ``--shards`` / ``--partitioner`` / ``--estimator`` switches."""
+
+    SPEC = EstimatorSpec("hist", lambda: EquiDepthHistogram(buckets=16))
+
+    def test_sharding_wraps_only_inside_the_block(self, small_table) -> None:
+        with use_sharding(3):
+            inside = fit_or_restore(small_table, self.SPEC)
+        outside = fit_or_restore(small_table, self.SPEC)
+        assert isinstance(inside, ShardedEstimator)
+        assert inside.shard_count == 3
+        assert isinstance(outside, EquiDepthHistogram)
+
+    def test_partitioner_choice_is_honoured(self, small_table) -> None:
+        with use_sharding(2, "range"):
+            estimator = fit_or_restore(small_table, self.SPEC)
+        assert isinstance(estimator.partitioner, RangePartitioner)
+
+    def test_estimators_extend_the_line_up_only_inside_the_block(self) -> None:
+        standard = [spec.label for spec in _budgeted_specs(4096, 1)]
+        with use_estimators(["grid", "ensemble"]):
+            inside = [spec.label for spec in _budgeted_specs(4096, 1)]
+        assert inside == standard + ["grid", "ensemble"]
+        assert [spec.label for spec in _budgeted_specs(4096, 1)] == standard
+
+    def test_unknown_names_raise(self, small_table) -> None:
+        with pytest.raises(KeyError, match="nope"):
+            use_estimators(["nope"])
+        with use_sharding(2, "nope"):
+            with pytest.raises(InvalidParameterError, match="nope"):
+                fit_or_restore(small_table, self.SPEC)
+
+    def test_cli_rejects_unknown_estimator_with_a_clean_exit(self) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--estimator", "nope", "table1"])
+        assert str(exit_info.value.code).startswith("unknown estimator(s) ['nope']")
 
 
 class TestSuiteSmallScale:

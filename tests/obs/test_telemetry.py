@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import pickle
 import threading
 
 import numpy as np
@@ -130,10 +129,6 @@ class TestRegistryIsASink:
         registry = MetricsRegistry()
         holder = {"metrics": registry}
         assert copy.deepcopy(holder)["metrics"] is registry
-
-    def test_pickle_degrades_to_null(self) -> None:
-        restored = pickle.loads(pickle.dumps(MetricsRegistry()))
-        assert restored is NULL_REGISTRY
 
 
 class TestNullRegistry:

@@ -11,9 +11,15 @@ from repro.core.kde import KDESelectivityEstimator
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table, uniform_table
 from repro.engine.catalog import Catalog
-from repro.experiments.runner import EstimatorSpec, fit_or_restore, use_model_store
+from repro.experiments.runner import (
+    EstimatorSpec,
+    fit_or_restore,
+    use_model_store,
+    use_sharding,
+)
 from repro.persist.snapshot import save_estimator
 from repro.persist.store import ModelStore
+from repro.shard.sharded import ShardedEstimator
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import RangeQuery
 
@@ -219,6 +225,28 @@ class TestCatalogPersistence:
         # Outside the context the store is untouched.
         fit_or_restore(small_table, spec, scope="outside")
         assert store.model_names() == ["small.s1.kde"]
+
+    def test_runner_store_names_carry_the_sharding_overlay(
+        self, store, small_table
+    ) -> None:
+        """--from-store never serves a model fitted under another --shards."""
+        spec = EstimatorSpec("kde", lambda: KDESelectivityEstimator(sample_size=64))
+        with use_model_store(store, save=True):
+            fit_or_restore(small_table, spec, scope="mono")
+        with use_model_store(store, load=True), use_sharding(4):
+            sharded = fit_or_restore(small_table, spec, scope="mono")
+        assert isinstance(sharded, ShardedEstimator)
+        assert sharded.shard_count == 4
+
+        with use_model_store(store, save=True), use_sharding(2):
+            fit_or_restore(small_table, spec, scope="sharded")
+        with use_model_store(store, load=True):
+            monolithic = fit_or_restore(small_table, spec, scope="sharded")
+        assert isinstance(monolithic, KDESelectivityEstimator)
+        with use_model_store(store, load=True), use_sharding(2):
+            restored = fit_or_restore(small_table, spec, scope="sharded")
+        assert isinstance(restored, ShardedEstimator)
+        assert store.model_names() == ["small.mono.kde", "small.sharded.kde.shards2-hash"]
 
     def test_refresh_flushes_streaming_estimators_first(self) -> None:
         """Regression: refresh must flush the pending buffer before refitting."""

@@ -8,6 +8,7 @@ import pytest
 from repro.core.errors import InjectedFault, ReproError
 from repro.data.generators import gaussian_mixture_table
 from repro.fault.plan import FaultPlan, use_fault_plan
+from repro.obs.metrics import MetricsRegistry, use_default_metrics
 from repro.persist.snapshot import load_estimator, save_estimator
 from repro.shard.parallel import ShardExecutor
 from repro.shard.sharded import ShardedEstimator
@@ -38,6 +39,20 @@ class TestExecutorRetries:
         with use_fault_plan(plan):
             assert executor.map(lambda x: x + 1, range(3)) == [1, 2, 3]
         assert rule.fired == 2  # both faults absorbed inside the retry budget
+
+    def test_thread_backend_retries_transient_faults(self) -> None:
+        registry = MetricsRegistry()
+        with use_default_metrics(registry):
+            executor = ShardExecutor("thread", max_workers=2, retry_backoff=0.0)
+        plan = FaultPlan(seed=1)
+        rule = plan.arm("shard.task", action="raise", at=(2,))
+        with use_fault_plan(plan):
+            results = executor.map(lambda x: x * 10, range(4), op="probe")
+        assert results == [0, 10, 20, 30]
+        assert rule.fired == 1
+        assert registry.counter("shard.task_retries").value == 1
+        # The faulted attempt raised before its task ran: one span per task.
+        assert registry.histogram("shard.task_seconds", op="probe").count == 4
 
     def test_exhausted_retries_propagate(self) -> None:
         executor = ShardExecutor("serial", retries=1, retry_backoff=0.0)
