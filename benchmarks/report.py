@@ -79,6 +79,21 @@ def _git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
+def _cpu_model() -> str | None:
+    """The CPU model name from ``/proc/cpuinfo``, else ``platform.processor()``.
+
+    Recorded with ``cpu_count`` in every envelope: two archived timings are
+    comparable only when they say what hardware produced them.
+    """
+    try:
+        for line in pathlib.Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
 def _jsonable(value: Any) -> Any:
     """Coerce numpy scalars and other numerics into plain JSON values."""
     if isinstance(value, (str, bool, int, float)) or value is None:
@@ -169,6 +184,8 @@ class BenchReport:
             "python": platform.python_version(),
             "numpy": _numpy_version(),
             "git_sha": _git_sha(),
+            "cpu_count": os.cpu_count(),
+            "cpu_model": _cpu_model(),
             "duration_seconds": round(perf_counter() - self._started, 6),
             "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         }

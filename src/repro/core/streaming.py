@@ -75,8 +75,9 @@ if TYPE_CHECKING:  # imported for type annotations only (avoids a package cycle)
 
 __all__ = ["StreamingADE"]
 
-#: Work-buffer bound (in floats) for the per-chunk distance matrices.
-_ASSIGN_BUFFER_ELEMENTS = 1 << 21
+#: Work-buffer bound (in floats) for each ``(block, K)`` distance buffer of
+#: the chunk fold: 256 KiB, so a block stays cache resident.
+_ASSIGN_BUFFER_ELEMENTS = 1 << 15
 
 #: The lazy decay scale is renormalised once it shrinks past this bound, and
 #: the sub-chunk length is capped so one chunk can never shrink it by more
@@ -88,6 +89,25 @@ _SCALE_FLOOR = 1e-100
 #: The normal-CDF interval mass now lives in :mod:`repro.core.fastpath` (the
 #: shared micro-kernel); this alias keeps the module-local name working.
 _normal_interval_mass = fastpath.normal_box_mass
+
+
+def _max_norm_distances(
+    points: np.ndarray, centres: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Fill ``out[i, k]`` with ``max_a |points[i, a] - centres[k, a]|``.
+
+    ``out`` and ``work`` are caller-owned ``(n, K)`` buffers, so a blocked
+    caller reuses them.  Each attribute is one in-place 2-D pass (subtract,
+    abs, maximum): an ``(n, K, d)`` tensor plus an axis reduce computes the
+    same values several times slower and with ``d`` times the memory.
+    """
+    np.subtract(points[:, 0, None], centres[None, :, 0], out=out)
+    np.abs(out, out=out)
+    for axis in range(1, points.shape[1]):
+        np.subtract(points[:, axis, None], centres[None, :, axis], out=work)
+        np.abs(work, out=work)
+        np.maximum(out, work, out=out)
+    return out
 
 
 @register_estimator("streaming_ade")
@@ -408,8 +428,10 @@ class StreamingADE(StreamingEstimator):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Index of and max-norm score to the nearest kernel for every point.
 
-        Chunked over points so the ``(block, K)`` distance buffer stays cache
-        resident regardless of batch size.
+        Blocked over points: the two ``(block, K)`` buffers of
+        :func:`_max_norm_distances` hold at most ``_ASSIGN_BUFFER_ELEMENTS``
+        floats each, so they stay cache resident whatever the batch size.
+        Each row's ``argmin`` is independent of the block size.
         """
         n = points.shape[0]
         kernels = self._weights.size
@@ -418,26 +440,14 @@ class StreamingADE(StreamingEstimator):
         scaled_means = self._means / smoothing
         scaled_points = points / smoothing
         block = max(_ASSIGN_BUFFER_ELEMENTS // max(kernels, 1), 1)
-        # Two (block, K) work buffers, filled per attribute with in-place
-        # ufuncs: one 3-D (block, K, d) tensor plus an axis reduce is several
-        # times slower than d passes over contiguous 2-D arrays.
         best = np.empty((min(block, n), kernels))
         work = np.empty_like(best)
         for start in range(0, n, block):
             stop = min(start + block, n)
             rows = stop - start
-            dist = best[:rows]
-            np.subtract(
-                scaled_points[start:stop, 0, None], scaled_means[None, :, 0], out=dist
+            dist = _max_norm_distances(
+                scaled_points[start:stop], scaled_means, best[:rows], work[:rows]
             )
-            np.abs(dist, out=dist)
-            for d in range(1, self._dims):
-                other = work[:rows]
-                np.subtract(
-                    scaled_points[start:stop, d, None], scaled_means[None, :, d], out=other
-                )
-                np.abs(other, out=other)
-                np.maximum(dist, other, out=dist)
             idx = dist.argmin(axis=1)
             nearest[start:stop] = idx
             scores[start:stop] = dist[np.arange(rows), idx]
@@ -581,9 +591,14 @@ class StreamingADE(StreamingEstimator):
     def _compress_to(self, target: int) -> None:
         """Batched compaction: merge disjoint closest pairs until ≤ ``target``.
 
-        Each round computes the pairwise max-norm distance matrix once, then
-        greedily merges up to ``excess`` disjoint closest pairs; conflicts
-        (a kernel appearing in two close pairs) roll over to the next round.
+        Each round computes the ``(K, K)`` max-norm distance matrix once with
+        :func:`_max_norm_distances` and reads its upper triangle row-major
+        into ``flat``.  ``argpartition`` pre-selects the ``4·excess + 16``
+        smallest entries and a stable sort orders them, so tied distances keep
+        the order ``argpartition`` returned: the merge order, ties included,
+        is a function of ``flat`` alone.  A greedy scan then merges up to
+        ``excess`` disjoint pairs; conflicts (a kernel appearing in two close
+        pairs) roll over to the next round.
         """
         while self._weights.size > target:
             self._mark_stale()
@@ -591,23 +606,29 @@ class StreamingADE(StreamingEstimator):
             excess = kernels - target
             smoothing = self._smoothing_bandwidths()
             normalised = self._means / smoothing
-            diff = np.abs(normalised[:, None, :] - normalised[None, :, :]).max(axis=2)
-            iu, ju = np.triu_indices(kernels, k=1)
-            flat = diff[iu, ju]
+            diff = np.empty((kernels, kernels))
+            _max_norm_distances(normalised, normalised, diff, np.empty_like(diff))
+            ids = np.arange(kernels)
+            flat = diff[ids[:, None] < ids]
             # Only the smallest distances can yield `excess` disjoint pairs;
             # pre-select a few times that many so the greedy scan stays short.
             limit = min(flat.size, 4 * excess + 16)
             candidates = np.argpartition(flat, limit - 1)[:limit]
             candidates = candidates[np.argsort(flat[candidates], kind="stable")]
+            # Row i of the triangle holds columns i+1..K-1 from flat position
+            # row_start[i] on, so each candidate maps back to its pair.
+            row_start = ids * (2 * kernels - ids - 1) // 2
+            iu = np.searchsorted(row_start, candidates, side="right") - 1
+            ju = candidates - row_start[iu] + iu + 1
             used = np.zeros(kernels, dtype=bool)
             left: list[int] = []
             right: list[int] = []
-            for a, b in zip(iu[candidates], ju[candidates]):
+            for a, b in zip(iu.tolist(), ju.tolist()):
                 if used[a] or used[b]:
                     continue
                 used[a] = used[b] = True
-                left.append(int(a))
-                right.append(int(b))
+                left.append(a)
+                right.append(b)
                 if len(left) == excess:
                     break
             i = np.asarray(left, dtype=np.int64)

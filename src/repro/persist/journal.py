@@ -46,11 +46,12 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from repro.core.errors import PersistenceError
+from repro.core.errors import PersistenceError, StreamError
 from repro.core.estimator import StreamingEstimator
 from repro.fault.plan import mutate_bytes
 from repro.obs.metrics import default_metrics
 from repro.persist.store import ModelStore, ModelVersion, fsync_path
+from repro.stream.batches import normalize_batch
 
 __all__ = ["IngestJournal", "JournalReplay", "JournaledIngest"]
 
@@ -283,9 +284,14 @@ class JournaledIngest:
         self._metrics = default_metrics()
 
     def insert(self, rows: np.ndarray) -> None:
-        """Durably journal ``rows``, then fold them into the live model."""
-        batch = np.atleast_2d(np.asarray(rows, dtype=float))
-        if batch.size == 0:
+        """Durably journal ``rows``, then fold them into the live model.
+
+        The batch is validated first (a wrong width or a non-finite value
+        raises :class:`~repro.core.errors.StreamError`), so a rejected batch
+        is never journaled and no recovery replays it.
+        """
+        batch = normalize_batch(rows, len(self.estimator.columns), StreamError)
+        if batch is None:
             return
         self.journal.append_rows(batch)
         self.estimator.insert(batch)

@@ -68,6 +68,7 @@ from repro.engine.table import Table
 from repro.fault.plan import inject
 from repro.shard.parallel import ShardExecutor
 from repro.shard.partition import Partitioner, make_partitioner, partition_table
+from repro.stream.batches import normalize_batch
 
 __all__ = ["ShardedEstimator"]
 
@@ -259,16 +260,14 @@ class ShardedEstimator(StreamingEstimator):
         Routing is batch-invariant (see :mod:`repro.shard.partition`), so the
         resulting shard synopses are independent of how the caller sliced the
         stream — given the shard synopses themselves honour that contract.
+        The batch is validated before routing (a wrong width or a non-finite
+        value raises :class:`DimensionMismatchError`), so a rejected batch
+        changes no shard.
         """
         self._require_fitted()
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.size == 0:
+        rows = normalize_batch(rows, len(self._columns), DimensionMismatchError)
+        if rows is None:
             return
-        if rows.shape[1] != len(self._columns):
-            raise DimensionMismatchError(
-                f"insert rows have {rows.shape[1]} attributes, expected "
-                f"{len(self._columns)}"
-            )
         if not all(isinstance(shard, StreamingEstimator) for shard in self._shards):
             raise StreamError(
                 f"base estimator {self._template.name!r} is not a streaming "

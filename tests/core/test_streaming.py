@@ -195,6 +195,24 @@ class TestEmptyInserts:
         assert with_empty.estimate(query) == without.estimate(query)
 
 
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("method", ["insert", "insert_sequential"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_with_a_non_finite_value_is_rejected_whole(self, method, bad) -> None:
+        """One NaN or infinite row used to zero every later estimate for good."""
+        rng = np.random.default_rng(12)
+        estimator = StreamingADE(max_kernels=32).start(["x0"])
+        estimator.insert(rng.uniform(size=(300, 1)))
+        query = RangeQuery({"x0": (0.25, 0.75)})
+        before = estimator.estimate(query)
+        batch = rng.uniform(size=(20, 1))
+        batch[7, 0] = bad
+        with pytest.raises(StreamError):
+            getattr(estimator, method)(batch)
+        assert estimator.row_count == 300
+        assert estimator.estimate(query) == before
+
+
 class TestPruneBelowCapacity:
     def test_decayed_stale_kernels_pruned_below_capacity(self) -> None:
         """Regression: pruning used to run only on the at-capacity branch.

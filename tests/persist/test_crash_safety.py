@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import InjectedFault, PersistenceError, SnapshotCorruptError
+from repro.core.errors import (
+    InjectedFault,
+    PersistenceError,
+    SnapshotCorruptError,
+    StreamError,
+)
 from repro.core.kde import KDESelectivityEstimator
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
@@ -383,6 +388,42 @@ class TestJournalCrashConsistency:
             _estimates(recovered.estimator),
             _estimates(self._reference(batches, checkpoint_after=2)),
         )
+        recovered.close()
+
+    def test_non_finite_batch_is_never_journaled(self, tmp_path) -> None:
+        """An inf row used to zero the model, and the journal made it durable:
+        recovery replayed the row and rebuilt the zeroed model."""
+        batches = self._batches(count=3)
+        store = ModelStore(tmp_path / "store")
+        ingest = JournaledIngest(
+            StreamingADE(max_kernels=48).fit(TABLE),
+            IngestJournal(tmp_path / "wal"),
+            store,
+            "m",
+        )
+        ingest.checkpoint()
+        ingest.insert(batches[0])
+        poisoned = batches[1].copy()
+        poisoned[5, 0] = np.inf
+        with pytest.raises(StreamError):
+            ingest.insert(poisoned)
+        ingest.insert(batches[2])
+        ingest.flush()
+        live = _estimates(ingest.estimator)
+        ingest.journal.close()
+
+        reference = StreamingADE(max_kernels=48).fit(TABLE)
+        reference.flush()  # the checkpoint's flush boundary
+        reference.insert(batches[0])
+        reference.insert(batches[2])
+        reference.flush()
+        np.testing.assert_array_equal(live, _estimates(reference))
+        recovered = JournaledIngest.recover(
+            IngestJournal(tmp_path / "wal"), store, "m"
+        )
+        assert recovered.last_recovery["replayed_batches"] == 2
+        recovered.flush()
+        np.testing.assert_array_equal(_estimates(recovered.estimator), live)
         recovered.close()
 
     def test_torn_tail_is_discarded(self, tmp_path) -> None:

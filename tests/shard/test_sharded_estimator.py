@@ -228,6 +228,22 @@ class TestStreamingFrontEnd:
             estimator.insert(np.zeros((3, 5)))
 
 
+    def test_non_finite_batch_rejected_before_routing(
+        self, mixture_table_2d, workload_2d
+    ) -> None:
+        """A NaN row used to zero its shard's synopsis and halve estimates."""
+        estimator = ShardedEstimator(
+            {"name": "streaming_ade", "max_kernels": 16}, shards=2
+        ).fit(mixture_table_2d)
+        counts = estimator.shard_row_counts()
+        before = estimator.estimate_batch(workload_2d)
+        batch = np.random.default_rng(14).normal(size=(50, 2))
+        batch[3, 1] = np.nan
+        with pytest.raises(DimensionMismatchError):
+            estimator.insert(batch)
+        np.testing.assert_array_equal(estimator.shard_row_counts(), counts)
+        np.testing.assert_array_equal(estimator.estimate_batch(workload_2d), before)
+
 class TestPerShardLifecycle:
     def test_refit_shard_only_rebuilds_one_partition(self, workload_2d) -> None:
         from repro.data.generators import gaussian_mixture_table

@@ -190,3 +190,25 @@ class TestVectorizedEquivalence:
             ReservoirSampler(capacity=5, dimensions=2, seed=0).insert(np.empty((0, 5)))
         with pytest.raises(InvalidParameterError):
             SlidingWindow(capacity=5, dimensions=2).insert(np.empty((0, 5)))
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ReservoirSampler(capacity=8, dimensions=2, seed=0),
+            lambda: DecayedReservoirSampler(capacity=8, dimensions=2, seed=0),
+            lambda: SlidingWindow(capacity=8, dimensions=2),
+        ],
+        ids=["reservoir", "decayed_reservoir", "window"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_with_a_non_finite_value_is_rejected_whole(self, make, bad) -> None:
+        substrate = make()
+        substrate.insert(np.ones((3, 2)))
+        batch = np.zeros((4, 2))
+        batch[2, 1] = bad
+        with pytest.raises(InvalidParameterError):
+            substrate.insert(batch)
+        assert substrate.seen == 3
+        assert substrate.size == 3

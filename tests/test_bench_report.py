@@ -2,13 +2,16 @@
 
 One ``BENCH_SMOKE`` knob decides both the ``smoke`` stamp of every
 ``BENCH_*.json`` and whether a gate is enforced by default, so no bench can
-label a run differently from how its gates were judged.
+label a run differently from how its gates were judged.  Every envelope also
+says what hardware produced it.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,28 @@ def test_full_run_enforces_gates_by_default(monkeypatch, tmp_path, smoke) -> Non
     assert payload["smoke"] is False
     assert payload["gates"]["speedup"]["enforced"] is True
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "cpuinfo, expected",
+    [
+        ("processor\t: 0\nmodel name\t: Test CPU @ 2.00GHz\n", "Test CPU @ 2.00GHz"),
+        (None, "fallback-cpu"),  # no /proc/cpuinfo: platform.processor()
+    ],
+    ids=["cpuinfo", "fallback"],
+)
+def test_envelope_records_the_hardware(monkeypatch, tmp_path, cpuinfo, expected) -> None:
+    read_text = Path.read_text
+
+    def fake_read_text(self, *args, **kwargs):
+        if str(self) != "/proc/cpuinfo":
+            return read_text(self, *args, **kwargs)
+        if cpuinfo is None:
+            raise OSError("no procfs")
+        return cpuinfo
+
+    monkeypatch.setattr(Path, "read_text", fake_read_text)
+    monkeypatch.setattr(platform, "processor", lambda: "fallback-cpu")
+    payload = _run(monkeypatch, tmp_path, None)
+    assert payload["cpu_count"] == os.cpu_count()
+    assert payload["cpu_model"] == expected
