@@ -76,8 +76,10 @@ if TYPE_CHECKING:  # imported for type annotations only (avoids a package cycle)
 __all__ = ["StreamingADE"]
 
 #: Work-buffer bound (in floats) for each ``(block, K)`` distance buffer of
-#: the chunk fold: 256 KiB, so a block stays cache resident.
-_ASSIGN_BUFFER_ELEMENTS = 1 << 15
+#: the chunk fold: 512 KiB, so both buffers stay L2 resident.  Smaller blocks
+#: fit the cache too but multiply the numpy calls per chunk, and every call
+#: releases and retakes the GIL, which serialises shards folding on threads.
+_ASSIGN_BUFFER_ELEMENTS = 1 << 16
 
 #: The lazy decay scale is renormalised once it shrinks past this bound, and
 #: the sub-chunk length is capped so one chunk can never shrink it by more
