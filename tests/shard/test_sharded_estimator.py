@@ -227,7 +227,6 @@ class TestStreamingFrontEnd:
         with pytest.raises(DimensionMismatchError):
             estimator.insert(np.zeros((3, 5)))
 
-
     def test_non_finite_batch_rejected_before_routing(
         self, mixture_table_2d, workload_2d
     ) -> None:
@@ -243,6 +242,7 @@ class TestStreamingFrontEnd:
             estimator.insert(batch)
         np.testing.assert_array_equal(estimator.shard_row_counts(), counts)
         np.testing.assert_array_equal(estimator.estimate_batch(workload_2d), before)
+
 
 class TestPerShardLifecycle:
     def test_refit_shard_only_rebuilds_one_partition(self, workload_2d) -> None:
