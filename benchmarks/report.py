@@ -116,29 +116,17 @@ class BenchReport:
         self.gates: dict[str, dict[str, Any]] = {}
         self.notes: list[str] = []
         self.telemetry_snapshot: dict[str, Any] | None = None
-        self.collector_info: dict[str, Any] | None = None
         self._started = perf_counter()
 
-    def telemetry(self, registry: Any, collector: Any = None) -> None:
+    def telemetry(self, registry: Any) -> None:
         """Attach a metrics-registry snapshot to the report envelope.
 
         ``registry`` is anything with a ``snapshot()`` method — a
         :class:`repro.obs.metrics.MetricsRegistry` — so a benchmark that
         instrumented its run ships the raw counter/histogram payload next to
-        its derived metrics.  ``collector`` is an optional
-        :class:`repro.obs.collector.TelemetryCollector` that sampled the
-        run; its sampling ``interval`` and retained series/point counts are
-        recorded under ``"collector"`` so the archived BENCH_*.json is
-        self-describing about how its series were sampled.
+        its derived metrics.
         """
         self.telemetry_snapshot = registry.snapshot()
-        if collector is not None:
-            self.collector_info = {
-                "interval_seconds": collector.interval,
-                "series": len(collector.store.keys()),
-                "points": len(collector.store),
-                "capacity": collector.store.capacity,
-            }
 
     def metric(self, key: str, value: Any) -> None:
         """Record one measured value (numbers, strings, flat lists/dicts)."""
@@ -191,8 +179,6 @@ class BenchReport:
         }
         if self.telemetry_snapshot is not None:
             payload["telemetry"] = self.telemetry_snapshot
-        if self.collector_info is not None:
-            payload["collector"] = self.collector_info
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 

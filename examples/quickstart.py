@@ -288,8 +288,8 @@ def main() -> None:
         )
     # Beyond snapshots: a repro.TelemetryCollector samples a registry on an
     # interval into delta/rate time series (columnar CSV export,
-    # self-contained HTML dashboards, tail-driven admission control) — see
-    # examples/telemetry_traffic.py for the full loop.
+    # self-contained HTML dashboards) — see examples/telemetry_traffic.py
+    # for the full loop.
 
 
 if __name__ == "__main__":

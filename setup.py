@@ -1,9 +1,7 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` library under ``src/``.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so the
-package can also be installed in environments whose tooling predates PEP 660
-editable installs (``python setup.py develop``), e.g. offline machines
-without the ``wheel`` package.
+This file is the package's only build metadata.  The tests, examples and
+benchmarks also run uninstalled, with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

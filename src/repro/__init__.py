@@ -177,13 +177,7 @@ from repro.obs import (
     use_default_metrics,
     write_dashboard,
 )
-from repro.serve import (
-    AdmissionController,
-    CircuitBreaker,
-    EstimatorServer,
-    ServerCacheInfo,
-    TenantQuota,
-)
+from repro.serve import CircuitBreaker, EstimatorServer, ServerCacheInfo
 from repro.shard import (
     HashPartitioner,
     Partitioner,
@@ -308,8 +302,6 @@ __all__ = [
     "JournaledIngest",
     "EstimatorServer",
     "ServerCacheInfo",
-    "AdmissionController",
-    "TenantQuota",
     "CircuitBreaker",
     # fault injection
     "FaultPlan",

@@ -96,21 +96,3 @@ class CircuitOpenError(ReproError):
             f"circuit breaker {state}" + (f": {message}" if message else "")
         )
         self.state = state
-
-
-class AdmissionRejected(ReproError):
-    """A request was refused by the serving tier's admission controller.
-
-    Carries the ``tenant`` and ``op`` that were refused plus a ``reason``:
-    ``"tokens"`` (the tenant's token bucket is empty) or ``"shed"`` (the
-    tail-driven load-shedding policy is throttling this op class because an
-    SLO-protected tenant's trailing p99 is over target).
-    """
-
-    def __init__(self, tenant: str, op: str, reason: str) -> None:
-        super().__init__(
-            f"admission rejected for tenant {tenant!r} op {op!r} ({reason})"
-        )
-        self.tenant = tenant
-        self.op = op
-        self.reason = reason

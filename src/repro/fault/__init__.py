@@ -18,7 +18,6 @@ from repro.fault.plan import (
     mutate_bytes,
     random_plan,
     set_default_fault_plan,
-    skew_clock,
     use_fault_plan,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "mutate_bytes",
     "random_plan",
     "set_default_fault_plan",
-    "skew_clock",
     "use_fault_plan",
 ]

@@ -2,13 +2,12 @@
 
 Production code is sprinkled with *injection points* — cheap, inert-by-default
 hooks named like metrics (``"persist.publish.write"``, ``"shard.task"``).
-Three hook shapes cover the fault surface:
+Two hook shapes cover the fault surface:
 
 - :func:`inject` — control-flow faults: raise :class:`InjectedFault` or hang
   (a bounded sleep) at the point.
 - :func:`mutate_bytes` — data faults: tear (truncate) or bit-flip a byte
   payload on its way to disk.
-- :func:`skew_clock` — time faults: offset a timestamp before it is used.
 
 A :class:`FaultPlan` arms rules against those points.  Rules fire
 deterministically: every call to a point bumps a per-point hit counter, and a
@@ -52,15 +51,13 @@ __all__ = [
     "mutate_bytes",
     "random_plan",
     "set_default_fault_plan",
-    "skew_clock",
     "use_fault_plan",
 ]
 
 #: Supported rule actions.  ``raise`` and ``hang`` apply at :func:`inject`
 #: points (``raise`` also fails :func:`mutate_bytes` writes); ``torn`` and
-#: ``bitflip`` apply at :func:`mutate_bytes` points; ``skew`` applies at
-#: :func:`skew_clock` points.
-ACTIONS = ("raise", "hang", "torn", "bitflip", "skew")
+#: ``bitflip`` apply at :func:`mutate_bytes` points.
+ACTIONS = ("raise", "hang", "torn", "bitflip")
 
 #: Injection points that the hardened layers absorb *by design* (publish
 #: verify-and-retry, executor transient retries).  A low-rate random plan
@@ -92,7 +89,6 @@ class FaultRule:
     fraction: float = 0.5  # torn: fraction of the payload kept
     flips: int = 1  # bitflip: number of bits flipped
     delay: float = 0.0  # hang: seconds slept
-    skew: float = 0.0  # skew: seconds added to the clock
     message: str = ""
     fired: int = field(default=0, compare=False)
 
@@ -229,7 +225,7 @@ class FaultPlan(CopyByReference):
                     return rule
         return None
 
-    # -- the three hook shapes -------------------------------------------
+    # -- the two hook shapes ---------------------------------------------
 
     def inject(self, point: str) -> None:
         """Control-flow hook: raise or hang when an armed rule fires."""
@@ -259,13 +255,6 @@ class FaultPlan(CopyByReference):
                 buf[int(pos) // 8] ^= 1 << (int(pos) % 8)
             return bytes(buf)
         return data
-
-    def skew_clock(self, point: str, now: float) -> float:
-        """Time hook: offset a timestamp when an armed ``skew`` rule fires."""
-        rule = self._hit(point)
-        if rule is not None and rule.action == "skew":
-            return now + rule.skew
-        return now
 
     # -- introspection ----------------------------------------------------
 
@@ -298,9 +287,6 @@ class NullFaultPlan(FaultPlan):
 
     def mutate_bytes(self, point: str, data: bytes) -> bytes:
         return data
-
-    def skew_clock(self, point: str, now: float) -> float:
-        return now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullFaultPlan()"
@@ -349,13 +335,6 @@ def mutate_bytes(point: str, data: bytes) -> bytes:
     if plan.enabled:
         return plan.mutate_bytes(point, data)
     return data
-
-
-def skew_clock(point: str, now: float) -> float:
-    plan = _DEFAULT_PLAN.value
-    if plan.enabled:
-        return plan.skew_clock(point, now)
-    return now
 
 
 def random_plan(

@@ -22,7 +22,7 @@ and sits below every instrumented layer:
   :class:`~repro.obs.collector.TimeSeriesStore` with trailing-window
   rollups (rate, mean, p50/p95/p99).
 * :mod:`repro.obs.dashboard` — static self-contained HTML dashboards
-  (inline SVG sparklines, per-tenant SLO grading) rendered from a live
+  (inline SVG sparklines with rollup readouts) rendered from a live
   collector or any exported series file, zero third-party dependencies.
 
 Instrumented layers: :class:`~repro.serve.EstimatorServer` (per-request

@@ -31,11 +31,6 @@ The first ``tick()`` establishes the baseline snapshot and emits no points
 point per metric present in the new snapshot.  ``tick(now=...)`` accepts an
 explicit timestamp so virtual-time consumers (the traffic simulator) drive
 the collector on their own clock; without one, ``time.monotonic()`` is used.
-
-Subscribers registered with :meth:`~TelemetryCollector.subscribe` are
-invoked after every tick — this is the hook the serving tier's
-:class:`~repro.serve.admission.AdmissionController` uses to re-evaluate its
-tail-driven shedding policy, closing the control loop.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
@@ -218,9 +213,11 @@ class TimeSeriesStore:
         if window <= 0:
             raise InvalidParameterError("window must be positive")
         cutoff = points[-1].time - window
-        # Points are time-ordered; bisect on the timestamps.
+        # Points are time-ordered; bisect on the timestamps.  A point stamped
+        # at the cutoff closes an interval that ends there, wholly outside
+        # the window (cutoff, last], so it is excluded.
         times = [p.time for p in points]
-        return points[bisect_left(times, cutoff):]
+        return points[bisect_right(times, cutoff):]
 
     def rollup(self, key: str, window: float | None = None) -> WindowRollup | None:
         """Aggregate the trailing ``window`` seconds of one series.
@@ -285,32 +282,6 @@ class TimeSeriesStore:
         """Trailing-window rate (0.0 for an unknown/empty series)."""
         rollup = self.rollup(key, window)
         return rollup.rate if rollup is not None else 0.0
-
-    def window_quantile(
-        self, key: str, q: float, window: float | None = None
-    ) -> float | None:
-        """Trailing-window quantile (``None`` when the series has none).
-
-        The admission controller's readout: for histogram series this merges
-        the retained interval bucket deltas and walks the shared
-        log-bucketed quantile, so a trailing p99 is exact to within one
-        geometric bucket of the true windowed sample quantile.
-        """
-        points = self._window_points(key, window)
-        if not points:
-            return None
-        kind = points[-1].kind
-        if kind == "histogram":
-            merged: dict[int, int] = {}
-            for point in points:
-                for index, bucket in (point.buckets or {}).items():
-                    merged[int(index)] = merged.get(int(index), 0) + int(bucket)
-            if not merged:
-                return None
-            return LatencyHistogram.quantile_from_counts(merged, q)
-        values = sorted(p.value for p in points)
-        rank = max(int(math.ceil(q * len(values))), 1)
-        return values[rank - 1]
 
 
 def series_payload(
@@ -388,7 +359,6 @@ class TelemetryCollector:
         self._last_time: float | None = None
         self._counters: dict[str, float] = {}
         self._histograms: dict[str, _HistogramBaseline] = {}
-        self._subscribers: list[Callable[["TelemetryCollector", float], None]] = []
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -396,16 +366,6 @@ class TelemetryCollector:
     def last_tick(self) -> float | None:
         """Timestamp of the latest tick (``None`` before the baseline)."""
         return self._last_time
-
-    # -- subscriptions ---------------------------------------------------------
-    def subscribe(self, fn: Callable[["TelemetryCollector", float], None]) -> None:
-        """Call ``fn(collector, now)`` after every tick (baseline included).
-
-        The control-loop hook: the admission controller subscribes its
-        ``update`` so every fresh sample immediately re-evaluates the
-        shedding policy.
-        """
-        self._subscribers.append(fn)
 
     # -- sampling --------------------------------------------------------------
     def tick(self, now: float | None = None) -> list[SeriesPoint]:
@@ -420,8 +380,6 @@ class TelemetryCollector:
             points = self._tick_locked(float(now))
         for point in points:
             self.store.append(point)
-        for subscriber in list(self._subscribers):
-            subscriber(self, float(now))
         return points
 
     def _tick_locked(self, now: float) -> list[SeriesPoint]:

@@ -8,11 +8,9 @@ suffix) — into one HTML page with **zero third-party runtime
 dependencies**: styling is inline CSS, charts are inline SVG sparklines, so
 the file renders offline in any browser straight from disk.
 
-The page shows one panel per series (sparkline of the rate for
+The page shows one panel per series: a sparkline of the rate for
 counter/histogram series, of the value for gauges, plus trailing-window
-rollup readouts: rate, mean, p50/p95/p99) and — when per-tenant SLO targets
-are supplied — a tenant table grading each tenant's trailing request p99
-against its target (``ok`` / ``breach``).
+rollup readouts (rate, mean, p50/p95/p99).
 """
 
 from __future__ import annotations
@@ -31,19 +29,11 @@ from repro.obs.export import exporter_for_path
 
 __all__ = ["render_dashboard", "write_dashboard", "load_series"]
 
-#: Histogram metric graded in the tenant SLO table.
-_SLO_METRIC = "serve.request_seconds"
-
 _STYLE = """
 body { font-family: ui-monospace, 'SF Mono', Menlo, Consolas, monospace;
        margin: 2rem auto; max-width: 72rem; background: #11151c; color: #d8dee9; }
 h1 { font-size: 1.3rem; } h2 { font-size: 1.05rem; margin-top: 2rem; }
 .meta { color: #7b88a1; font-size: 0.85rem; }
-table.slo { border-collapse: collapse; margin: 0.75rem 0 1.5rem; }
-table.slo th, table.slo td { border: 1px solid #2e3440; padding: 0.35rem 0.8rem;
-       text-align: right; font-size: 0.85rem; }
-table.slo th { color: #7b88a1; font-weight: normal; }
-td.ok { color: #a3be8c; } td.breach { color: #bf616a; font-weight: bold; }
 .grid { display: grid; grid-template-columns: repeat(auto-fill, minmax(21rem, 1fr));
         gap: 0.9rem; }
 .panel { border: 1px solid #2e3440; border-radius: 6px; padding: 0.7rem 0.9rem;
@@ -140,46 +130,16 @@ def _panel(store: TimeSeriesStore, key: str, window: float | None) -> str:
     )
 
 
-def _tenant_rows(
-    store: TimeSeriesStore,
-    slo: Mapping[str, float],
-    window: float | None,
-) -> list[str]:
-    rows = []
-    for tenant in sorted(slo):
-        target = float(slo[tenant])
-        key = f"{_SLO_METRIC}{{tenant={tenant}}}"
-        p99 = store.window_quantile(key, 0.99, window)
-        if p99 is None:
-            status, css = "no data", "meta"
-        elif p99 <= target:
-            status, css = "ok", "ok"
-        else:
-            status, css = "breach", "breach"
-        rows.append(
-            "<tr>"
-            f"<td>{html.escape(tenant)}</td>"
-            f"<td>{_fmt(p99)}s</td>"
-            f"<td>{_fmt(target)}s</td>"
-            f'<td class="{css}">{status}</td>'
-            "</tr>"
-        )
-    return rows
-
-
 def render_dashboard(
     source: "TelemetryCollector | TimeSeriesStore | Mapping[str, Any] | str | pathlib.Path",
     *,
     title: str = "repro telemetry",
-    slo: Mapping[str, float] | None = None,
     window: float | None = None,
 ) -> str:
     """Render a telemetry source as a self-contained HTML dashboard string.
 
-    ``slo`` maps tenant name → p99 latency target (seconds) and adds the
-    per-tenant SLO table; ``window`` restricts the rollup readouts (and the
-    SLO grading) to the trailing window in seconds, default all retained
-    points.
+    ``window`` restricts the rollup readouts to the trailing window in
+    seconds, default all retained points.
     """
     store = _coerce_store(source)
     keys = store.keys()
@@ -192,14 +152,6 @@ def render_dashboard(
         + (f" · trailing window {window:g}s" if window else "")
         + "</div>",
     ]
-    if slo:
-        parts.append("<h2>Tenant SLO status (trailing request p99)</h2>")
-        parts.append(
-            '<table class="slo"><tr><th>tenant</th><th>p99</th>'
-            "<th>target</th><th>status</th></tr>"
-        )
-        parts.extend(_tenant_rows(store, slo, window))
-        parts.append("</table>")
     parts.append("<h2>Series</h2>")
     if keys:
         parts.append('<div class="grid">')

@@ -7,13 +7,6 @@ background ingester mutates a private copy (``checkout`` → ``insert`` /
 ``flush`` → ``publish``), and each publish atomically swaps the served model
 and bumps a generation counter that invalidates the cache.
 
-:class:`~repro.serve.admission.AdmissionController` is the serving tier's
-control plane: per-tenant token buckets plus tail-driven load shedding of
-write ops, fed trailing p99s by a bound
-:class:`~repro.obs.collector.TelemetryCollector`.  Attach it via the
-server's ``admission=`` parameter; refusals raise the typed
-:class:`~repro.core.errors.AdmissionRejected`.
-
 :class:`~repro.serve.breaker.CircuitBreaker` guards the read path against a
 faulting model: attach it via ``breaker=`` (optionally with a ``fallback=``
 estimator) and consecutive model faults trip the server into a degraded mode
@@ -21,15 +14,11 @@ that serves last-good cached results or the fallback instead of erroring,
 half-opening with probe traffic after a timeout.
 """
 
-from repro.serve.admission import WRITE_OPS, AdmissionController, TenantQuota
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.server import EstimatorServer, ServerCacheInfo
 
 __all__ = [
     "EstimatorServer",
     "ServerCacheInfo",
-    "AdmissionController",
-    "TenantQuota",
-    "WRITE_OPS",
     "CircuitBreaker",
 ]

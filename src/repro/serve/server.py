@@ -105,13 +105,6 @@ class EstimatorServer:
         counters as snapshot-time callback gauges — so the uninstrumented
         request path pays a single branch.  Defaults to the process-default
         registry (no-op unless installed).
-    admission:
-        Optional :class:`~repro.serve.admission.AdmissionController`.  When
-        given, every ``estimate_batch`` / ``estimate_batch_many`` request is
-        submitted to it first and may raise
-        :class:`~repro.core.errors.AdmissionRejected`; the default ``None``
-        keeps the request path at the same one-branch cost as disabled
-        instrumentation.
     breaker:
         Optional :class:`~repro.serve.breaker.CircuitBreaker`.  When given,
         model faults during estimation are caught and counted instead of
@@ -134,7 +127,6 @@ class EstimatorServer:
         store: "ModelStore | None" = None,
         model_name: str | None = None,
         metrics=None,
-        admission=None,
         breaker: "CircuitBreaker | None" = None,
         fallback: SelectivityEstimator | None = None,
     ) -> None:
@@ -183,7 +175,6 @@ class EstimatorServer:
         self._misses = 0
         self._generation_swaps = 0
         self._cache_invalidations = 0
-        self.admission = admission
         self.metrics = metrics if metrics is not None else default_metrics()
         self._instrumented = self.metrics.enabled
         if self._instrumented:
@@ -303,14 +294,11 @@ class EstimatorServer:
 
         The returned array is read-only and may be shared between callers
         that submit the same plan — treat it as immutable.  ``tenant``
-        labels the request in the telemetry registry (when one is attached)
-        and identifies the requester to the admission controller; it never
-        influences the answer or the cache key.  ``now`` is the decision
-        timestamp for admission *and* for the circuit breaker's open →
-        half-open transition (virtual-time simulators pass their clock; the
-        default is wall clock); it is ignored when neither is attached.
-        Raises :class:`~repro.core.errors.AdmissionRejected` when a
-        controller refuses the request, and
+        labels the request in the telemetry registry (when one is attached);
+        it never influences the answer or the cache key.  ``now`` is the
+        timestamp of the circuit breaker's open → half-open transition
+        (virtual-time simulators pass their clock; the default is wall
+        clock); it is ignored without a breaker.  Raises
         :class:`~repro.core.errors.CircuitOpenError` when the breaker is
         open and no last-good result or fallback covers the plan.
         """
@@ -329,9 +317,6 @@ class EstimatorServer:
         the result — the hook concurrency tests and version-aware clients use
         to attribute an answer to a publish.
         """
-        if self.admission is not None:
-            self.admission.admit(tenant if tenant is not None else "default",
-                                 "query", now=now)
         if not self._instrumented:
             generation, result, _ = self._serve(queries, now)
             return generation, result
@@ -473,10 +458,8 @@ class EstimatorServer:
         This is the multi-threaded batch entry point: numpy releases the GIL
         in the kernels that dominate batch estimation, so independent
         workloads overlap on multi-core hardware; cached workloads are
-        answered without touching the model at all.  ``tenant`` labels (and,
-        with an admission controller, gates) every workload in the batch;
-        a refusal surfaces as :class:`~repro.core.errors.AdmissionRejected`
-        from the returned future's workload, failing the whole call.
+        answered without touching the model at all.  ``tenant`` labels
+        every workload in the batch.
         """
         if max_workers < 1:
             raise InvalidParameterError("max_workers must be positive")

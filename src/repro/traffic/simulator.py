@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.errors import AdmissionRejected, InvalidParameterError
+from repro.core.errors import InvalidParameterError
 from repro.obs.export import exporter_for_path, resolve_exporter
 from repro.obs.metrics import MetricsRegistry
 from repro.traffic.tenants import DEFAULT_TENANTS, TenantProfile
@@ -59,7 +59,6 @@ class TrafficReport:
     checksum: float
     tenants: dict[str, dict] = field(default_factory=dict)
     server: dict = field(default_factory=dict)
-    admission: dict = field(default_factory=dict)
 
     def to_payload(self) -> dict:
         return {
@@ -69,7 +68,6 @@ class TrafficReport:
             "checksum": self.checksum,
             "tenants": self.tenants,
             "server": self.server,
-            "admission": self.admission,
         }
 
     def export(self, path, exporter=None, metrics: MetricsRegistry | None = None):
@@ -194,9 +192,9 @@ class TrafficSimulator:
         Optional :class:`~repro.obs.collector.TelemetryCollector`.  When
         given, :meth:`run` drives it on **virtual time**: one ``tick`` per
         ``collector.interval`` of simulated seconds (plus a final tick at
-        the end of the run), so trailing-window rollups — and any admission
-        controller bound to the collector — see the run's own clock.  Use a
-        fresh collector per run: ticks must advance monotonically.
+        the end of the run), so trailing-window rollups see the run's own
+        clock.  Use a fresh collector per run: ticks must advance
+        monotonically.
     """
 
     def __init__(
@@ -258,17 +256,8 @@ class TrafficSimulator:
         Latency quantiles are read from the ``traffic.op_seconds`` series —
         the *client-observed* spans (compile + serve + reduce for queries;
         checkout + insert + flush + publish for ingest), which is what an
-        SLO on this layer should gate.
-
-        With a ``collector`` attached, the run becomes a closed control
-        loop: the collector is ticked on virtual-time interval boundaries
-        (event timestamps), and an admission controller bound to it sheds
-        ops mid-run.  Refused ops raise
-        :class:`~repro.core.errors.AdmissionRejected` inside the loop; the
-        simulator counts them (``traffic.rejected{tenant=,op=}``, plus
-        per-tenant ``rejected``/``goodput`` report entries) instead of
-        recording a latency — a shed op was never served, so it must not
-        enter the tail series.
+        SLO on this layer should gate.  An attached ``collector`` is ticked
+        on virtual-time interval boundaries (event timestamps) between ops.
         """
         events = self.schedule(duration)
         # Rebuild draw states so ingest-row draws replay identically run-to-run.
@@ -286,8 +275,6 @@ class TrafficSimulator:
             for name in states
             for op in _OPS
         }
-        rejected: dict[tuple[str, str], int] = {}
-        admission = getattr(self.server, "admission", None)
         collector = self.collector
         if collector is not None and collector.last_tick is None:
             collector.tick(now=0.0)  # baseline at virtual time zero
@@ -304,60 +291,36 @@ class TrafficSimulator:
                 next_tick = round((ticks + 1) * collector.interval, 9)
             state = states[event.tenant]
             start = perf_counter()
-            try:
-                if event.op == "query":
-                    plan = state.plans[event.plan]
-                    if isinstance(plan, LoweredQueries):
-                        estimates = plan.reduce(
-                            self.server.estimate_batch(
-                                plan.plan, tenant=event.tenant, now=event.time
-                            )
+            if event.op == "query":
+                plan = state.plans[event.plan]
+                if isinstance(plan, LoweredQueries):
+                    estimates = plan.reduce(
+                        self.server.estimate_batch(
+                            plan.plan, tenant=event.tenant, now=event.time
                         )
-                    else:
-                        estimates = self.server.estimate_batch(
-                            plan, tenant=event.tenant, now=event.time
-                        )
-                    checksum += float(np.sum(estimates))
-                elif event.op == "ingest":
-                    if admission is not None:
-                        admission.admit(event.tenant, "ingest", now=event.time)
-                    rows = state.draw_ingest_rows()
-                    model = self.server.checkout()
-                    model.insert(rows)
-                    if hasattr(model, "flush"):
-                        model.flush()
-                    self.server.publish(model)
-                else:  # pure publish churn: version bump, no data change
-                    if admission is not None:
-                        admission.admit(event.tenant, "publish", now=event.time)
-                    self.server.publish(self.server.checkout())
-            except AdmissionRejected:
-                key = (event.tenant, event.op)
-                rejected[key] = rejected.get(key, 0) + 1
-                self.metrics.counter(
-                    "traffic.rejected", tenant=event.tenant, op=event.op
-                ).inc()
-                continue
+                    )
+                else:
+                    estimates = self.server.estimate_batch(
+                        plan, tenant=event.tenant, now=event.time
+                    )
+                checksum += float(np.sum(estimates))
+            elif event.op == "ingest":
+                rows = state.draw_ingest_rows()
+                model = self.server.checkout()
+                model.insert(rows)
+                if hasattr(model, "flush"):
+                    model.flush()
+                self.server.publish(model)
+            else:  # pure publish churn: version bump, no data change
+                self.server.publish(self.server.checkout())
             elapsed = perf_counter() - start
             op_seconds[(event.tenant, event.op)].record(elapsed)
             op_counts[(event.tenant, event.op)].inc()
         if collector is not None and duration > next_tick - collector.interval:
             collector.tick(now=duration)
-        return self._report(duration, events, checksum, rejected, admission)
+        return self._report(duration, len(events), checksum)
 
-    def _report(
-        self,
-        duration: float,
-        events: list[TrafficEvent],
-        checksum: float,
-        rejected: "dict[tuple[str, str], int] | None" = None,
-        admission=None,
-    ) -> TrafficReport:
-        rejected = rejected or {}
-        scheduled: dict[tuple[str, str], int] = {}
-        for event in events:
-            key = (event.tenant, event.op)
-            scheduled[key] = scheduled.get(key, 0) + 1
+    def _report(self, duration: float, events: int, checksum: float) -> TrafficReport:
         tenants: dict[str, dict] = {}
         for name, state in self._states.items():
             entry: dict = {"profile": state.profile.describe(), "ops": {}}
@@ -375,33 +338,13 @@ class TrafficSimulator:
             if query:
                 entry["p50"] = query["p50"]
                 entry["p99"] = query["p99"]
-            refused = {
-                op: count
-                for (tenant, op), count in rejected.items()
-                if tenant == name and count
-            }
-            if refused:
-                entry["rejected"] = refused
-            total = sum(c for (t, _op), c in scheduled.items() if t == name)
-            refused_total = sum(refused.values())
-            # Goodput = admitted fraction of this run's *scheduled* ops —
-            # the quantity the admission bench gates for the storm tenant.
-            entry["goodput"] = (
-                (total - refused_total) / total if total else 1.0
-            )
             tenants[name] = entry
         server_stats = self.server.stats() if hasattr(self.server, "stats") else {}
-        admission_stats = (
-            {**admission.describe(), "slo": admission.slo_status()}
-            if admission is not None
-            else {}
-        )
         return TrafficReport(
             duration=duration,
             seed=self.seed,
-            events=len(events),
+            events=events,
             checksum=checksum,
             tenants=tenants,
             server=server_stats,
-            admission=admission_stats,
         )

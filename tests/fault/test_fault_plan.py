@@ -15,7 +15,6 @@ from repro.fault.plan import (
     mutate_bytes,
     random_plan,
     set_default_fault_plan,
-    skew_clock,
     use_fault_plan,
 )
 
@@ -128,15 +127,10 @@ class TestActions:
         diff_bits = sum(bin(a ^ b).count("1") for a, b in zip(data, flipped))
         assert 1 <= diff_bits <= 3  # positions may collide
 
-    def test_skew_offsets_clock(self) -> None:
-        plan = FaultPlan()
-        plan.arm("p", action="skew", skew=-5.0)
-        assert plan.skew_clock("p", 100.0) == 95.0
-        assert plan.skew_clock("other", 100.0) == 100.0
-
     def test_unknown_action_rejected(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            FaultPlan().arm("p", action="explode")
+        for action in ("explode", "skew"):
+            with pytest.raises(InvalidParameterError):
+                FaultPlan().arm("p", action=action)
 
     def test_unknown_option_rejected_as_typed_error(self) -> None:
         plan = FaultPlan()
@@ -169,7 +163,6 @@ class TestDefaultPlan:
             assert default_fault_plan() is NULL_PLAN
             inject("any.point")  # no-op
             assert mutate_bytes("any.point", b"abc") == b"abc"
-            assert skew_clock("any.point", 3.0) == 3.0
 
     def test_null_plan_refuses_arming(self) -> None:
         with pytest.raises(InvalidParameterError):

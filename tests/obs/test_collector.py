@@ -98,14 +98,6 @@ class TestTickDiffing:
         with pytest.raises(InvalidParameterError, match="advance"):
             collector.tick(now=1.0)
 
-    def test_subscriber_called_every_tick(self) -> None:
-        registry, collector = make_collector()
-        seen = []
-        collector.subscribe(lambda c, now: seen.append((c is collector, now)))
-        collector.tick(now=0.0)
-        collector.tick(now=1.0)
-        assert seen == [(True, 0.0), (True, 1.0)]
-
     def test_background_thread_collects(self) -> None:
         registry, collector = make_collector(interval=0.01)
         counter = registry.counter("c")
@@ -157,11 +149,16 @@ class TestStoreAndRollups:
         roll = store.rollup("c", window=1.5)
         assert roll.points == 2
         assert roll.delta == 50.0
+        # The window is (last - window, last]: the point stamped at the
+        # cutoff closes an interval that ends there, outside the window.
+        roll = store.rollup("c", window=1.0)
+        assert roll.points == 1
+        assert roll.delta == 30.0
+        assert roll.rate == pytest.approx(30.0)
 
     def test_unknown_series_rollup_is_none(self) -> None:
         store = TimeSeriesStore()
         assert store.rollup("missing", window=None) is None
-        assert store.window_quantile("missing", 0.99, None) is None
 
     def test_payload_round_trip_exact(self) -> None:
         registry, collector = make_collector()

@@ -12,6 +12,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,20 @@ def test_envelope_records_the_hardware(monkeypatch, tmp_path, cpuinfo, expected)
     payload = _run(monkeypatch, tmp_path, None)
     assert payload["cpu_count"] == os.cpu_count()
     assert payload["cpu_model"] == expected
+
+
+def test_every_committed_report_has_a_bench_that_writes_it() -> None:
+    """No orphaned ``BENCH_<name>.json``: some ``benchmarks/bench_*.py``
+    must still write each committed report through ``bench_report``."""
+    benchmarks = _REPORT.parent
+    written = {
+        name
+        for path in benchmarks.glob("bench_*.py")
+        for name in re.findall(r"bench_report\(\s*[\"']([^\"']+)[\"']", path.read_text())
+    }
+    committed = {
+        path.name[len("BENCH_") : -len(".json")]
+        for path in (benchmarks / "results").glob("BENCH_*.json")
+    }
+    assert committed, "no committed BENCH_*.json reports found"
+    assert committed <= written, f"orphaned reports: {sorted(committed - written)}"
