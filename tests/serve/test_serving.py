@@ -456,6 +456,8 @@ class TestServerTelemetry:
         assert gauges["serve.generation"]["value"] == 2.0
         assert gauges["serve.generation_swaps"]["value"] == 1.0
         assert gauges["serve.hit_rate"]["value"] == pytest.approx(2 / 3)
+        server.estimate_batch_many([plan, plan], tenant="b")  # label forwarded
+        assert metrics.histogram("serve.request_seconds", tenant="b").count == 2
 
     def test_uninstrumented_by_default(self, table, plan) -> None:
         server = EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8)
