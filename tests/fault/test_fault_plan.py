@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import time
 
 import pytest
 
@@ -91,6 +92,33 @@ class TestScheduling:
                     out.append(hit)
         assert a_fired != b_fired  # distinct per-point streams
 
+    def test_first_matching_rule_wins(self) -> None:
+        plan = FaultPlan()
+        first = plan.arm("persist.*", action="torn", fraction=0.5)
+        second = plan.arm("persist.publish.write", action="raise")
+        assert plan.mutate_bytes("persist.publish.write", bytes(8)) == bytes(4)
+        assert (first.fired, second.fired) == (1, 0)
+
+    def test_deterministic_rules_leave_the_draw_stream_alone(self) -> None:
+        # A counter-scheduled rule that is not due takes no draw from the
+        # point's RNG, so arming it ahead of a probabilistic rule does not
+        # move that rule's firings.
+        def firings(with_counter_rule: bool) -> list[int]:
+            plan = FaultPlan(seed=4)
+            if with_counter_rule:
+                plan.arm("p", action="raise", after=1000)
+            plan.arm("p", action="raise", probability=0.4)
+            out = []
+            for hit in range(1, 61):
+                try:
+                    plan.inject("p")
+                except InjectedFault:
+                    out.append(hit)
+            return out
+
+        alone = firings(False)
+        assert alone and firings(True) == alone
+
     def test_reset_counters_replays_the_schedule(self) -> None:
         plan = FaultPlan()
         plan.arm("p", action="raise", at=(2,))
@@ -127,6 +155,25 @@ class TestActions:
         diff_bits = sum(bin(a ^ b).count("1") for a, b in zip(data, flipped))
         assert 1 <= diff_bits <= 3  # positions may collide
 
+    def test_hang_sleeps_then_returns(self) -> None:
+        plan = FaultPlan()
+        plan.arm("p", action="hang", delay=0.05)
+        start = time.perf_counter()
+        plan.inject("p")  # a hang delays the caller but does not fail it
+        assert time.perf_counter() - start >= 0.05
+
+    def test_raise_fails_a_byte_write(self) -> None:
+        plan = FaultPlan()
+        plan.arm("p", action="raise")
+        with pytest.raises(InjectedFault):
+            plan.mutate_bytes("p", b"payload")
+
+    def test_tear_keeps_at_least_one_byte(self) -> None:
+        plan = FaultPlan()
+        plan.arm("p", action="torn", fraction=0.0)
+        assert plan.mutate_bytes("p", b"") == b""  # nothing to tear
+        assert plan.mutate_bytes("p", b"abcd") == b"a"
+
     def test_unknown_action_rejected(self) -> None:
         for action in ("explode", "skew"):
             with pytest.raises(InvalidParameterError):
@@ -136,6 +183,17 @@ class TestActions:
         plan = FaultPlan()
         with pytest.raises(InvalidParameterError, match="unknown fault rule option"):
             plan.arm("p", action="raise", atfer=2)  # typo'd keyword
+        assert not plan.rules  # nothing was armed
+
+    @pytest.mark.parametrize(
+        "option", [{"every": 0}, {"probability": 1.5}, {"fraction": 1.0}],
+        ids=["every", "probability", "fraction"],
+    )
+    def test_out_of_range_option_rejected(self, option) -> None:
+        plan = FaultPlan()
+        (name,) = option
+        with pytest.raises(InvalidParameterError, match=name):
+            plan.arm("p", action="raise", **option)
         assert not plan.rules  # nothing was armed
 
     def test_scalar_at_is_coerced(self) -> None:
@@ -202,6 +260,18 @@ class TestRandomPlan:
         patterns = {rule.pattern for rule in plan.rules}
         assert "persist.publish.write" in patterns
         assert "shard.task" in patterns
+
+    def test_arms_each_point_with_its_recovery_action(self) -> None:
+        plan = random_plan(0.02, seed=5)
+        rules = {rule.pattern: rule for rule in plan.rules}
+        assert rules["persist.publish.write"].action == "bitflip"
+        assert rules["shard.task"].action == "raise"
+        assert all(rule.probability == 0.02 for rule in plan.rules)
+        assert plan.seed == 5
+
+    def test_custom_points_default_to_raise(self) -> None:
+        (rule,) = random_plan(0.5, points=("x.y",)).rules
+        assert (rule.pattern, rule.action, rule.probability) == ("x.y", "raise", 0.5)
 
     def test_describe_reports_accounting(self) -> None:
         plan = FaultPlan(seed=2)

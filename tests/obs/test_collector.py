@@ -98,6 +98,34 @@ class TestTickDiffing:
         with pytest.raises(InvalidParameterError, match="advance"):
             collector.tick(now=1.0)
 
+    def test_metric_created_after_baseline_counts_from_zero(self) -> None:
+        registry, collector = make_collector()
+        collector.tick(now=0.0)
+        registry.counter("late").inc(4)
+        (point,) = collector.tick(now=2.0)
+        assert point.key == "late"
+        assert point.delta == 4
+        assert point.rate == pytest.approx(2.0)
+
+    def test_histogram_restart_diffs_against_zero(self) -> None:
+        registry, collector = make_collector()
+        for value in (1e-3, 2e-3, 3e-3):
+            registry.histogram("h").record(value)
+        collector.tick(now=0.0)
+        registry.reset()
+        registry.histogram("h").record(5e-3)
+        (point,) = collector.tick(now=1.0)
+        assert point.value == 1
+        assert point.delta == 1  # not -2
+        assert point.total == pytest.approx(5e-3)
+        assert sum(point.buckets.values()) == 1
+
+    def test_invalid_interval_and_capacity_rejected(self) -> None:
+        with pytest.raises(InvalidParameterError, match="interval"):
+            TelemetryCollector(MetricsRegistry(), interval=0.0)
+        with pytest.raises(InvalidParameterError, match="capacity"):
+            TimeSeriesStore(capacity=0)
+
     def test_background_thread_collects(self) -> None:
         registry, collector = make_collector(interval=0.01)
         counter = registry.counter("c")
@@ -108,6 +136,39 @@ class TestTickDiffing:
                 time.sleep(0.002)
         assert len(collector.store) > 0
         assert collector.store.latest("c").kind == "counter"
+
+
+class TestLifecycle:
+    """``start``/``stop`` on an injected clock.  The hour-long interval keeps
+    the background thread from ticking, so every point comes from the
+    synchronous baseline and the final tick."""
+
+    def test_start_baselines_and_stop_takes_a_final_tick(self) -> None:
+        readings = iter([10.0, 15.0])
+        registry = MetricsRegistry()
+        collector = TelemetryCollector(
+            registry, interval=3600.0, clock=lambda: next(readings)
+        )
+        registry.counter("c").inc(2)
+        assert collector.start() is collector
+        assert collector.start() is collector  # idempotent while running
+        assert collector.last_tick == 10.0
+        assert len(collector.store) == 0
+        registry.counter("c").inc(3)
+        collector.stop()
+        (point,) = collector.store.points("c")
+        assert point.time == 15.0
+        assert point.delta == 3
+        assert point.rate == pytest.approx(3 / 5)
+
+    def test_stop_without_final_tick_records_nothing(self) -> None:
+        registry, collector = make_collector(interval=3600.0)
+        collector.start()
+        registry.counter("c").inc()
+        collector.stop(final_tick=False)
+        assert len(collector.store) == 0
+        collector.stop()  # no longer running: a no-op
+        assert len(collector.store) == 0
 
 
 class TestStoreAndRollups:
@@ -156,9 +217,106 @@ class TestStoreAndRollups:
         assert roll.delta == 30.0
         assert roll.rate == pytest.approx(30.0)
 
+    def test_fixed_grid_window_holds_exactly_window_intervals(self) -> None:
+        # Ticks every 0.1 s land one point exactly on the cutoff of a 0.5 s
+        # window; its interval ends there, so five intervals remain.
+        registry, collector = make_collector(interval=0.1)
+        counter = registry.counter("c")
+        collector.tick(now=0.0)
+        for k in range(1, 21):
+            counter.inc(k)
+            collector.tick(now=k / 10)
+        roll = collector.store.rollup("c", window=0.5)
+        assert roll.points == 5
+        assert roll.delta == 16 + 17 + 18 + 19 + 20
+        assert roll.rate == pytest.approx(180.0)
+
+    def test_window_wider_than_history_covers_everything(self) -> None:
+        store = self.fill([10.0, 20.0, 30.0])
+        wide = store.rollup("c", window=100.0)
+        everything = store.rollup("c", window=None)
+        assert (wide.points, wide.delta, wide.rate) == (
+            everything.points, everything.delta, everything.rate,
+        )
+        assert wide.window == 100.0
+        assert everything.window == pytest.approx(3.0)  # the covered span
+
+    def test_rollup_rejects_non_positive_window(self) -> None:
+        store = self.fill([10.0])
+        for window in (0.0, -1.0):
+            with pytest.raises(InvalidParameterError, match="window"):
+                store.rollup("c", window=window)
+
+    def test_window_rate(self) -> None:
+        store = self.fill([10.0, 20.0, 30.0])
+        assert store.window_rate("c", window=1.5) == pytest.approx(50.0 / 2.0)
+        assert store.window_rate("missing", window=1.5) == 0.0
+
+    def test_histogram_rollup_merges_interval_buckets(self) -> None:
+        registry, collector = make_collector()
+        hist = registry.histogram("h")
+        collector.tick(now=0.0)
+        hist.record(100e-3)  # one slow outlier in the first interval
+        collector.tick(now=1.0)
+        for now in (2.0, 3.0):
+            hist.record(1e-3)
+            hist.record(2e-3)
+            collector.tick(now=now)
+        recent = collector.store.rollup("h", window=2.0)
+        assert recent.points == 2
+        assert recent.delta == 4
+        assert recent.mean == pytest.approx(1.5e-3)
+        assert recent.p50 == pytest.approx(1e-3, rel=0.25)
+        assert recent.p99 == pytest.approx(2e-3, rel=0.25)  # outlier aged out
+        everything = collector.store.rollup("h", window=None)
+        assert everything.delta == 5
+        assert everything.p99 == pytest.approx(100e-3, rel=0.25)
+
     def test_unknown_series_rollup_is_none(self) -> None:
         store = TimeSeriesStore()
         assert store.rollup("missing", window=None) is None
+
+    def test_iteration_is_series_sorted_then_oldest_first(self) -> None:
+        store = TimeSeriesStore()
+        for t, metric in ((1.0, "b"), (2.0, "a"), (3.0, "b")):
+            store.append(
+                SeriesPoint(
+                    time=t, metric=metric, labels=(), kind="counter",
+                    value=t, delta=1.0, rate=1.0,
+                )
+            )
+        assert [(p.metric, p.time) for p in store] == [("a", 2.0), ("b", 1.0), ("b", 3.0)]
+        assert len(store) == 3
+        assert store.latest("b").time == 3.0
+        assert store.latest("missing") is None
+        assert store.points("missing") == []
+
+    def test_counter_record_carries_no_histogram_fields(self) -> None:
+        point = SeriesPoint(
+            time=1.0, metric="c", labels=(("tenant", "a"),), kind="counter",
+            value=3.0, delta=1.0, rate=0.5,
+        )
+        record = point.to_record()
+        assert set(record) == {"time", "metric", "labels", "kind", "value", "delta", "rate"}
+        assert record["labels"] == {"tenant": "a"}
+        assert SeriesPoint.from_record(record) == point
+
+    def test_payload_without_points_rejected(self) -> None:
+        with pytest.raises(InvalidParameterError, match="points"):
+            store_from_payload({"interval": 1.0})
+
+    def test_payload_keeps_capacity(self) -> None:
+        store = TimeSeriesStore(capacity=2)
+        for i in range(3):
+            store.append(
+                SeriesPoint(
+                    time=float(i), metric="c", labels=(), kind="counter",
+                    value=float(i), delta=1.0, rate=1.0,
+                )
+            )
+        rebuilt = store_from_payload(series_payload(store))
+        assert rebuilt.capacity == 2
+        assert rebuilt.points("c") == store.points("c")
 
     def test_payload_round_trip_exact(self) -> None:
         registry, collector = make_collector()

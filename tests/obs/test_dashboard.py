@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.errors import InvalidParameterError
-from repro.obs.collector import TelemetryCollector
+from repro.obs.collector import TelemetryCollector, TimeSeriesStore
 from repro.obs.dashboard import load_series, render_dashboard, write_dashboard
 from repro.obs.metrics import MetricsRegistry
+
+
+def panel_stats(html: str) -> dict[str, str]:
+    """Each panel's series key mapped to its readout line."""
+    return dict(
+        re.findall(r'<div class="name">([^<]*)</div>.*?<div class="stats">([^<]*)</div>', html)
+    )
 
 
 @pytest.fixture()
@@ -50,6 +59,39 @@ class TestRender:
     def test_write_dashboard(self, collector, tmp_path) -> None:
         path = write_dashboard(collector, tmp_path / "board.html")
         assert path.read_text().lstrip().lower().startswith("<!doctype html>")
+
+    def test_renders_from_payload_mapping(self, collector) -> None:
+        assert render_dashboard(collector.series_payload()) == render_dashboard(collector)
+
+    def test_empty_source_renders_placeholder(self) -> None:
+        html = render_dashboard(TimeSeriesStore())
+        assert "0 series · 0 points" in html
+        assert "no series recorded" in html
+
+    def test_window_restricts_rollup_readouts(self, collector) -> None:
+        # The counter's intervals hold 10, 20, 30 and 40 ops over 1 s each;
+        # the gauge reads 1, 2, 3, 4.  Totals and point counts stay whole.
+        everything = render_dashboard(collector)
+        assert "trailing window" not in everything
+        stats = panel_stats(everything)
+        assert stats["traffic.ops{tenant=a}"] == "kind=counter · points=4 · rate=25/s · total=100"
+        assert stats["serve.generation"] == "kind=gauge · points=4 · last=4 · mean=2.5"
+        recent = render_dashboard(collector, window=1.0)
+        assert "trailing window 1s" in recent
+        stats = panel_stats(recent)
+        assert stats["traffic.ops{tenant=a}"] == "kind=counter · points=4 · rate=40/s · total=100"
+        assert stats["serve.generation"] == "kind=gauge · points=4 · last=4 · mean=4"
+
+    def test_title_and_series_keys_are_escaped(self) -> None:
+        registry = MetricsRegistry()
+        collector = TelemetryCollector(registry)
+        collector.tick(now=0.0)
+        registry.counter("ops", tenant="<b>&co").inc()
+        collector.tick(now=1.0)
+        html = render_dashboard(collector, title="<i>board</i>")
+        assert "<i>" not in html and "<b>" not in html
+        assert "&lt;i&gt;board&lt;/i&gt;" in html
+        assert "ops{tenant=&lt;b&gt;&amp;co}" in html
 
     def test_bad_source_rejected(self) -> None:
         with pytest.raises(InvalidParameterError):

@@ -15,15 +15,15 @@ import platform
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _REPORT = Path(__file__).resolve().parents[1] / "benchmarks" / "report.py"
 
 
-def _run(monkeypatch, tmp_path, smoke: str | None, **enforced: bool | None) -> dict:
-    """Import a fresh ``report`` module under ``BENCH_SMOKE=smoke``, record
-    one failing gate per keyword (``None`` keeps the default enforcement)
-    through ``bench_report`` and return the written envelope."""
+def _load(monkeypatch, tmp_path, smoke: str | None):
+    """Import a fresh ``report`` module under ``BENCH_SMOKE=smoke`` that
+    writes its envelopes under ``tmp_path``."""
     if smoke is None:
         monkeypatch.delenv("BENCH_SMOKE", raising=False)
     else:
@@ -32,6 +32,14 @@ def _run(monkeypatch, tmp_path, smoke: str | None, **enforced: bool | None) -> d
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.RESULTS_DIR = tmp_path
+    return module
+
+
+def _run(monkeypatch, tmp_path, smoke: str | None, **enforced: bool | None) -> dict:
+    """Record one failing gate per keyword (``None`` keeps the default
+    enforcement) through a fresh module's ``bench_report`` and return the
+    written envelope."""
+    module = _load(monkeypatch, tmp_path, smoke)
     with module.bench_report("demo") as report:
         for key, value in enforced.items():
             if value is None:
@@ -88,6 +96,33 @@ def test_envelope_records_the_hardware(monkeypatch, tmp_path, cpuinfo, expected)
     payload = _run(monkeypatch, tmp_path, None)
     assert payload["cpu_count"] == os.cpu_count()
     assert payload["cpu_model"] == expected
+
+
+def test_registry_snapshot_rides_in_the_envelope(monkeypatch, tmp_path) -> None:
+    from repro.obs.metrics import MetricsRegistry
+
+    module = _load(monkeypatch, tmp_path, None)
+    registry = MetricsRegistry()
+    registry.counter("ops", tenant="a").inc(3)
+    registry.histogram("latency").record(1e-3)
+    with module.bench_report("demo") as report:
+        report.telemetry(registry)
+        report.metric("speedup", np.float64(2.5))
+        report.metric("sizes", (np.int64(1), 2))
+    payload = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert payload["telemetry"] == json.loads(json.dumps(registry.snapshot()))
+    assert payload["metrics"] == {"speedup": 2.5, "sizes": [1, 2]}
+
+
+def test_envelope_is_written_when_the_block_raises(monkeypatch, tmp_path) -> None:
+    module = _load(monkeypatch, tmp_path, None)
+    with pytest.raises(AssertionError, match="red gate"):
+        with module.bench_report("demo") as report:
+            assert report.gate("speedup", False), "red gate"
+    payload = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert payload["passed"] is False
+    assert payload["gates"]["speedup"] == {"passed": False, "enforced": True, "detail": None}
+    assert "telemetry" not in payload
 
 
 def test_every_committed_report_has_a_bench_that_writes_it() -> None:

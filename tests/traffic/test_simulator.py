@@ -99,6 +99,17 @@ class TestSchedule:
         events = TrafficSimulator(make_server(base_model), table, TENANTS, seed=5).schedule(0.5)
         assert events == sorted(events, key=lambda e: (e.time, e.tenant))
 
+    def test_query_events_draw_from_the_plan_pool(self, base_model, table) -> None:
+        events = TrafficSimulator(make_server(base_model), table, TENANTS, seed=5).schedule(0.5)
+        pools = {t.name: t.plan_pool for t in TENANTS}
+        assert {e.op for e in events} == {"query", "ingest"}
+        assert all(0.0 <= e.time < 0.5 for e in events)
+        for event in events:
+            if event.op == "query":
+                assert 0 <= event.plan < pools[event.tenant]
+            else:
+                assert event.plan == -1
+
     def test_duration_validated(self, base_model, table) -> None:
         with pytest.raises(InvalidParameterError):
             TrafficSimulator(make_server(base_model), table, TENANTS, seed=5).schedule(0.0)
@@ -151,6 +162,20 @@ class TestRun:
         assert writes > 0
         assert report.server["generation"] == 1 + writes
         assert report.server["rows_modelled"] > base_model.row_count
+
+    def test_publish_only_tenant_churns_generations_not_rows(
+        self, base_model, table
+    ) -> None:
+        churn = (TenantProfile(name="churn", query_weight=0.0, publish_weight=1.0, rate=40.0),)
+        report = TrafficSimulator(make_server(base_model), table, churn, seed=4).run(0.3)
+        tenant = report.tenants["churn"]
+        assert set(tenant["ops"]) == {"publish"}
+        publishes = tenant["ops"]["publish"]["count"]
+        assert publishes == report.events > 0
+        assert report.server["generation"] == 1 + publishes
+        assert report.server["rows_modelled"] == base_model.row_count
+        assert report.checksum == 0.0
+        assert "p50" not in tenant and "p99" not in tenant  # no queries, no query tails
 
     def test_uses_server_registry_when_enabled(self, base_model, table) -> None:
         metrics = MetricsRegistry()
@@ -207,3 +232,29 @@ class TestClosedLoop:
         assert any(
             key.startswith("traffic.ops") for key in collector.store.keys()
         )
+
+    def run_collected(self, base_model, table):
+        from repro.obs.collector import TelemetryCollector
+
+        metrics = MetricsRegistry()
+        collector = TelemetryCollector(metrics, interval=0.1)
+        report = TrafficSimulator(
+            make_server(base_model), table, TENANTS,
+            seed=3, metrics=metrics, collector=collector,
+        ).run(0.45)
+        return report, collector
+
+    def test_collector_counts_every_op(self, base_model, table) -> None:
+        report, collector = self.run_collected(base_model, table)
+        counted = sum(p.delta for p in collector.store if p.metric == "traffic.ops")
+        assert counted == report.events
+
+    def test_collector_series_are_deterministic(self, base_model, table) -> None:
+        def ops_series():
+            _, collector = self.run_collected(base_model, table)
+            return [
+                (p.key, p.time, p.delta) for p in collector.store if p.metric == "traffic.ops"
+            ]
+
+        first = ops_series()
+        assert first and ops_series() == first
