@@ -33,7 +33,7 @@ The closing section turns telemetry on: an instrumented
 histograms and cache counters into a
 :class:`~repro.obs.metrics.MetricsRegistry` (off by default — the
 uninstrumented hot path pays a single branch), and the snapshot is exported
-to JSON through the pluggable exporter registry
+to JSON through the exporter its file suffix picks
 (``examples/telemetry_traffic.py`` is the full multi-tenant traffic
 walkthrough).
 """
@@ -261,8 +261,8 @@ def main() -> None:
     #     request into a streaming log-bucketed latency histogram (p50/p99
     #     without storing samples) next to its cache and generation counters.
     #     Off by default — an unmetered server pays one branch per request.
-    #     The snapshot exports through the exporter registry; the suffix
-    #     picks the format (.json / .jsonl).
+    #     The snapshot exports through exporter_for_path; the suffix picks
+    #     the format (.json / .jsonl / .csv).
     registry = MetricsRegistry()
     server = EstimatorServer(
         EquiDepthHistogram(buckets=64).fit(table), cache_size=64, metrics=registry
@@ -287,8 +287,8 @@ def main() -> None:
             f"{len(sections['histograms'])} histograms"
         )
     # Beyond snapshots: a repro.TelemetryCollector samples a registry on an
-    # interval into delta/rate time series (columnar CSV export,
-    # self-contained HTML dashboards) — see examples/telemetry_traffic.py
+    # interval into delta/rate time series (CSV export, self-contained
+    # HTML dashboards) — see examples/telemetry_traffic.py
     # for the full loop.
 
 

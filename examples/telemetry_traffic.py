@@ -24,10 +24,10 @@ simulator:
    boundaries during the run, diffing registry snapshots into per-metric
    delta/rate time series with windowed rollups.
 4. The run's report (per-tenant p50/p99 per op) and the full registry
-   snapshot are exported through the pluggable exporter registry — JSON
-   for humans, JSONL (one record per metric) for line-oriented collectors,
-   CSV (one row per series point) for columnar tooling — and read back
-   losslessly.  The collected series also renders as a self-contained
+   snapshot are exported through the exporter the file suffix picks —
+   JSON for humans, JSONL (one record per metric) for line-oriented
+   collectors, CSV (one row per series point) for columnar tooling — and
+   read back losslessly.  The collected series also renders as a self-contained
    static HTML dashboard (inline SVG sparklines, zero third-party deps).
 
 Two runs with the same seed execute the identical op sequence (the report
@@ -134,9 +134,9 @@ def main() -> None:
         f"{len(collector.store)} points; dashboard query rate {qps:.0f}/s"
     )
 
-    # 8. Export the report + registry snapshot through the exporters and
-    #    read them back losslessly; the collected series goes to columnar
-    #    CSV and renders as a self-contained offline dashboard.
+    # 8. Export the report + registry snapshot through the suffix-picked
+    #    exporters and read them back losslessly; the collected series goes
+    #    to CSV and renders as a self-contained offline dashboard.
     with tempfile.TemporaryDirectory() as root:
         for suffix in (".json", ".jsonl"):
             path = report.export(Path(root) / f"traffic{suffix}", metrics=registry)

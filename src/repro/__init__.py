@@ -121,9 +121,7 @@ from repro.ensemble import (
     ExpertPool,
     WeightedExpert,
     WeightPolicy,
-    available_policies,
     create_policy,
-    register_policy,
 )
 from repro.engine.executor import EvaluationResult, Executor, evaluate_estimator
 from repro.engine.optimizer import (
@@ -172,7 +170,6 @@ from repro.obs import (
     TimeSeriesStore,
     exporter_for_path,
     render_dashboard,
-    resolve_exporter,
     set_default_metrics,
     use_default_metrics,
     write_dashboard,
@@ -238,9 +235,7 @@ __all__ = [
     "ExpertPool",
     "WeightedExpert",
     "WeightPolicy",
-    "register_policy",
     "create_policy",
-    "available_policies",
     # query fast path
     "KernelSupportIndex",
     "fastpath_enabled",
@@ -322,7 +317,6 @@ __all__ = [
     "TelemetryCollector",
     "TimeSeriesStore",
     "exporter_for_path",
-    "resolve_exporter",
     "render_dashboard",
     "write_dashboard",
     "TrafficSimulator",

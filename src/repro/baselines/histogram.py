@@ -125,7 +125,6 @@ class _PerAttributeHistogramEstimator(SelectivityEstimator):
 
     supports_merge = True
     merge_lossless = True
-    merge_exact = True
 
     def __init__(self, buckets: int = 64) -> None:
         super().__init__()

@@ -46,7 +46,6 @@ class IndependenceEstimator(SelectivityEstimator):
     # order, so the merge is exact up to rounding — not bitwise.
     supports_merge = True
     merge_lossless = True
-    merge_exact = False
 
     def __init__(self, model: str = "uniform") -> None:
         super().__init__()

@@ -111,7 +111,6 @@ class GridHistogram(SelectivityEstimator):
     # monolithic fit.
     supports_merge = True
     merge_lossless = True
-    merge_exact = True
 
     def __init__(
         self, cells_per_dim: int | None = 16, budget_bytes: int | None = None

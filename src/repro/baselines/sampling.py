@@ -106,7 +106,8 @@ class SamplingEstimator(SelectivityEstimator):
 
     # True state-merge: per-shard uniform samples pool into a weighted
     # sample of the union.  Statistically uniform, but a different draw than
-    # the monolithic rng.choice — hence not bitwise (merge_exact stays False).
+    # the monolithic rng.choice — a resampling merge, so merge_lossless
+    # stays False.
     supports_merge = True
 
     def __init__(self, sample_size: int = 1000, seed: int | None = 0) -> None:

@@ -71,10 +71,10 @@ through one of two paths:
   :meth:`shard_frame`, which the shard coordinator evaluates once on the
   *full* table; every per-shard :meth:`fit_shard` then builds against that
   shared frame so the shard states are aligned and the merge is exact.
-  Estimators whose merged synopsis reproduces a monolithic fit *bitwise*
-  (integer bucket counts summed over aligned frames) also set
-  :attr:`merge_exact`; sample-based merges (reservoir subsampling) are
-  statistically equivalent but not bit-identical and leave it ``False``.
+  The histogram family (``equiwidth``, ``equidepth``, ``grid``) sums
+  integer bucket counts over aligned frames, so its merged synopsis
+  reproduces a monolithic fit *bitwise*; sample-based merges (reservoir
+  subsampling) are statistically equivalent but not bit-identical.
 * **Weighted estimate combination** — every estimator inherits
   :meth:`combine_estimates`, a row-count-weighted average of per-shard
   estimate vectors.  This is the universal fallback: a sharded front end can
@@ -161,10 +161,6 @@ class SelectivityEstimator(ABC):
     #: sufficient statistics (exact up to float rounding).  Sample-based
     #: merges resample and are only statistically equivalent.
     merge_lossless: bool = False
-
-    #: Whether the merged synopsis reproduces a monolithic fit bitwise
-    #: (requires fitting every shard against the same :meth:`shard_frame`).
-    merge_exact: bool = False
 
     def __init__(self) -> None:
         self._fitted = False

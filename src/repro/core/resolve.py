@@ -1,19 +1,20 @@
 """Uniform resolution of pluggable-component specifications.
 
-Registry-backed components across the repo — estimators, metrics exporters,
-weighting policies — all accept a spec given as any of
+Named components across the repo — estimators and the ensemble's weighting
+policies — accept a spec given as any of
 
 * a component **instance**,
-* a registry **name** string (``"kde"``, ``"jsonl"``),
+* a **name** string (``"kde"``, ``"addexp"``),
 * a ``{"name": ..., **params}`` **config mapping** — which is how snapshot
   and describe round-trips reconstruct nested wrappers through
   ``*_from_config`` factories.
 
 :func:`resolve_component` is the one shared implementation of that
-convention; :func:`resolve_estimator` binds it to the estimator registry
-(used by the feedback wrapper, the sharded front end, and the expert
-ensemble, so arbitrarily nested wrapper configs round-trip uniformly), and
-:func:`repro.obs.export.resolve_exporter` binds it to the exporter registry.
+convention.  It has two bindings: :func:`resolve_estimator` binds it to the
+estimator registry (used by the feedback wrapper, the sharded front end, and
+the expert ensemble, so arbitrarily nested wrapper configs round-trip
+uniformly), and :func:`repro.ensemble.policy.create_policy` binds it to the
+three weighting policies.
 """
 
 from __future__ import annotations

@@ -7,9 +7,7 @@ from repro.ensemble.policy import (
     PinnedPolicy,
     WeightPolicy,
     WindowedErrorPolicy,
-    available_policies,
     create_policy,
-    register_policy,
 )
 
 __all__ = [
@@ -21,7 +19,5 @@ __all__ = [
     "AddExpPolicy",
     "WindowedErrorPolicy",
     "PinnedPolicy",
-    "register_policy",
     "create_policy",
-    "available_policies",
 ]

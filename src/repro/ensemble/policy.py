@@ -1,4 +1,4 @@
-"""Pluggable weighting/pruning policies for the expert ensemble.
+"""Weighting policies for the expert ensemble.
 
 A policy turns one round of observed per-expert losses into new expert
 weights.  The policies are *stateless* — the error history they consult
@@ -21,15 +21,20 @@ Three policies ship with the library:
     A static baseline that never moves weights: the ensemble collapses to a
     fixed uniform (or hand-set) mixture, useful as the control arm in drift
     experiments.
+
+:func:`create_policy` resolves a policy spec — instance, name or
+``{"name": ..., **params}`` mapping — through
+:func:`repro.core.resolve.resolve_component`, the convention estimators use.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
+from repro.core.resolve import resolve_component
 
 if TYPE_CHECKING:  # imported for type annotations only
     from repro.ensemble.experts import WeightedExpert
@@ -39,9 +44,7 @@ __all__ = [
     "AddExpPolicy",
     "WindowedErrorPolicy",
     "PinnedPolicy",
-    "register_policy",
     "create_policy",
-    "available_policies",
 ]
 
 
@@ -115,21 +118,21 @@ class PinnedPolicy(WeightPolicy):
         return np.array([e.weight for e in experts], dtype=float)
 
 
-_POLICIES: dict[str, Callable[[], WeightPolicy]] = {}
+_POLICIES: dict[str, type[WeightPolicy]] = {
+    "addexp": AddExpPolicy,
+    "windowed": WindowedErrorPolicy,
+    "pinned": PinnedPolicy,
+}
 
 
-def register_policy(name: str, factory: Callable[[], WeightPolicy] | None = None):
-    """Register a weighting policy under ``name`` (usable as a decorator)."""
-
-    def _register(target: Callable[[], WeightPolicy]):
-        if name in _POLICIES:
-            raise InvalidParameterError(f"policy name {name!r} is already registered")
-        _POLICIES[name] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
+def _policy_from_config(config: Mapping) -> WeightPolicy:
+    options = dict(config)
+    name = options.pop("name", None)
+    if not isinstance(name, str) or name not in _POLICIES:
+        raise InvalidParameterError(
+            f"unknown policy {name!r}; available: {sorted(_POLICIES)}"
+        )
+    return _POLICIES[name](**options)
 
 
 def create_policy(spec: "str | Mapping | WeightPolicy") -> WeightPolicy:
@@ -139,31 +142,11 @@ def create_policy(spec: "str | Mapping | WeightPolicy") -> WeightPolicy:
     with non-default parameters; mappings are what :meth:`WeightPolicy.config`
     emits, so ensemble configs round-trip policy parameters faithfully.
     """
-    if isinstance(spec, WeightPolicy):
-        return spec
-    if isinstance(spec, Mapping):
-        options = dict(spec)
-        name = options.pop("name", None)
-        if not isinstance(name, str):
-            raise InvalidParameterError("policy mapping requires a 'name' string")
-        return _policy_factory(name)(**options)
-    return _policy_factory(spec)()
-
-
-def _policy_factory(name: str) -> Callable[..., WeightPolicy]:
-    try:
-        return _POLICIES[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown policy {name!r}; available: {sorted(_POLICIES)}"
-        ) from None
-
-
-def available_policies() -> list[str]:
-    """Names of all registered weighting policies."""
-    return sorted(_POLICIES)
-
-
-register_policy("addexp", AddExpPolicy)
-register_policy("windowed", WindowedErrorPolicy)
-register_policy("pinned", PinnedPolicy)
+    return resolve_component(
+        spec,
+        base_type=WeightPolicy,
+        create=lambda name: _policy_from_config({"name": name}),
+        from_config=_policy_from_config,
+        what="policy",
+        kind="policy",
+    )

@@ -33,8 +33,9 @@ for the run (every model store, shard executor and estimator server built by
 the experiments records into it, and the query fast path counts its
 culled-vs-dense routing), times each experiment into
 ``experiments.run_seconds{experiment=...}``, and exports the final snapshot
-to ``PATH`` through the exporter matching its suffix (``.json`` /
-``.jsonl``)::
+to ``PATH`` through the exporter matching its suffix (``.json``,
+``.jsonl`` or ``.csv``; any other suffix is rejected before anything
+runs)::
 
     python -m repro.experiments --telemetry runs/table1.jsonl table1
 
@@ -56,6 +57,7 @@ import sys
 from contextlib import nullcontext
 from typing import Sequence
 
+from repro.core.errors import InvalidParameterError
 from repro.experiments.runner import use_estimators, use_model_store, use_sharding
 from repro.experiments.suite import EXPERIMENTS, run_experiment
 from repro.persist.store import ModelStore
@@ -196,6 +198,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.obs.export import exporter_for_path
         from repro.obs.metrics import MetricsRegistry, use_default_metrics
 
+        try:
+            exporter = exporter_for_path(args.telemetry)
+        except InvalidParameterError as error:
+            raise SystemExit(str(error)) from None
+
         registry = MetricsRegistry()
         telemetry = use_default_metrics(registry)
         collector = TelemetryCollector(
@@ -237,14 +244,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if registry is not None:
         import pathlib
 
-        path = exporter_for_path(args.telemetry).export(registry.snapshot(), args.telemetry)
+        path = exporter.export(registry.snapshot(), args.telemetry)
         print(f"telemetry snapshot written to {path}")
         if args.collect_interval:
             target = pathlib.Path(args.telemetry)
             series_path = target.with_name(f"{target.stem}.series{target.suffix}")
-            exporter_for_path(series_path).export(
-                collector.series_payload(), series_path
-            )
+            exporter.export(collector.series_payload(), series_path)
             print(f"telemetry series written to {series_path}")
         if args.dashboard:
             from repro.obs.dashboard import write_dashboard

@@ -1,20 +1,19 @@
-"""Observability layer: metrics, latency histograms, pluggable exporters.
+"""Observability layer: metrics, latency histograms, exporters, dashboards.
 
 ``obs`` is the repo's telemetry substrate.  It is dependency-free (stdlib
 only, besides the shared error types and the component-resolution helper)
 and sits below every instrumented layer:
 
 * :mod:`repro.obs.metrics` — :class:`~repro.obs.metrics.MetricsRegistry`
-  with counters, gauges (including zero-overhead snapshot-time callback
-  gauges), streaming log-bucketed
-  :class:`~repro.obs.metrics.LatencyHistogram` quantiles, timer context
-  managers/decorators, and the no-op :data:`~repro.obs.metrics.NULL_REGISTRY`
-  default that keeps uninstrumented hot paths at one-branch cost.
-* :mod:`repro.obs.export` — the exporter registry (``"json"`` /
-  ``"jsonl"`` plus the columnar format below, registry-keyed) that
-  serialises registry snapshots and collector series losslessly.
-* :mod:`repro.obs.columnar` — the columnar exporter: stdlib ``"csv"`` (one
-  row per point, JSON-encoded cells, lossless).
+  with counters, zero-overhead snapshot-time callback gauges, streaming
+  log-bucketed :class:`~repro.obs.metrics.LatencyHistogram` quantiles, a
+  timer context manager, and the no-op
+  :data:`~repro.obs.metrics.NULL_REGISTRY` default that keeps
+  uninstrumented hot paths at one-branch cost.
+* :mod:`repro.obs.export` — three exporters picked by file suffix
+  (``.json``, ``.jsonl``, and ``.csv`` with one row per point and
+  JSON-encoded cells) that serialise registry snapshots and collector
+  series losslessly.
 * :mod:`repro.obs.collector` — :class:`~repro.obs.collector.TelemetryCollector`
   sampling a registry on an interval (or explicit ``tick()``), diffing
   consecutive snapshots into per-metric delta/rate series with
@@ -23,7 +22,7 @@ and sits below every instrumented layer:
   rollups (rate, mean, p50/p95/p99).
 * :mod:`repro.obs.dashboard` — static self-contained HTML dashboards
   (inline SVG sparklines with rollup readouts) rendered from a live
-  collector or any exported series file, zero third-party dependencies.
+  collector or its store, zero third-party dependencies.
 
 Instrumented layers: :class:`~repro.serve.EstimatorServer` (per-request
 latency, cache hits/misses, generation swaps, per-tenant labels),
@@ -41,24 +40,17 @@ from repro.obs.collector import (
     series_payload,
     store_from_payload,
 )
-from repro.obs.columnar import CSVExporter
-from repro.obs.dashboard import load_series, render_dashboard, write_dashboard
+from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.obs.export import (
+    CSVExporter,
     JSONExporter,
     JSONLExporter,
     MetricsExporter,
-    available_exporters,
-    create_exporter,
     exporter_for_path,
-    exporter_from_config,
-    exporter_suffixes,
-    register_exporter,
-    resolve_exporter,
 )
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
-    Gauge,
     LatencyHistogram,
     MetricsRegistry,
     NullRegistry,
@@ -71,7 +63,6 @@ from repro.obs.metrics import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
     "NullRegistry",
@@ -85,13 +76,7 @@ __all__ = [
     "JSONExporter",
     "JSONLExporter",
     "CSVExporter",
-    "register_exporter",
-    "create_exporter",
-    "exporter_from_config",
-    "available_exporters",
-    "resolve_exporter",
     "exporter_for_path",
-    "exporter_suffixes",
     "SeriesPoint",
     "TimeSeriesStore",
     "TelemetryCollector",
@@ -100,5 +85,4 @@ __all__ = [
     "store_from_payload",
     "render_dashboard",
     "write_dashboard",
-    "load_series",
 ]

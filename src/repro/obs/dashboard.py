@@ -1,12 +1,13 @@
 """Static telemetry dashboard: collector series → self-contained HTML.
 
 :func:`render_dashboard` turns a telemetry source — a live
-:class:`~repro.obs.collector.TelemetryCollector`, its
-:class:`~repro.obs.collector.TimeSeriesStore`, an exported series payload
-dict, or a path to any exported series file (JSON/JSONL/CSV, resolved by
-suffix) — into one HTML page with **zero third-party runtime
-dependencies**: styling is inline CSS, charts are inline SVG sparklines, so
-the file renders offline in any browser straight from disk.
+:class:`~repro.obs.collector.TelemetryCollector` or a
+:class:`~repro.obs.collector.TimeSeriesStore` — into one HTML page with
+**zero third-party runtime dependencies**: styling is inline CSS, charts are
+inline SVG sparklines, so the file renders offline in any browser straight
+from disk.  An exported series file renders through its store::
+
+    render_dashboard(store_from_payload(exporter_for_path(path).load(path)))
 
 The page shows one panel per series: a sparkline of the rate for
 counter/histogram series, of the value for gauges, plus trailing-window
@@ -17,17 +18,12 @@ from __future__ import annotations
 
 import html
 import pathlib
-from typing import Any, Mapping
+from typing import Any
 
 from repro.core.errors import InvalidParameterError
-from repro.obs.collector import (
-    TelemetryCollector,
-    TimeSeriesStore,
-    store_from_payload,
-)
-from repro.obs.export import exporter_for_path
+from repro.obs.collector import TelemetryCollector, TimeSeriesStore
 
-__all__ = ["render_dashboard", "write_dashboard", "load_series"]
+__all__ = ["render_dashboard", "write_dashboard"]
 
 _STYLE = """
 body { font-family: ui-monospace, 'SF Mono', Menlo, Consolas, monospace;
@@ -45,30 +41,14 @@ polyline { fill: none; stroke: #88c0d0; stroke-width: 1.5; }
 """
 
 
-def load_series(path: "str | pathlib.Path") -> TimeSeriesStore:
-    """Load an exported collector series file into a :class:`TimeSeriesStore`.
-
-    The exporter is picked from the file suffix (JSON, JSONL, CSV), so the
-    dashboard renders from any format the collector can export to.
-    """
-    payload = exporter_for_path(path).load(path)
-    return store_from_payload(payload)
-
-
-def _coerce_store(
-    source: "TelemetryCollector | TimeSeriesStore | Mapping[str, Any] | str | pathlib.Path",
-) -> TimeSeriesStore:
+def _coerce_store(source: "TelemetryCollector | TimeSeriesStore") -> TimeSeriesStore:
     if isinstance(source, TelemetryCollector):
         return source.store
     if isinstance(source, TimeSeriesStore):
         return source
-    if isinstance(source, Mapping):
-        return store_from_payload(source)
-    if isinstance(source, (str, pathlib.Path)):
-        return load_series(source)
     raise InvalidParameterError(
-        "dashboard source must be a TelemetryCollector, TimeSeriesStore, "
-        f"series payload mapping or path, got {type(source).__name__}"
+        "dashboard source must be a TelemetryCollector or TimeSeriesStore, "
+        f"got {type(source).__name__}"
     )
 
 
@@ -131,7 +111,7 @@ def _panel(store: TimeSeriesStore, key: str, window: float | None) -> str:
 
 
 def render_dashboard(
-    source: "TelemetryCollector | TimeSeriesStore | Mapping[str, Any] | str | pathlib.Path",
+    source: "TelemetryCollector | TimeSeriesStore",
     *,
     title: str = "repro telemetry",
     window: float | None = None,
@@ -164,7 +144,7 @@ def render_dashboard(
 
 
 def write_dashboard(
-    source: "TelemetryCollector | TimeSeriesStore | Mapping[str, Any] | str | pathlib.Path",
+    source: "TelemetryCollector | TimeSeriesStore",
     path: "str | pathlib.Path",
     **kwargs: Any,
 ) -> pathlib.Path:

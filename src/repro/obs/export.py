@@ -1,142 +1,47 @@
-"""Pluggable serialisation of metrics snapshots.
+"""Serialisation of metrics snapshots, picked by file suffix.
 
 A :class:`MetricsExporter` turns the JSON-native payload produced by
 :meth:`repro.obs.metrics.MetricsRegistry.snapshot` (or any dict built on top
-of it, e.g. a traffic-simulator report) into bytes on disk and back,
-**losslessly**: ``exporter.load(exporter.export(payload, path))`` equals the
-original payload, which the exporter test suite pins for every registered
-format.
+of it, e.g. a traffic-simulator report or a collector series) into bytes on
+disk and back, **losslessly**: ``exporter.load(exporter.export(payload,
+path))`` equals the original payload, which the exporter test suite pins for
+every format.
 
-Exporters live in a registry keyed by format name — ``"json"`` (one
-indented document), ``"jsonl"`` (line-delimited records, one metric per
-line, streaming/append-friendly) and the columnar ``"csv"``
-(:mod:`repro.obs.columnar`).
-Specs resolve through :func:`repro.core.resolve.resolve_component` — the
-same instance / registry-name / config-mapping convention estimators use —
-so an exporter choice round-trips through configs exactly like every other
-pluggable component in the repo.
+Three formats ship, one per file suffix, and :func:`exporter_for_path` picks
+one from a path:
+
+* ``.json`` — :class:`JSONExporter`, one indented, sorted document;
+* ``.jsonl`` — :class:`JSONLExporter`, line-delimited records, one metric per
+  line, streaming/append-friendly;
+* ``.csv`` — :class:`CSVExporter`, stdlib CSV with JSON-encoded cells, one
+  row per series point (or per metric for a snapshot).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import pathlib
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.core.errors import InvalidParameterError
-from repro.core.resolve import resolve_component
 
 __all__ = [
     "MetricsExporter",
     "JSONExporter",
     "JSONLExporter",
-    "register_exporter",
-    "create_exporter",
-    "exporter_from_config",
-    "available_exporters",
-    "resolve_exporter",
+    "CSVExporter",
+    "POINT_COLUMNS",
     "exporter_for_path",
-    "exporter_suffixes",
 ]
-
-_EXPORTERS: dict[str, Callable[..., "MetricsExporter"]] = {}
-
-
-def register_exporter(name: str, factory: Callable[..., "MetricsExporter"] | None = None):
-    """Register an exporter class/factory under ``name`` (decorator form too)."""
-
-    def _register(target: Callable[..., "MetricsExporter"]):
-        _EXPORTERS[name] = target
-        target.name = name
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def create_exporter(name: str, **kwargs: Any) -> "MetricsExporter":
-    """Instantiate a registered exporter by name."""
-    try:
-        factory = _EXPORTERS[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown exporter {name!r}; available: {available_exporters()}"
-        ) from None
-    return factory(**kwargs)
-
-
-def exporter_from_config(config: Mapping[str, Any]) -> "MetricsExporter":
-    """Instantiate an exporter from a ``{"name": ..., **params}`` mapping."""
-    params = dict(config)
-    try:
-        name = params.pop("name")
-    except KeyError:
-        raise InvalidParameterError("exporter config requires a 'name' key") from None
-    return create_exporter(str(name), **params)
-
-
-def available_exporters() -> list[str]:
-    """Registered exporter names, sorted."""
-    return sorted(_EXPORTERS)
-
-
-def resolve_exporter(
-    spec: "MetricsExporter | Mapping[str, Any] | str | None",
-    default: Callable[[], "MetricsExporter"] | None = None,
-    *,
-    what: str = "exporter",
-) -> "MetricsExporter":
-    """Resolve an exporter spec (instance / registry name / config mapping).
-
-    The exporter binding of :func:`repro.core.resolve.resolve_component` —
-    the shared resolution convention, not a third idiom.
-    """
-    return resolve_component(
-        spec,
-        base_type=MetricsExporter,
-        create=create_exporter,
-        from_config=exporter_from_config,
-        default=default,
-        what=what,
-        kind="exporter",
-    )
-
-
-def exporter_suffixes() -> dict[str, str]:
-    """Mapping of registered exporter name → preferred file suffix."""
-    return {
-        name: str(getattr(_EXPORTERS[name], "suffix", ""))
-        for name in available_exporters()
-    }
-
-
-def exporter_for_path(path: "str | pathlib.Path") -> "MetricsExporter":
-    """Pick an exporter from a file suffix (``.csv`` → csv, ``.jsonl`` → jsonl, ...).
-
-    Raises :class:`InvalidParameterError` naming every registered format and
-    its suffix when no exporter claims the suffix, so a typo'd ``--telemetry``
-    path fails loudly instead of silently writing JSON.
-    """
-    suffix = pathlib.Path(path).suffix.lower()
-    for name, known in exporter_suffixes().items():
-        if known == suffix:
-            return create_exporter(name)
-    formats = ", ".join(
-        f"{name} ({known})" for name, known in exporter_suffixes().items()
-    )
-    raise InvalidParameterError(
-        f"no exporter registered for suffix {suffix!r} of {str(path)!r}; "
-        f"available: {formats}"
-    )
 
 
 class MetricsExporter(ABC):
     """Serialise a JSON-native metrics payload to disk and back, losslessly."""
 
-    name = "abstract"
-    #: Preferred file suffix (used by :func:`exporter_for_path`).
+    #: File suffix this format claims (used by :func:`exporter_for_path`).
     suffix = ".json"
 
     @abstractmethod
@@ -158,41 +63,24 @@ class MetricsExporter(ABC):
         """Read a payload previously written by :meth:`export`."""
         return self.loads(pathlib.Path(path).read_text())
 
-    def _config_params(self) -> dict[str, Any]:
-        return {}
-
-    def config(self) -> dict[str, Any]:
-        """Reconstruction recipe (``resolve_exporter``-compatible mapping)."""
-        return {"name": self.name, **self._config_params()}
-
 
 #: Metric-table sections a registry snapshot may carry; JSONL splits these
 #: into one record per metric and reassembles them on load.
 _SECTIONS = ("counters", "gauges", "histograms")
 
 
-@register_exporter("json")
 class JSONExporter(MetricsExporter):
     """One indented, sorted JSON document — the human-diffable archive format."""
 
     suffix = ".json"
 
-    def __init__(self, indent: int = 2) -> None:
-        if indent < 0:
-            raise InvalidParameterError("indent must be non-negative")
-        self.indent = int(indent)
-
     def dumps(self, payload: Mapping[str, Any]) -> str:
-        return json.dumps(dict(payload), indent=self.indent, sort_keys=True) + "\n"
+        return json.dumps(dict(payload), indent=2, sort_keys=True) + "\n"
 
     def loads(self, text: str) -> dict[str, Any]:
         return json.loads(text)
 
-    def _config_params(self) -> dict[str, Any]:
-        return {"indent": self.indent}
 
-
-@register_exporter("jsonl")
 class JSONLExporter(MetricsExporter):
     """Line-delimited records: one ``meta`` line, then one line per metric.
 
@@ -237,3 +125,152 @@ class JSONLExporter(MetricsExporter):
                 raise InvalidParameterError(f"unknown JSONL record kind {section!r}")
             payload.setdefault(section, {})[record["key"]] = record["data"]
         return payload
+
+
+#: Column order of a series-payload row (matches ``SeriesPoint.to_record``).
+POINT_COLUMNS = (
+    "time",
+    "metric",
+    "labels",
+    "kind",
+    "value",
+    "delta",
+    "rate",
+    "total",
+    "mean",
+    "p50",
+    "p95",
+    "p99",
+    "buckets",
+)
+
+#: Fallback column order for non-series payloads (one row per metric).
+_SECTION_COLUMNS = ("section", "key", "data")
+
+
+def _split_meta(payload: Mapping[str, Any]) -> tuple[dict[str, Any], bool]:
+    """Non-row keys of ``payload`` plus whether it is a series payload."""
+    is_series = "points" in payload
+    drop = ("points",) if is_series else _SECTIONS
+    return {k: v for k, v in payload.items() if k not in drop}, is_series
+
+
+def _rows(payload: Mapping[str, Any], is_series: bool) -> list[dict[str, Any]]:
+    if is_series:
+        return [dict(record) for record in payload["points"]]
+    return [
+        {"section": section, "key": key, "data": data}
+        for section in _SECTIONS
+        if section in payload
+        for key, data in payload[section].items()
+    ]
+
+
+#: Columns only histogram points carry (``SeriesPoint.to_record`` omits them
+#: on counter/gauge records, so the columnar null stands for "absent").
+_HISTOGRAM_ONLY = ("total", "mean", "p50", "p95", "p99", "buckets")
+
+
+def _strip_absent(row: dict[str, Any]) -> dict[str, Any]:
+    """Drop columnar nulls that encode keys the point kind never carries."""
+    if row.get("kind") != "histogram":
+        for column in _HISTOGRAM_ONLY:
+            row.pop(column, None)
+    return row
+
+
+def _reassemble(
+    meta: dict[str, Any], rows: list[dict[str, Any]], is_series: bool
+) -> dict[str, Any]:
+    payload = dict(meta)
+    if is_series:
+        payload["points"] = rows
+        return payload
+    for section in meta.get("sections", ()):  # preserve empty sections
+        payload.setdefault(section, {})
+    payload.pop("sections", None)
+    for row in rows:
+        payload.setdefault(row["section"], {})[row["key"]] = row["data"]
+    return payload
+
+
+class CSVExporter(MetricsExporter):
+    """Stdlib CSV with JSON-encoded cells — columnar yet lossless.
+
+    Line 1 is a ``#meta {json}`` comment carrying every non-row payload key
+    (sampling interval, store capacity, run metadata) plus the payload
+    shape; line 2 is the header; every further line is one point (series
+    payloads) or one metric (snapshot payloads).  JSON-encoding each cell
+    keeps types exact — ``null`` ≠ ``0.0``, labels and sparse histogram
+    buckets stay structured — while the file still opens in any spreadsheet
+    or dataframe tool.
+    """
+
+    suffix = ".csv"
+
+    def dumps(self, payload: Mapping[str, Any]) -> str:
+        meta, is_series = _split_meta(payload)
+        if not is_series:
+            meta = dict(meta)
+            meta["sections"] = [s for s in _SECTIONS if s in payload]
+        columns = POINT_COLUMNS if is_series else _SECTION_COLUMNS
+        buffer = io.StringIO()
+        buffer.write(
+            "#meta "
+            + json.dumps({"series": is_series, "data": meta}, sort_keys=True)
+            + "\n"
+        )
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in _rows(payload, is_series):
+            writer.writerow(
+                [json.dumps(row.get(column), sort_keys=True) for column in columns]
+            )
+        return buffer.getvalue()
+
+    def loads(self, text: str) -> dict[str, Any]:
+        lines = text.splitlines()
+        if not lines or not lines[0].startswith("#meta "):
+            raise InvalidParameterError(
+                "CSV metrics file must start with a '#meta' line"
+            )
+        head = json.loads(lines[0][len("#meta "):])
+        is_series = bool(head.get("series"))
+        reader = csv.reader(lines[1:])
+        try:
+            columns = next(reader)
+        except StopIteration:
+            raise InvalidParameterError("CSV metrics file has no header row") from None
+        rows = []
+        for cells in reader:
+            row = {
+                column: json.loads(cell) for column, cell in zip(columns, cells)
+            }
+            if is_series:
+                row = _strip_absent(row)
+            rows.append(row)
+        return _reassemble(dict(head.get("data", {})), rows, is_series)
+
+
+#: The one suffix → format table :func:`exporter_for_path` reads.
+_EXPORTERS: dict[str, type[MetricsExporter]] = {
+    cls.suffix: cls for cls in (JSONExporter, JSONLExporter, CSVExporter)
+}
+
+
+def exporter_for_path(path: "str | pathlib.Path") -> MetricsExporter:
+    """Pick an exporter from a file suffix (``.csv`` → CSV, ``.jsonl`` → JSONL, ...).
+
+    The suffix match ignores case.  Raises :class:`InvalidParameterError`
+    naming every supported format and its suffix when none matches, so a
+    typo'd ``--telemetry`` path fails loudly instead of silently writing JSON.
+    """
+    suffix = pathlib.Path(path).suffix.lower()
+    try:
+        return _EXPORTERS[suffix]()
+    except KeyError:
+        formats = ", ".join(f"{known[1:]} ({known})" for known in _EXPORTERS)
+        raise InvalidParameterError(
+            f"no exporter for suffix {suffix!r} of {str(path)!r}; "
+            f"supported: {formats}"
+        ) from None

@@ -3,10 +3,10 @@
 A :class:`MetricsRegistry` owns named, labelled metrics of three kinds:
 
 * :class:`Counter` — monotonically increasing totals (requests, rows, ...).
-* :class:`Gauge` — last-write-wins instantaneous values.  ``gauge_fn``
-  registers a *callback* gauge evaluated lazily at snapshot time, so hot
-  paths that already maintain their own counters (the serving cache) are
-  exported with **zero** per-event overhead.
+* Gauges — instantaneous values, each a *callback* registered with
+  ``gauge_fn`` and evaluated lazily at snapshot time, so hot paths that
+  already maintain their own counters (the serving cache) are exported with
+  **zero** per-event overhead.
 * :class:`LatencyHistogram` — a streaming, log-bucketed latency histogram:
   O(1) bounded memory, O(log buckets) ``record`` (one ``bisect`` into a
   precomputed geometric edge table), and quantile readouts that are exact to
@@ -41,7 +41,6 @@ from repro.core.slot import CopyByReference, Slot
 
 __all__ = [
     "Counter",
-    "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
     "NullRegistry",
@@ -98,39 +97,9 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative) to the total."""
         if amount < 0:
-            raise InvalidParameterError("counters only increase; use a Gauge")
+            raise InvalidParameterError("counters only increase")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"name": self.name, "labels": dict(self.labels), "value": self._value}
-
-
-class Gauge:
-    """A last-write-wins instantaneous value (thread-safe)."""
-
-    __slots__ = ("name", "labels", "_value", "_lock")
-
-    def __init__(self, name: str, labels: LabelsT = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -325,12 +294,11 @@ class _Timer:
 class MetricsRegistry(CopyByReference):
     """Process-local store of named, labelled metrics.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create (same name and
-    labels → same object), ``timer`` wraps a histogram in a context manager,
-    ``timed`` is the decorator form, ``gauge_fn`` registers a callback
-    evaluated at snapshot time, and :meth:`snapshot` renders everything as
-    one JSON-native dict that the :mod:`repro.obs.export` exporters
-    round-trip losslessly.
+    ``counter`` / ``histogram`` are get-or-create (same name and labels →
+    same object), ``timer`` wraps a histogram in a context manager,
+    ``gauge_fn`` registers a callback gauge evaluated at snapshot time, and
+    :meth:`snapshot` renders everything as one JSON-native dict that the
+    :mod:`repro.obs.export` exporters round-trip losslessly.
     """
 
     enabled = True
@@ -338,7 +306,6 @@ class MetricsRegistry(CopyByReference):
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
         self._callbacks: dict[str, tuple[str, LabelsT, Callable[[], float]]] = {}
 
@@ -357,33 +324,12 @@ class MetricsRegistry(CopyByReference):
     def counter(self, name: str, **labels: object) -> Counter:
         return self._get(self._counters, Counter, name, labels)
 
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get(self._gauges, Gauge, name, labels)
-
     def histogram(self, name: str, **labels: object) -> LatencyHistogram:
         return self._get(self._histograms, LatencyHistogram, name, labels)
 
     def timer(self, name: str, **labels: object) -> _Timer:
         """``with registry.timer("persist.publish_seconds"): ...``"""
         return _Timer(self.histogram(name, **labels))
-
-    def timed(self, name: str, **labels: object) -> Callable:
-        """Decorator form of :meth:`timer` for whole-function hot paths."""
-        histogram = self.histogram(name, **labels)
-
-        def decorate(fn: Callable) -> Callable:
-            def wrapper(*args: object, **kwargs: object):
-                start = perf_counter()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    histogram.record(perf_counter() - start)
-
-            wrapper.__name__ = getattr(fn, "__name__", "wrapped")
-            wrapper.__doc__ = fn.__doc__
-            return wrapper
-
-        return decorate
 
     def gauge_fn(self, name: str, fn: Callable[[], float], **labels: object) -> None:
         """Register a callback gauge evaluated lazily at snapshot time.
@@ -401,12 +347,11 @@ class MetricsRegistry(CopyByReference):
         """All metrics as one JSON-native payload (exporter input)."""
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
             callbacks = dict(self._callbacks)
         payload: dict[str, Any] = {
             "counters": {key: m.snapshot() for key, m in counters.items()},
-            "gauges": {key: m.snapshot() for key, m in gauges.items()},
+            "gauges": {},
             "histograms": {key: m.snapshot() for key, m in histograms.items()},
         }
         for key, (name, labels, fn) in callbacks.items():
@@ -418,7 +363,7 @@ class MetricsRegistry(CopyByReference):
         return payload
 
     def reset(self) -> None:
-        """Drop recorded counters, gauges and histograms; keep callback gauges.
+        """Drop recorded counters and histograms; keep callback gauges.
 
         The benchmark-phase / long-running-collector boundary: accumulated
         event series are cleared so the next phase starts from zero, while
@@ -437,7 +382,6 @@ class MetricsRegistry(CopyByReference):
         """
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
@@ -447,7 +391,7 @@ class MetricsRegistry(CopyByReference):
 
 
 class _NullMetric(CopyByReference):
-    """Inert counter/gauge singleton: every mutation is a no-op."""
+    """Inert counter singleton: every mutation is a no-op."""
 
     __slots__ = ()
     name = "null"
@@ -455,12 +399,6 @@ class _NullMetric(CopyByReference):
     value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
         pass
 
     def snapshot(self) -> dict[str, Any]:
@@ -512,17 +450,11 @@ class NullRegistry(CopyByReference):
     def counter(self, name: str, **labels: object) -> _NullMetric:
         return _NULL_METRIC
 
-    def gauge(self, name: str, **labels: object) -> _NullMetric:
-        return _NULL_METRIC
-
     def histogram(self, name: str, **labels: object) -> _NullHistogram:
         return _NULL_HISTOGRAM
 
     def timer(self, name: str, **labels: object) -> _NullTimer:
         return _NULL_TIMER
-
-    def timed(self, name: str, **labels: object) -> Callable:
-        return lambda fn: fn
 
     def gauge_fn(self, name: str, fn: Callable[[], float], **labels: object) -> None:
         pass

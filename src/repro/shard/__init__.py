@@ -19,8 +19,9 @@ How closely ``ShardedEstimator(base, shards=k)`` tracks the same base
 estimator fitted monolithically depends on the base's merge class (see the
 mergeable-synopsis protocol in :mod:`repro.core.estimator`):
 
-* **Exact state-merge** (``supports_merge`` and ``merge_exact``: the
-  histogram family — ``equiwidth``, ``equidepth``, ``grid``): estimates are
+* **Exact state-merge** (the histogram family — ``equiwidth``,
+  ``equidepth``, ``grid``, which set ``supports_merge`` and
+  ``merge_lossless``): estimates are
   **bitwise identical**.  The shard coordinator pins the synopsis layout on
   the full table (``shard_frame``), shards count rows over the shared
   layout, and the merged integer counts equal a monolithic fit's exactly.

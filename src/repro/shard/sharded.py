@@ -13,10 +13,11 @@ Estimation modes (the ``combine`` parameter)
 --------------------------------------------
 
 ``"auto"`` (default)
-    Estimators with an *exact* state-merge (``merge_exact`` — the histogram
-    family) are served through a lazily maintained merged synopsis, which
-    reproduces the monolithic estimator **bitwise**.  Everything else is
-    served by the weighted path.
+    Estimators with a lossless state-merge (``merge_lossless``) are served
+    through a lazily maintained merged synopsis: for the histogram family
+    (``equiwidth``, ``equidepth``, ``grid``) it reproduces the monolithic
+    estimator **bitwise**, for ``independence`` up to float rounding.
+    Everything else is served by the weighted path.
 ``"weighted"``
     One vectorized ``estimate_batch`` pass per shard, reduced with the base
     estimator's row-count-weighted

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
-from repro.obs.export import exporter_for_path, resolve_exporter
+from repro.obs.export import exporter_for_path
 from repro.obs.metrics import MetricsRegistry
 from repro.traffic.tenants import DEFAULT_TENANTS, TenantProfile
 from repro.workload.generators import TypedWorkload, UniformWorkload
@@ -73,13 +73,12 @@ class TrafficReport:
     def export(self, path, exporter=None, metrics: MetricsRegistry | None = None):
         """Write the report (plus a registry snapshot) through an exporter.
 
-        ``exporter`` follows the shared component-resolution convention
-        (name, config mapping, or instance); when omitted it is inferred
-        from the path suffix.  Returns the written path.
+        ``exporter`` is a :class:`~repro.obs.export.MetricsExporter`
+        instance; when omitted, :func:`~repro.obs.export.exporter_for_path`
+        picks one from the path suffix.  Returns the written path.
         """
-        exporter = (
-            exporter_for_path(path) if exporter is None else resolve_exporter(exporter)
-        )
+        if exporter is None:
+            exporter = exporter_for_path(path)
         payload = self.to_payload()
         if metrics is not None:
             payload.update(metrics.snapshot())

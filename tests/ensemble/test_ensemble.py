@@ -29,7 +29,6 @@ from repro.ensemble.policy import (
     AddExpPolicy,
     PinnedPolicy,
     WeightPolicy,
-    available_policies,
     create_policy,
 )
 from repro.workload.generators import UniformWorkload
@@ -173,7 +172,10 @@ class TestAddExpLifecycle:
 
 class TestPolicies:
     def test_registry_names(self) -> None:
-        assert available_policies() == ["addexp", "pinned", "windowed"]
+        for name in ("addexp", "pinned", "windowed"):
+            assert create_policy(name).name == name
+        with pytest.raises(InvalidParameterError, match=r"\['addexp', 'pinned', 'windowed'\]"):
+            create_policy("bogus")
 
     def test_create_policy_accepts_name_mapping_and_instance(self) -> None:
         assert isinstance(create_policy("pinned"), PinnedPolicy)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments.__main__ as cli
 from repro.baselines.histogram import EquiDepthHistogram
 from repro.core.errors import InvalidParameterError
 from repro.core.kde import KDESelectivityEstimator
@@ -30,6 +31,8 @@ from repro.experiments.suite import (
     table3_cost,
     table4_stream_cost,
 )
+from repro.obs.export import CSVExporter, JSONExporter
+from repro.obs.metrics import NULL_REGISTRY, default_metrics
 from repro.shard.partition import RangePartitioner
 from repro.shard.sharded import ShardedEstimator
 from repro.workload.generators import UniformWorkload
@@ -111,6 +114,74 @@ class TestOverlays:
         with pytest.raises(SystemExit) as exit_info:
             main(["--estimator", "nope", "table1"])
         assert str(exit_info.value.code).startswith("unknown estimator(s) ['nope']")
+
+
+class TestTelemetryFlags:
+    """The CLI's ``--telemetry`` / ``--collect-interval`` / ``--dashboard`` flags."""
+
+    RUN = ["table3", "--rows", "2000", "--queries", "20"]
+
+    def test_snapshot_holds_the_run_timer_and_route_counters(self, tmp_path) -> None:
+        path = tmp_path / "t.json"
+        assert main(["--telemetry", str(path), *self.RUN]) == 0
+        snapshot = JSONExporter().load(path)
+        assert snapshot["histograms"]["experiments.run_seconds{experiment=table3}"]["count"] == 1
+        routes = {"fastpath.culled_queries", "fastpath.dense_queries"}
+        assert routes <= set(snapshot["counters"])
+        assert sum(snapshot["counters"][key]["value"] for key in routes) > 0
+
+    def test_collect_interval_writes_the_series_next_to_the_snapshot(self, tmp_path) -> None:
+        path = tmp_path / "t.csv"
+        main(["--telemetry", str(path), "--collect-interval", "0.05", *self.RUN])
+        assert path.is_file()
+        series = CSVExporter().load(tmp_path / "t.series.csv")
+        assert len(series["points"]) >= 1
+
+    def test_dashboard_without_interval_renders_an_end_of_run_sample(self, tmp_path) -> None:
+        html = tmp_path / "d.html"
+        main(["--telemetry", str(tmp_path / "t.jsonl"), "--dashboard", str(html), *self.RUN])
+        page = html.read_text()
+        assert page.lstrip().lower().startswith("<!doctype html>")
+        assert page.count('<div class="panel">') >= 1
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--collect-interval", "0.5"], "require --telemetry"),
+            (["--dashboard", "d.html"], "require --telemetry"),
+            (["--telemetry", "t.json", "--collect-interval", "0"], "must be positive"),
+        ],
+        ids=["interval-without-telemetry", "dashboard-without-telemetry", "zero-interval"],
+    )
+    def test_flag_misuse_exits_with_its_message(
+        self, flags, message, tmp_path, monkeypatch
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flags, *self.RUN])
+        assert message in str(exit_info.value.code)
+
+    def test_unknown_suffix_exits_before_any_experiment_runs(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        runs: list[str] = []
+
+        def fake_run(name: str, **overrides: object) -> TableResult:
+            runs.append(name)
+            return TableResult(name, ["x"], [])
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--telemetry", str(tmp_path / "t.txt"), "table3"])
+        message = str(exit_info.value.code)
+        assert "'.txt'" in message
+        for suffix in (".json", ".jsonl", ".csv"):
+            assert f"({suffix})" in message
+        assert runs == []
+
+    def test_default_registry_is_restored_after_the_run(self, tmp_path) -> None:
+        main(["--telemetry", str(tmp_path / "t.json"), *self.RUN])
+        assert default_metrics() is NULL_REGISTRY
 
 
 class TestSuiteSmallScale:

@@ -62,9 +62,10 @@ class TestTickDiffing:
 
     def test_gauge_sampled_as_level(self) -> None:
         registry, collector = make_collector()
-        registry.gauge("g").set(4.0)
+        level = {"g": 4.0}
+        registry.gauge_fn("g", lambda: level["g"])
         collector.tick(now=0.0)
-        registry.gauge("g").set(7.5)
+        level["g"] = 7.5
         (point,) = collector.tick(now=1.0)
         assert point.kind == "gauge"
         assert point.value == 7.5

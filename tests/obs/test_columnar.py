@@ -1,10 +1,9 @@
-"""Columnar exporter: lossless CSV round-trips."""
+"""CSV exporter: lossless columnar round-trips."""
 
 from __future__ import annotations
 
 from repro.obs.collector import TelemetryCollector, store_from_payload
-from repro.obs.columnar import CSVExporter
-from repro.obs.export import available_exporters, create_exporter, exporter_for_path
+from repro.obs.export import CSVExporter, exporter_for_path
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -18,7 +17,7 @@ def collected_payload() -> dict:
     for value in (2e-3, 8e-3):
         registry.histogram("serve.request_seconds", tenant="a").record(value)
     registry.counter("traffic.ops", tenant="a", op="query").inc(4)
-    registry.gauge("serve.generation").set(2)
+    registry.gauge_fn("serve.generation", lambda: 2)
     collector.tick(now=0.5)
     registry.counter("traffic.ops", tenant="a", op="query").inc(1)
     collector.tick(now=1.0)
@@ -28,24 +27,23 @@ def collected_payload() -> dict:
 def snapshot_payload() -> dict:
     registry = MetricsRegistry()
     registry.counter("c", tenant="a").inc(7)
-    registry.gauge("g").set(1.5)
+    registry.gauge_fn("g", lambda: 1.5)
     registry.histogram("h").record(2e-4)
     return registry.snapshot()
 
 
 class TestCSV:
     def test_registered(self) -> None:
-        assert "csv" in available_exporters()
         assert isinstance(exporter_for_path("series.csv"), CSVExporter)
 
     def test_series_round_trip_lossless(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = collected_payload()
         path = exporter.export(payload, tmp_path / "series.csv")
         assert exporter.load(path) == payload
 
     def test_snapshot_round_trip_lossless(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = snapshot_payload()
         path = exporter.export(payload, tmp_path / "snap.csv")
         assert exporter.load(path) == payload
@@ -56,7 +54,7 @@ class TestCSV:
         assert exporter.loads(exporter.dumps(payload)) == payload
 
     def test_store_rebuilds_from_csv(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = collected_payload()
         path = exporter.export(payload, tmp_path / "series.csv")
         store = store_from_payload(exporter.load(path))
@@ -66,7 +64,7 @@ class TestCSV:
         )
 
     def test_one_row_per_point(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = collected_payload()
         text = exporter.dumps(payload)
         lines = [line for line in text.splitlines() if line.strip()]

@@ -7,8 +7,9 @@ import re
 import pytest
 
 from repro.core.errors import InvalidParameterError
-from repro.obs.collector import TelemetryCollector, TimeSeriesStore
-from repro.obs.dashboard import load_series, render_dashboard, write_dashboard
+from repro.obs.collector import TelemetryCollector, TimeSeriesStore, store_from_payload
+from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro.obs.export import exporter_for_path
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -24,10 +25,12 @@ def collector() -> TelemetryCollector:
     registry = MetricsRegistry()
     collector = TelemetryCollector(registry)
     collector.tick(now=0.0)
+    generation = {"value": 0}
+    registry.gauge_fn("serve.generation", lambda: generation["value"])
     for step in range(1, 5):
         registry.counter("traffic.ops", tenant="a").inc(10 * step)
         registry.histogram("serve.request_seconds", tenant="a").record(1e-3 * step)
-        registry.gauge("serve.generation").set(step)
+        generation["value"] = step
         collector.tick(now=float(step))
     return collector
 
@@ -48,20 +51,18 @@ class TestRender:
         assert "<script src" not in html and "<link" not in html
 
     def test_renders_from_exported_file(self, collector, tmp_path) -> None:
-        from repro.obs.export import exporter_for_path
-
         path = tmp_path / "series.csv"
         exporter_for_path(path).export(collector.series_payload(), path)
-        store = load_series(path)
-        html = render_dashboard(store)
-        assert render_dashboard(path) == html
+        store = store_from_payload(exporter_for_path(path).load(path))
+        assert render_dashboard(store) == render_dashboard(collector)
 
     def test_write_dashboard(self, collector, tmp_path) -> None:
         path = write_dashboard(collector, tmp_path / "board.html")
         assert path.read_text().lstrip().lower().startswith("<!doctype html>")
 
     def test_renders_from_payload_mapping(self, collector) -> None:
-        assert render_dashboard(collector.series_payload()) == render_dashboard(collector)
+        store = store_from_payload(collector.series_payload())
+        assert render_dashboard(store) == render_dashboard(collector)
 
     def test_empty_source_renders_placeholder(self) -> None:
         html = render_dashboard(TimeSeriesStore())

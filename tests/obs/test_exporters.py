@@ -1,4 +1,4 @@
-"""Exporter registry resolution + lossless round-trips (JSON and JSONL)."""
+"""Exporter choice by file suffix + lossless round-trips (JSON and JSONL)."""
 
 from __future__ import annotations
 
@@ -6,13 +6,10 @@ import pytest
 
 from repro.core.errors import InvalidParameterError
 from repro.obs.export import (
+    CSVExporter,
     JSONExporter,
     JSONLExporter,
-    available_exporters,
-    create_exporter,
     exporter_for_path,
-    exporter_from_config,
-    resolve_exporter,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -21,7 +18,7 @@ def sample_payload() -> dict:
     """A realistic simulator-run payload: report keys + registry snapshot."""
     registry = MetricsRegistry()
     registry.counter("traffic.ops", tenant="a", op="query").inc(7)
-    registry.gauge("serve.generation").set(3)
+    registry.gauge_fn("serve.generation", lambda: 3)
     for v in (1e-4, 2e-4, 5e-3):
         registry.histogram("traffic.op_seconds", tenant="a", op="query").record(v)
     registry.histogram("serve.request_seconds").record(3e-5)
@@ -31,37 +28,19 @@ def sample_payload() -> dict:
 
 
 class TestResolution:
-    def test_both_formats_registered(self) -> None:
-        assert {"json", "jsonl"} <= set(available_exporters())
-
-    def test_resolve_by_name(self) -> None:
-        assert isinstance(resolve_exporter("jsonl"), JSONLExporter)
-
-    def test_resolve_instance_passthrough(self) -> None:
-        exporter = JSONExporter(indent=0)
-        assert resolve_exporter(exporter) is exporter
-
-    def test_resolve_config_mapping(self) -> None:
-        exporter = resolve_exporter({"name": "json", "indent": 4})
-        assert isinstance(exporter, JSONExporter)
-        assert exporter.indent == 4
-
-    def test_config_round_trip(self) -> None:
-        exporter = JSONExporter(indent=4)
-        clone = resolve_exporter(exporter.config())
-        assert isinstance(clone, JSONExporter) and clone.indent == 4
-
-    def test_unknown_name_rejected(self) -> None:
-        with pytest.raises(InvalidParameterError, match="unknown exporter"):
-            create_exporter("yaml")
-
-    def test_config_requires_name(self) -> None:
-        with pytest.raises(InvalidParameterError, match="name"):
-            exporter_from_config({"indent": 2})
-
-    def test_bad_spec_type_rejected(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            resolve_exporter(3.14)
+    @pytest.mark.parametrize(
+        ("suffix", "cls"),
+        [
+            (".json", JSONExporter),
+            (".jsonl", JSONLExporter),
+            (".csv", CSVExporter),
+            (".CSV", CSVExporter),
+        ],
+    )
+    def test_exporter_for_path_picks_by_suffix(self, suffix, cls, tmp_path) -> None:
+        exporter = exporter_for_path(tmp_path / f"m{suffix}")
+        assert type(exporter) is cls
+        assert exporter.suffix == suffix.lower()
 
     def test_exporter_for_path_by_suffix(self, tmp_path) -> None:
         assert isinstance(exporter_for_path(tmp_path / "m.jsonl"), JSONLExporter)
@@ -78,14 +57,14 @@ class TestResolution:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["json", "jsonl"])
     def test_lossless_round_trip(self, name, tmp_path) -> None:
-        exporter = create_exporter(name)
+        exporter = exporter_for_path(f"metrics.{name}")
         payload = sample_payload()
         path = exporter.export(payload, tmp_path / f"metrics{exporter.suffix}")
         assert exporter.load(path) == payload
 
     @pytest.mark.parametrize("name", ["json", "jsonl"])
     def test_dumps_loads_inverse(self, name) -> None:
-        exporter = create_exporter(name)
+        exporter = exporter_for_path(f"metrics.{name}")
         payload = sample_payload()
         assert exporter.loads(exporter.dumps(payload)) == payload
 

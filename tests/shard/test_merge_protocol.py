@@ -60,13 +60,9 @@ class TestMergeClassification:
             estimator = create_estimator(name)
             if name in LOSSLESS_MERGE:
                 assert estimator.supports_merge and estimator.merge_lossless, name
-            if name in EXACT_MERGE:
-                assert estimator.merge_exact, name
             if name in SAMPLE_MERGE:
                 assert estimator.supports_merge, name
                 assert not estimator.merge_lossless, name
-            if estimator.merge_exact:
-                assert estimator.merge_lossless, name  # exact implies lossless
             if estimator.merge_lossless:
                 assert estimator.supports_merge, name
 
