@@ -27,8 +27,9 @@ simulator:
    snapshot are exported through the exporter the file suffix picks —
    JSON for humans, JSONL (one record per metric) for line-oriented
    collectors, CSV (one row per series point) for columnar tooling — and
-   read back losslessly.  The collected series also renders as a self-contained
-   static HTML dashboard (inline SVG sparklines, zero third-party deps).
+   read back losslessly.  The collected series also renders as a
+   self-contained static HTML dashboard (inline SVG sparklines, zero
+   third-party deps).
 
 Two runs with the same seed execute the identical op sequence (the report
 checksum proves it), so latency differences between runs measure the

@@ -1,8 +1,8 @@
 """Observability layer: metrics, latency histograms, exporters, dashboards.
 
 ``obs`` is the repo's telemetry substrate.  It is dependency-free (stdlib
-only, besides the shared error types and the component-resolution helper)
-and sits below every instrumented layer:
+only, besides the shared error types and the process-wide ``Slot``) and
+sits below every instrumented layer:
 
 * :mod:`repro.obs.metrics` — :class:`~repro.obs.metrics.MetricsRegistry`
   with counters, zero-overhead snapshot-time callback gauges, streaming

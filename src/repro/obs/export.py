@@ -259,7 +259,7 @@ _EXPORTERS: dict[str, type[MetricsExporter]] = {
 
 
 def exporter_for_path(path: "str | pathlib.Path") -> MetricsExporter:
-    """Pick an exporter from a file suffix (``.csv`` → CSV, ``.jsonl`` → JSONL, ...).
+    """Pick an exporter from a file suffix (``.csv`` → csv, ``.jsonl`` → jsonl, ...).
 
     The suffix match ignores case.  Raises :class:`InvalidParameterError`
     naming every supported format and its suffix when none matches, so a

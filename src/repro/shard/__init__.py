@@ -20,11 +20,10 @@ estimator fitted monolithically depends on the base's merge class (see the
 mergeable-synopsis protocol in :mod:`repro.core.estimator`):
 
 * **Exact state-merge** (the histogram family — ``equiwidth``,
-  ``equidepth``, ``grid``, which set ``supports_merge`` and
-  ``merge_lossless``): estimates are
-  **bitwise identical**.  The shard coordinator pins the synopsis layout on
-  the full table (``shard_frame``), shards count rows over the shared
-  layout, and the merged integer counts equal a monolithic fit's exactly.
+  ``equidepth``, ``grid``): estimates are **bitwise identical**.  The
+  shard coordinator pins the synopsis layout on the full table
+  (``shard_frame``), shards count rows over the shared layout, and the
+  merged integer counts equal a monolithic fit's exactly.
 * **Statistical state-merge** (``supports_merge`` only: ``sampling``,
   ``reservoir_sampling`` — pooled weighted resampling — and
   ``independence`` — moment recombination): the merged synopsis has the
