@@ -21,13 +21,15 @@ make the family fast without changing its answers:
     precomputes, per axis, every kernel's support edges ``c ± r`` (by kernel
     id and in the axis's sort order), so the refinement of the primary
     axis's candidate slice is a contiguous slice compare and the other axes
-    gather only the survivors.
+    gather only the survivors.  The same edges give
+    :meth:`KernelSupportIndex.overlaps`, the (box, kernel) pair mask.
 
 :func:`weighted_box_masses`
-    The single batched product-kernel CDF micro-kernel: a blocked,
-    preallocated-buffer accumulation of ``Σ_i w_i Π_d mass_d`` that both the
-    dense reference path and the culled group path run on.  It replaces the
-    near-duplicate inner loops that previously lived in ``core/kde.py`` and
+    The single batched product-kernel CDF micro-kernel, ``Σ_i w_i Π_d
+    mass_d``: a blocked, preallocated-buffer pass over all kernels for the
+    dense reference path, and a per-pair pass summed per box with
+    ``np.bincount`` for the culled routes.  It replaces the near-duplicate
+    inner loops that previously lived in ``core/kde.py`` and
     ``core/streaming.py`` (and that ``core/adaptive.py`` /
     ``core/feedback.py`` inherited).
 
@@ -35,15 +37,22 @@ Routes
 ------
 
 :func:`estimate_boxes` answers a multi-box plan on the *grouped route*:
-per-query candidate counts decide dense vs culled, selective boxes are
-grid-clustered and each group is evaluated against one shared candidate set
-with the per-axis blocked micro-kernel.  A one-box plan — the request an
-optimizer sends, one predicate at a time — takes the *one-box route*
-instead: the same candidate count and dense/culled rule, then no grouping
-and none of the group bookkeeping, just one
-:meth:`KernelSupportIndex.box_candidates` probe against the precomputed
-support edges and the micro-kernel on the single box.  The one-box route
-answers bitwise what the grouped route answers for that box.  Upstream,
+per-query candidate counts decide dense vs culled, wide boxes run on the
+dense micro-kernel, and selective boxes are grid-clustered.  Each group
+makes one :meth:`KernelSupportIndex.box_candidates` probe for its union box;
+:meth:`KernelSupportIndex.overlaps` then keeps, by comparisons alone, the
+(box, kernel) pairs whose support edges overlap the box, and the
+micro-kernel evaluates those pairs only.  The mask and its pairs are built
+per block of boxes under the dense buffer's element bound.  A one-box plan
+— the request an optimizer sends, one predicate at a time — takes the
+*one-box route* instead: the same candidate count and dense/culled rule,
+then no grouping and none of the group bookkeeping, just one
+``box_candidates`` probe for the box, whose ids are already its pairs.  A
+culled box is therefore evaluated on the same pairs in the same order on
+either route, so the one-box route answers bitwise what the grouped route
+answers for it.  A dense-routed box agrees only within
+:data:`DEFAULT_ATOL`: the dense ``matmul`` sums in an order that depends on
+the block shape.  Upstream,
 :func:`repro.workload.queries.compile_queries` builds the request's plan in
 one pass over the queries into Python lists, so a 1-query request reaches
 the route after a few microseconds of compilation.
@@ -51,9 +60,11 @@ the route after a few microseconds of compilation.
 The repository benchmark (``perfbench/``) traces this module through the
 module attributes ``estimate_boxes``, ``weighted_box_masses`` (reading the
 box count from ``lows.shape[0]``) and ``KernelSupportIndex`` with its
-``box_candidates(low, high)``, and the serving layer through
-``repro.serve.server.compile_queries``; these names are its trace
+``box_candidates(low, high)`` (one call per group), and the serving layer
+through ``repro.serve.server.compile_queries``; these names are its trace
 boundaries, so every route must call through them rather than around them.
+The overlap mask runs inside ``estimate_boxes`` but outside
+``weighted_box_masses``, so the benchmark counts it as routing time.
 
 Epsilon / atol policy
 ---------------------
@@ -67,8 +78,9 @@ deviation of a fast-path estimate from the dense path is bounded by
 ``3·ε ≤ atol/8`` (three kernel images per axis under boundary reflection —
 the reflected images of significant kernels provably fall inside the same
 candidate interval, see ``KernelSupportIndex.box_candidates``).  The safety
-factor 24 also absorbs the evaluation-order differences between grouped and
-per-query candidate sets, which is what keeps one-row batches (the scalar
+factor 24 also absorbs summation-order differences — the per-pair sum of
+the culled routes against the dense ``matmul``, and the dense ``matmul``
+across block shapes — which is what keeps one-row batches (the scalar
 ``estimate`` sugar) within 1e-12 of large batches.  Estimates are culled
 *downward* only: the fast path never reports more mass than the dense path.
 
@@ -122,8 +134,8 @@ __all__ = [
 DEFAULT_ATOL = 1e-12
 
 #: Deviation-budget safety factor: three kernel images per axis (center plus
-#: two boundary reflections) times headroom for grouping and dot-product
-#: rounding differences.
+#: two boundary reflections) times headroom for summation-order rounding
+#: differences.
 _EPSILON_SAFETY = 24.0
 
 #: Below this many kernels a dense pass beats any index overhead.
@@ -139,11 +151,16 @@ _TARGET_GROUP = 64
 #: Work-buffer bound for the micro-kernel: (queries-per-block × kernels)
 #: stays at or below this many floats (≈ 1 MB), keeping the per-block
 #: temporaries cache resident while still amortising interpreter overhead.
+#: The grouped route bounds its (boxes-per-block × candidates) overlap mask
+#: and pair blocks by the same count.
 _BUFFER_ELEMENTS = 1 << 17
 
-#: ``axis_mass(ids, axis, lows, highs) -> (queries, kernels)`` — per-axis
-#: kernel mass of every (query, kernel) pair; ``ids`` selects a candidate
-#: kernel subset (``None`` means all kernels).
+#: ``axis_mass(ids, axis, lows, highs)`` — per-axis kernel mass, with the
+#: bounds already shaped for broadcasting.  With ``ids=None`` the bounds are
+#: ``(block, 1)`` columns against all kernels and the result is
+#: ``(block, kernels)``; otherwise ``ids`` are the ``(P,)`` kernel ids of
+#: (box, kernel) pairs, the bounds their ``(P,)`` boxes' bounds, and the
+#: result is ``(P,)``.
 AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
 
 #: The process-wide fast-path switch (see :func:`fastpath_disabled`).
@@ -325,6 +342,25 @@ class KernelSupportIndex:
         ids.sort()
         return ids
 
+    def overlaps(self, lows: np.ndarray, highs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Ascending pair codes ``box * kernel_count + id`` of overlapping pairs.
+
+        ``ids`` are ascending kernel ids (a group's :meth:`box_candidates`);
+        a pair survives when the kernel's support edges overlap the box on
+        every axis.  Comparisons only, no CDF — the mask the grouped route
+        runs between its candidate probe and the micro-kernel.  For a single
+        box the codes are the ids that :meth:`box_candidates` returns for it.
+        """
+        keep = np.ones((lows.shape[0], ids.size), dtype=bool)
+        work = np.empty_like(keep)
+        for axis in range(self.dims):
+            np.greater_equal(self.upper_edges[axis][ids], lows[:, axis, None], out=work)
+            keep &= work
+            np.less_equal(self.lower_edges[axis][ids], highs[:, axis, None], out=work)
+            keep &= work
+        boxes, positions = np.divmod(np.flatnonzero(keep), ids.size)
+        return boxes * self.kernel_count + ids[positions]
+
 
 def weighted_box_masses(
     lows: np.ndarray,
@@ -337,19 +373,35 @@ def weighted_box_masses(
 ) -> np.ndarray:
     """The product-kernel CDF micro-kernel: ``(1/W) Σ_i w_i Π_d mass_d(i)``.
 
-    Evaluates every query box in ``(lows, highs)`` against the kernel subset
-    ``ids`` (all kernels when ``None``), blocked over queries with one
-    preallocated ``(block, kernels)`` accumulation buffer so arbitrarily
-    large batches stay cache resident.  This is the single inner loop of the
-    whole estimator family — the dense reference path runs it over all
-    kernels, the fast path over culled candidate sets.
+    With ``ids=None`` every query box in ``(lows, highs)`` is evaluated
+    against all kernels, blocked over queries with one preallocated
+    ``(block, kernels)`` accumulation buffer so arbitrarily large batches
+    stay cache resident; ``axis_mass`` then receives ``(block, 1)`` bound
+    columns.  Otherwise ``ids`` holds ascending pair codes
+    ``box * len(weights) + kernel`` (see :meth:`KernelSupportIndex.overlaps`):
+    only those pairs are evaluated, ``axis_mass`` receives ``(P,)`` bounds
+    against ``(P,)`` kernel ids, and each box's weighted terms are summed in
+    code order with ``np.bincount`` (a box without pairs gets 0).  This is
+    the single inner loop of the whole estimator family — the dense
+    reference path runs it over all kernels, the fast path over culled pairs.
     """
     n = lows.shape[0]
     dims = lows.shape[1]
     if out is None:
         out = np.empty(n)
-    kernel_weights = weights if ids is None else weights[ids]
-    count = kernel_weights.size
+    if ids is not None:
+        if ids.size == 0:
+            out[:n] = 0.0
+            return out
+        boxes, kernels = np.divmod(ids, weights.size)
+        terms = np.ones(ids.size)
+        for axis in range(dims):
+            terms *= axis_mass(kernels, axis, lows[boxes, axis], highs[boxes, axis])
+        terms *= weights[kernels]
+        out[:n] = np.bincount(boxes, weights=terms, minlength=n)
+        out[:n] /= total_weight
+        return out
+    count = weights.size
     if count == 0 or n == 0:
         out[:n] = 0.0
         return out
@@ -360,12 +412,10 @@ def weighted_box_masses(
         masses = buffer[: stop - start]
         masses[:] = 1.0
         for axis in range(dims):
-            np.multiply(
-                masses,
-                axis_mass(ids, axis, lows[start:stop, axis], highs[start:stop, axis]),
-                out=masses,
-            )
-        np.matmul(masses, kernel_weights, out=out[start:stop])
+            low = lows[start:stop, axis, None]
+            high = highs[start:stop, axis, None]
+            np.multiply(masses, axis_mass(None, axis, low, high), out=masses)
+        np.matmul(masses, weights, out=out[start:stop])
     out[:n] /= total_weight
     return out
 
@@ -375,8 +425,8 @@ def _spatial_groups(
 ) -> Iterator[np.ndarray]:
     """Cluster query boxes into spatially coherent evaluation groups.
 
-    Nearby boxes share one culled candidate set, so grouping trades a
-    slightly wider union box for full vectorisation across the group.  Box
+    Nearby boxes share one candidate probe for their union box, which the
+    per-box overlap mask then narrows to each box's own pairs.  Box
     centers (clipped to the kernel position range, which keeps one-sided and
     full-domain boxes finite) are bucketed on a coarse grid sized for about
     ``_TARGET_GROUP`` queries per cell; each occupied cell is one group.
@@ -416,15 +466,19 @@ def estimate_boxes(
 
     Routes each query by its tightest per-axis candidate count: wide queries
     (candidate fraction ≥ ``_DENSE_FRACTION``) run on the dense micro-kernel
-    directly, selective queries are clustered into spatial groups and each
-    group is evaluated against one shared culled candidate set.  Returns
-    ``None`` when culling cannot pay at all (tiny synopses, or every query is
-    wide) — the caller then takes the dense path itself.
+    directly, selective queries are clustered into spatial groups.  Each
+    group makes one :meth:`~KernelSupportIndex.box_candidates` probe for its
+    union box, keeps the (box, kernel) pairs whose supports overlap
+    (:meth:`~KernelSupportIndex.overlaps`, per block of boxes) and runs the
+    micro-kernel on those pairs.  Returns ``None`` when culling cannot pay
+    at all (tiny synopses, or every query is wide) — the caller then takes
+    the dense path itself.
 
     A one-box plan applies the same rule to its own count and then skips the
-    grouping: one :meth:`~KernelSupportIndex.box_candidates` probe supplies
-    its candidate set.  Its answer is bitwise the grouped route's for that
-    box.
+    grouping: one ``box_candidates`` probe supplies its pairs.  A culled box
+    is answered bitwise as the grouped route answers it; a dense-routed box
+    within :data:`DEFAULT_ATOL` (the dense ``matmul`` sums in a
+    block-shape-dependent order).
     """
     n = lows.shape[0]
     route_metrics = _ROUTE_METRICS.value
@@ -463,12 +517,18 @@ def estimate_boxes(
     chosen = np.flatnonzero(selective)
     for group in _spatial_groups(lows[chosen], highs[chosen], index):
         queries = chosen[group]
-        union_low = lows[queries].min(axis=0)
-        union_high = highs[queries].max(axis=0)
-        ids = index.box_candidates(union_low, union_high)
+        group_lows, group_highs = lows[queries], highs[queries]
+        ids = index.box_candidates(group_lows.min(axis=0), group_highs.max(axis=0))
         if ids.size == 0:
             continue  # no kernel reaches any box in the group: mass 0
-        out[queries] = weighted_box_masses(
-            lows[queries], highs[queries], axis_mass, weights, total_weight, ids=ids
-        )
+        # The overlap mask and its pairs are built per block of boxes, under
+        # the same element bound as the dense micro-kernel's buffer.
+        block = max(_BUFFER_ELEMENTS // ids.size, 1)
+        for start in range(0, queries.size, block):
+            block_lows = group_lows[start : start + block]
+            block_highs = group_highs[start : start + block]
+            pairs = index.overlaps(block_lows, block_highs, ids)
+            out[queries[start : start + block]] = weighted_box_masses(
+                block_lows, block_highs, axis_mass, weights, total_weight, ids=pairs
+            )
     return out

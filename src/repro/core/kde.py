@@ -281,11 +281,12 @@ class KDESelectivityEstimator(SelectivityEstimator):
     def _axis_mass(
         self, ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
     ) -> np.ndarray:
-        """Kernel mass of every (query, point) pair on one axis, with reflection.
+        """Kernel mass on one axis, with reflection (the micro-kernel's ``AxisMass``).
 
-        ``ids`` selects the candidate sample points (``None``: all of them),
-        ``low`` / ``high`` are the ``(k,)`` per-query bounds; the result is
-        ``(k, m)``.  Centers are pre-divided by the bandwidth so each CDF
+        With ``ids=None`` the bounds are ``(k, 1)`` columns against all ``m``
+        sample points and the result is ``(k, m)``; otherwise ``ids`` are the
+        ``(P,)`` point ids of (box, point) pairs and the bounds their ``(P,)``
+        per-pair values.  Centers are pre-divided by the bandwidth so each CDF
         argument costs a single broadcast pass — this is the hot loop of
         batch estimation.
         """
@@ -314,7 +315,7 @@ class KDESelectivityEstimator(SelectivityEstimator):
         np.clip(mass, 0.0, 1.0, out=mass)
         empty = clipped_low > clipped_high
         if np.any(empty):
-            mass[empty] = 0.0
+            np.copyto(mass, 0.0, where=empty)
         return mass
 
     def _scaled_axis_mass(
@@ -325,12 +326,8 @@ class KDESelectivityEstimator(SelectivityEstimator):
         high: np.ndarray,
     ) -> np.ndarray:
         """Kernel mass from pre-scaled centers: args are ``bound/h - center/h``."""
-        if np.ndim(inv_bandwidth) == 0:
-            lower = (low * inv_bandwidth)[:, None] - scaled_centers
-            upper = (high * inv_bandwidth)[:, None] - scaled_centers
-        else:
-            lower = low[:, None] * inv_bandwidth - scaled_centers
-            upper = high[:, None] * inv_bandwidth - scaled_centers
+        lower = low * inv_bandwidth - scaled_centers
+        upper = high * inv_bandwidth - scaled_centers
         return self.kernel.interval_mass(lower, upper)
 
     # -- density (used by MISE metrics and the bandwidth ablation) ------------

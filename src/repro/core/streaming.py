@@ -818,9 +818,7 @@ class StreamingADE(StreamingEstimator):
         ) -> np.ndarray:
             means = self._means[:, axis] if ids is None else self._means[ids, axis]
             scale = stds[:, axis] if ids is None else stds[ids, axis]
-            return _normal_interval_mass(
-                low[:, None], high[:, None], means[None, :], scale[None, :]
-            )
+            return _normal_interval_mass(low, high, means, scale)
 
         if use_fastpath:
             culled = fastpath.estimate_boxes(

@@ -25,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MetricsRegistry
 from repro.core import fastpath
+from repro.core.adaptive import AdaptiveKDEEstimator
 from repro.core.estimator import (
     SelectivityEstimator,
     available_estimators,
@@ -121,6 +123,28 @@ def _probe_boxes() -> list[tuple[np.ndarray, np.ndarray]]:
     return [(c - 0.4, c + 0.4) for c in centers]
 
 
+#: Fine-grained kernel synopses on which ±0.4 boxes all route culled.
+_FINE_MODELS = {
+    "streaming_ade": lambda: StreamingADE(max_kernels=256),
+    "kde": lambda: KDESelectivityEstimator(sample_size=1000, bandwidths=[0.05, 0.05]),
+    "adaptive_kde": lambda: AdaptiveKDEEstimator(sample_size=1000, bandwidths=[0.05, 0.05]),
+}
+_FINE_FITTED: dict[str, SelectivityEstimator] = {}
+
+
+def _fine(name: str) -> SelectivityEstimator:
+    if name not in _FINE_FITTED:
+        _FINE_FITTED[name] = _FINE_MODELS[name]().fit(_table())
+    return _FINE_FITTED[name]
+
+
+def _selective_plan(estimator: SelectivityEstimator) -> CompiledQueries:
+    """120 boxes of ±0.4 over the data's span: several per spatial group."""
+    rng = np.random.default_rng(13)
+    centers = rng.uniform(-6, 6, size=(120, 2))
+    return CompiledQueries(estimator.columns, centers - 0.4, centers + 0.4)
+
+
 @pytest.mark.parametrize("name", ALL_ESTIMATORS)
 @given(boxes=_boxes)
 @settings(max_examples=15, deadline=None)
@@ -156,7 +180,7 @@ class TestOneBoxRoute:
 
         def axis_mass(ids, axis, low, high):
             means = centers[:, axis] if ids is None else centers[ids, axis]
-            return fastpath.normal_box_mass(low[:, None], high[:, None], means[None, :], 0.1)
+            return fastpath.normal_box_mass(low, high, means, 0.1)
 
         def route(low_x: float, high_x: float):
             lows, highs = np.array([[low_x, -1.0]]), np.array([[high_x, 1.0]])
@@ -184,6 +208,84 @@ class TestOneBoxRoute:
             np.testing.assert_array_equal(
                 index.box_candidates(low, high), np.flatnonzero(overlap)
             )
+
+
+class TestCulledPairs:
+    """The grouped route evaluates only the (box, kernel) pairs that overlap."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_overlaps_match_a_brute_force_mask(self, dims: int) -> None:
+        rng = np.random.default_rng(40 + dims)
+        kernels = 300
+        centers = rng.normal(size=(kernels, dims))
+        radii = rng.uniform(0.02, 0.5, size=(kernels, dims))
+        index = fastpath.KernelSupportIndex(centers, radii)
+        random_lows = rng.uniform(-2.0, 1.5, size=(40, dims))
+        random_highs = random_lows + rng.uniform(0.0, 1.0, size=(40, dims))
+        inf = np.full(dims, np.inf)
+        # random, point, full-domain, one-sided and outside-every-support boxes
+        lows = np.vstack([random_lows, np.zeros(dims), -inf, -inf, np.full(dims, 1e6)])
+        highs = np.vstack([random_highs, np.zeros(dims), inf, np.zeros(dims), np.full(dims, 2e6)])
+        subset = np.sort(rng.choice(kernels, size=120, replace=False))
+        for ids in (np.arange(kernels), subset, np.arange(0)):
+            expected = [
+                box * kernels
+                + ids[np.all((centers[ids] + radii[ids] >= low) & (centers[ids] - radii[ids] <= high), axis=1)]
+                for box, (low, high) in enumerate(zip(lows, highs))
+            ]
+            np.testing.assert_array_equal(
+                index.overlaps(lows, highs, ids), np.concatenate(expected)
+            )
+        assert index.overlaps(lows[-1:], highs[-1:], np.arange(kernels)).size == 0
+        # For one box the pair codes are the box's own candidate ids.
+        for low, high in zip(lows, highs):
+            np.testing.assert_array_equal(
+                index.overlaps(low[None], high[None], np.arange(kernels)),
+                index.box_candidates(low, high),
+            )
+
+    @pytest.mark.parametrize("name", sorted(_FINE_MODELS))
+    def test_culled_boxes_answer_bitwise_as_one_box_plans(self, name: str) -> None:
+        estimator = _fine(name)
+        plan = _selective_plan(estimator)
+        registry = MetricsRegistry()
+        fastpath.set_route_metrics(registry)
+        try:
+            together = estimator.estimate_batch(plan)
+        finally:
+            fastpath.set_route_metrics(None)
+        assert registry.counter("fastpath.dense_queries").value == 0
+        assert registry.counter("fastpath.culled_queries").value == len(plan)
+        for row in range(len(plan)):
+            single = CompiledQueries(plan.columns, plan.lows[row : row + 1], plan.highs[row : row + 1])
+            assert estimator.estimate_batch(single).tobytes() == together[row : row + 1].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_FINE_MODELS))
+    def test_a_group_split_into_blocks_answers_bitwise(self, name: str, monkeypatch) -> None:
+        estimator = _fine(name)
+        plan = _selective_plan(estimator)
+        whole = estimator.estimate_batch(plan)
+        probes, blocks = [], []
+        box_candidates = fastpath.KernelSupportIndex.box_candidates
+        overlaps = fastpath.KernelSupportIndex.overlaps
+
+        def counted_probe(index, low, high):
+            probes.append(low)
+            return box_candidates(index, low, high)
+
+        def counted_overlaps(index, lows, highs, ids):
+            blocks.append(lows.shape[0])
+            return overlaps(index, lows, highs, ids)
+
+        monkeypatch.setattr(fastpath, "_BUFFER_ELEMENTS", 256)
+        monkeypatch.setattr(fastpath.KernelSupportIndex, "box_candidates", counted_probe)
+        monkeypatch.setattr(fastpath.KernelSupportIndex, "overlaps", counted_overlaps)
+        blocked = estimator.estimate_batch(plan)
+        assert len(blocks) > len(probes)  # some group spans several blocks
+        assert blocked.tobytes() == whole.tobytes()
+        with fastpath_disabled():
+            dense = estimator.estimate_batch(plan)
+        np.testing.assert_allclose(blocked, dense, rtol=0.0, atol=DEFAULT_ATOL)
 
 
 class TestDenseReferenceReachable:
