@@ -228,9 +228,9 @@ class TestCulledPairs:
         highs = np.vstack([random_highs, np.zeros(dims), inf, np.zeros(dims), np.full(dims, 2e6)])
         subset = np.sort(rng.choice(kernels, size=120, replace=False))
         for ids in (np.arange(kernels), subset, np.arange(0)):
+            upper, lower = centers[ids] + radii[ids], centers[ids] - radii[ids]
             expected = [
-                box * kernels
-                + ids[np.all((centers[ids] + radii[ids] >= low) & (centers[ids] - radii[ids] <= high), axis=1)]
+                box * kernels + ids[np.all((upper >= low) & (lower <= high), axis=1)]
                 for box, (low, high) in enumerate(zip(lows, highs))
             ]
             np.testing.assert_array_equal(
@@ -257,8 +257,9 @@ class TestCulledPairs:
         assert registry.counter("fastpath.dense_queries").value == 0
         assert registry.counter("fastpath.culled_queries").value == len(plan)
         for row in range(len(plan)):
-            single = CompiledQueries(plan.columns, plan.lows[row : row + 1], plan.highs[row : row + 1])
-            assert estimator.estimate_batch(single).tobytes() == together[row : row + 1].tobytes()
+            rows = slice(row, row + 1)
+            single = CompiledQueries(plan.columns, plan.lows[rows], plan.highs[rows])
+            assert estimator.estimate_batch(single).tobytes() == together[rows].tobytes()
 
     @pytest.mark.parametrize("name", sorted(_FINE_MODELS))
     def test_a_group_split_into_blocks_answers_bitwise(self, name: str, monkeypatch) -> None:
