@@ -18,6 +18,7 @@ Set ``BENCH_SMOKE=1`` for the reduced CI smoke configuration.
 from __future__ import annotations
 
 import gc
+import math
 import statistics
 import threading
 import time
@@ -49,23 +50,29 @@ MIN_COLLECTED_RATIO = 0.90
 #: more aggressive than a production cadence, so the gate is conservative.
 COLLECT_INTERVAL = 0.05
 
+#: Collector intervals each collected loop lasts at least: the loop must see
+#: the sampling, not only the start of the collector's background thread.
+COLLECT_INTERVALS = 5
+
 
 def telemetry_overhead(
     model: StreamingADE, plan, repeats: int, trials: int = 7
-) -> tuple[float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, int]:
     """Warm-cache QPS with and without an attached metrics registry.
 
     Interleaved paired trials: each trial times the same repeat loop on a
     plain server, an instrumented one (per-request latency histogram), an
     instrumented one also recording per-tenant labelled series, and the
-    tenant-labelled loop again with a live background
+    tenant-labelled loop with a live background
     :class:`~repro.obs.TelemetryCollector` sampling the registry every
-    ``COLLECT_INTERVAL`` seconds; the *minimum paired delta* between
+    ``COLLECT_INTERVAL`` seconds against a plain loop of the same length.
+    That pair lasts ``COLLECT_INTERVALS`` sampling periods, so it times the
+    sampling itself.  The *minimum paired delta* between
     adjacent loops is taken as the instrumentation cost — the estimator that
     survives scheduler and frequency jitter far larger than the
     sub-microsecond delta under measurement.  Returns ``(plain_qps,
     instrumented_qps, instrumented/plain ratio, tenant-labelled ratio,
-    collected ratio)``.
+    collected ratio, fewest ticks a collected loop saw)``.
     """
     plain = EstimatorServer(model, cache_size=64)
     instrumented = EstimatorServer(model, cache_size=64, metrics=MetricsRegistry())
@@ -73,15 +80,21 @@ def telemetry_overhead(
     instrumented.estimate_batch(plan)
     instrumented.estimate_batch(plan, tenant="bench")
 
-    def loop(server: EstimatorServer, tenant: str | None = None) -> float:
+    def loop(server: EstimatorServer, tenant: str | None = None, count: int = repeats) -> float:
         start = time.perf_counter()
         if tenant is None:
-            for _ in range(repeats):
+            for _ in range(count):
                 server.estimate_batch(plan)
         else:
-            for _ in range(repeats):
+            for _ in range(count):
                 server.estimate_batch(plan, tenant=tenant)
         return time.perf_counter() - start
+
+    # Size the collected pair from a timed plain loop so that it lasts
+    # COLLECT_INTERVALS sampling periods whatever the hardware.
+    collected_repeats = max(
+        repeats, math.ceil(COLLECT_INTERVALS * COLLECT_INTERVAL * repeats / loop(plain))
+    )
 
     # Paired differencing: the instrumentation delta (sub-µs per call) is far
     # below this hardware's run-to-run jitter, so each trial compares
@@ -90,6 +103,7 @@ def telemetry_overhead(
     # or frequency excursion only ever inflates a delta, never deflates all
     # of them, so the minimum is the estimate least polluted by interference.
     plain_times, deltas, tenant_deltas, collected_deltas = [], [], [], []
+    ticks = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -97,6 +111,7 @@ def telemetry_overhead(
             t_plain = loop(plain)
             t_instrumented = loop(instrumented)
             t_tenant = loop(instrumented, tenant="bench")
+            t_plain_long = loop(plain, count=collected_repeats)
             # Collector running only around its own loop: the paired delta
             # then includes the snapshot/diff work stealing cycles from the
             # request path, which is exactly the cost under test.
@@ -104,20 +119,23 @@ def telemetry_overhead(
                 instrumented.metrics, interval=COLLECT_INTERVAL
             ).start()
             try:
-                t_collected = loop(instrumented, tenant="bench")
+                t_collected = loop(instrumented, tenant="bench", count=collected_repeats)
             finally:
                 collector.stop(final_tick=False)
+            # Every tick after the synchronous baseline adds one point per series.
+            store = collector.store
+            ticks.append(max((len(store.points(key)) for key in store.keys()), default=0))
             plain_times.append(t_plain)
             deltas.append(t_instrumented - t_plain)
             tenant_deltas.append(t_tenant - t_plain)
-            collected_deltas.append(t_collected - t_plain)
+            collected_deltas.append(t_collected - t_plain_long)
     finally:
         if gc_was_enabled:
             gc.enable()
     per_call_plain = statistics.median(plain_times) / repeats
     overhead = max(min(deltas) / repeats, 0.0)
     tenant_overhead = max(min(tenant_deltas) / repeats, 0.0)
-    collected_overhead = max(min(collected_deltas) / repeats, 0.0)
+    collected_overhead = max(min(collected_deltas) / collected_repeats, 0.0)
     plain_qps = len(plan) / max(per_call_plain, 1e-12)
     instrumented_qps = len(plan) / max(per_call_plain + overhead, 1e-12)
     tenant_qps = len(plan) / max(per_call_plain + tenant_overhead, 1e-12)
@@ -128,6 +146,7 @@ def telemetry_overhead(
         instrumented_qps / plain_qps,
         tenant_qps / plain_qps,
         collected_qps / plain_qps,
+        min(ticks),
     )
 
 
@@ -174,6 +193,7 @@ def serving_throughput(
         telemetry_ratio,
         tenant_ratio,
         collected_ratio,
+        collected_ticks,
     ) = telemetry_overhead(model, plan, max(repeats, 200))
 
     # Concurrent ingest-while-serve: readers vs. one publishing writer.
@@ -221,7 +241,8 @@ def serving_throughput(
             ["server, instrumented+collected", plain_qps * collected_ratio,
              collected_ratio,
              f"{collected_ratio:.3f}x of uninstrumented with a live collector "
-             f"sampling every {COLLECT_INTERVAL * 1000:.0f} ms"],
+             f"sampling every {COLLECT_INTERVAL * 1000:.0f} ms "
+             f"(at least {collected_ticks} ticks per loop)"],
             ["server, concurrent", concurrent_qps, concurrent_qps / bare_qps,
              f"{readers} readers, {publishes[0]} live publishes"],
         ],

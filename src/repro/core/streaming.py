@@ -29,11 +29,24 @@ around a chunked, vectorized pipeline rather than a per-tuple loop:
 * **Chunking.**  Incoming rows are gathered into fixed-size sub-chunks of at
   most ``chunk_size`` tuples (a partial tail stays buffered between calls).
   Each full chunk is folded into the model with a bounded number of numpy
-  operations: one distance matrix against the current kernels, one grouped
-  moment-preserving merge (``np.add.at`` accumulation of weight / Σwx / Σwx²
-  per target kernel), one batched new-kernel creation for rows that open
-  kernels (near-duplicate rows are coalesced on a ``merge_threshold``-sized
-  grid first), then a single compress-to-budget and prune step.
+  operations: one nearest-kernel search against the current kernels, one
+  grouped moment-preserving merge (``np.add.at`` accumulation of weight /
+  Σwx / Σwx² per target kernel), one batched new-kernel creation for rows
+  that open kernels (near-duplicate rows are coalesced on a
+  ``merge_threshold``-sized grid first), then a single compress-to-budget and
+  prune step.
+* **Distance searches.**  Both searches of the fold use the max-norm distance
+  between bandwidth-scaled means: the nearest kernel of every row, and the
+  closest kernel pairs that compaction merges.  From ``_TREE_MIN_KERNELS``
+  kernels on, one ``scipy.spatial.cKDTree`` over the scaled means answers
+  them; below that crossover, dense distance blocks are cheaper and answer
+  them alone.  The tree answers only where its answer provably equals the
+  dense one, ties included: a row equally far from its two nearest kernels,
+  and a compaction round whose closest pairs the tree's neighbour lists
+  cannot order without ties (see :func:`_closest_pairs_tree`), run the dense
+  code.  So the synopsis is bit for bit the one the dense code builds.
+  ``cKDTree`` holds the GIL while it builds and queries, so shards folding
+  on threads take turns in it.
 * **Batching invariance.**  Chunk boundaries depend only on the number of
   rows ingested since ``start()`` (and on explicit :meth:`StreamingADE.flush`
   points), never on how the caller sliced the stream into ``insert`` calls.
@@ -63,6 +76,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.core import fastpath
 from repro.core.errors import InvalidParameterError, StreamError
@@ -80,6 +94,16 @@ __all__ = ["StreamingADE"]
 #: fit the cache too but multiply the numpy calls per chunk, and every call
 #: releases and retakes the GIL, which serialises shards folding on threads.
 _ASSIGN_BUFFER_ELEMENTS = 1 << 16
+
+#: Kernel count from which the fold searches a max-norm ``cKDTree`` over the
+#: scaled kernel means instead of dense distance blocks.  Below it, building
+#: and querying the tree costs about as much as the blocks or more; from it
+#: on, the tree was faster in both searches of a 2-D fit.
+_TREE_MIN_KERNELS = 288
+
+#: Neighbours, the kernel itself included, that a compaction round lists for
+#: every kernel (see :func:`_closest_pairs_tree`).
+_PAIR_NEIGHBOURS = 8
 
 #: The lazy decay scale is renormalised once it shrinks past this bound, and
 #: the sub-chunk length is capped so one chunk can never shrink it by more
@@ -110,6 +134,97 @@ def _max_norm_distances(
         np.abs(work, out=work)
         np.maximum(out, work, out=out)
     return out
+
+
+def _finite(values: np.ndarray) -> bool:
+    """True when every entry is finite: ``cKDTree`` refuses anything else."""
+    return bool(np.isfinite(values).all())
+
+
+def _dense_nearest(
+    points: np.ndarray, centres: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense nearest-centre search: the lowest index wins a distance tie.
+
+    Blocked over points: the two ``(block, K)`` buffers of
+    :func:`_max_norm_distances` hold at most ``_ASSIGN_BUFFER_ELEMENTS``
+    floats each, so they stay cache resident whatever the batch size.  Each
+    row's ``argmin`` is independent of the block size.
+    """
+    n = points.shape[0]
+    kernels = centres.shape[0]
+    nearest = np.empty(n, dtype=np.int64)
+    scores = np.empty(n)
+    block = max(_ASSIGN_BUFFER_ELEMENTS // max(kernels, 1), 1)
+    best = np.empty((min(block, n), kernels))
+    work = np.empty_like(best)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = stop - start
+        dist = _max_norm_distances(points[start:stop], centres, best[:rows], work[:rows])
+        idx = dist.argmin(axis=1)
+        nearest[start:stop] = idx
+        scores[start:stop] = dist[np.arange(rows), idx]
+    return nearest, scores
+
+
+def _closest_pairs_dense(
+    centres: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``limit`` closest pairs ``i < j`` of ``centres``, closest first.
+
+    Computes the ``(K, K)`` max-norm distance matrix with
+    :func:`_max_norm_distances` and reads its upper triangle row-major into
+    ``flat``.  ``argpartition`` pre-selects the ``limit`` smallest entries and
+    a stable sort orders them, so tied distances keep the order
+    ``argpartition`` returned: the pair order, ties included, is a function
+    of ``flat`` alone.
+    """
+    kernels = centres.shape[0]
+    diff = np.empty((kernels, kernels))
+    _max_norm_distances(centres, centres, diff, np.empty_like(diff))
+    ids = np.arange(kernels)
+    flat = diff[ids[:, None] < ids]
+    candidates = np.argpartition(flat, limit - 1)[:limit]
+    candidates = candidates[np.argsort(flat[candidates], kind="stable")]
+    # Row i of the triangle holds columns i+1..K-1 from flat position
+    # row_start[i] on, so each candidate maps back to its pair.
+    row_start = ids * (2 * kernels - ids - 1) // 2
+    iu = np.searchsorted(row_start, candidates, side="right") - 1
+    ju = candidates - row_start[iu] + iu + 1
+    return iu, ju
+
+
+def _closest_pairs_tree(
+    centres: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_closest_pairs_dense`'s answer from k-d tree neighbour lists.
+
+    Lists each centre's ``_PAIR_NEIGHBOURS`` nearest centres (itself
+    included) and lets ``tau`` be the smallest last-listed distance.  A pair
+    closer than ``tau`` is closer than its first centre's last listed
+    neighbour, so it is listed there: the pairs ``i < j`` listed closer than
+    ``tau`` are all the pairs closer than ``tau``.  They settle the dense
+    answer when there are at least ``limit`` of them and the ``limit``
+    closest, plus the next one if there is one, have strictly increasing
+    distances: then no tie is left for the dense sort to order.  Returns
+    ``None`` otherwise, and the caller runs the dense code.
+    """
+    if not _finite(centres):
+        return None
+    dist, idx = cKDTree(centres).query(centres, k=_PAIR_NEIGHBOURS, p=np.inf)
+    rows = np.broadcast_to(np.arange(centres.shape[0])[:, None], idx.shape)
+    listed = (dist < dist[:, -1].min()) & (idx > rows)
+    close = dist[listed]
+    if close.size < limit:
+        return None
+    take = min(limit + 1, close.size)
+    order = np.argpartition(close, take - 1)[:take]
+    order = order[np.argsort(close[order])]
+    if not (np.diff(close[order]) > 0).all():
+        return None
+    order = order[:limit]
+    return rows[listed][order], idx[listed][order]
 
 
 @register_estimator("streaming_ade")
@@ -430,29 +545,26 @@ class StreamingADE(StreamingEstimator):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Index of and max-norm score to the nearest kernel for every point.
 
-        Blocked over points: the two ``(block, K)`` buffers of
-        :func:`_max_norm_distances` hold at most ``_ASSIGN_BUFFER_ELEMENTS``
-        floats each, so they stay cache resident whatever the batch size.
-        Each row's ``argmin`` is independent of the block size.
+        From ``_TREE_MIN_KERNELS`` kernels on, one max-norm ``cKDTree`` over
+        the scaled means finds each point's two nearest kernels.  A row whose
+        two distances differ takes the first.  A row whose two distances tie
+        goes to :func:`_dense_nearest`, whose argmin picks the lowest kernel
+        index; so does every row below the crossover, or when a scaled value
+        is not finite (``cKDTree`` refuses those).  Either way the answer,
+        ties included, is the dense argmin's.
         """
-        n = points.shape[0]
-        kernels = self._weights.size
-        nearest = np.empty(n, dtype=np.int64)
-        scores = np.empty(n)
         scaled_means = self._means / smoothing
         scaled_points = points / smoothing
-        block = max(_ASSIGN_BUFFER_ELEMENTS // max(kernels, 1), 1)
-        best = np.empty((min(block, n), kernels))
-        work = np.empty_like(best)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            rows = stop - start
-            dist = _max_norm_distances(
-                scaled_points[start:stop], scaled_means, best[:rows], work[:rows]
-            )
-            idx = dist.argmin(axis=1)
-            nearest[start:stop] = idx
-            scores[start:stop] = dist[np.arange(rows), idx]
+        if scaled_means.shape[0] < _TREE_MIN_KERNELS or not (
+            _finite(scaled_means) and _finite(scaled_points)
+        ):
+            return _dense_nearest(scaled_points, scaled_means)
+        dist, idx = cKDTree(scaled_means).query(scaled_points, k=2, p=np.inf)
+        nearest = idx[:, 0]
+        scores = dist[:, 0]
+        tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
+        if tied.size:
+            nearest[tied], scores[tied] = _dense_nearest(scaled_points[tied], scaled_means)
         return nearest, scores
 
     def _group_rows(
@@ -593,35 +705,27 @@ class StreamingADE(StreamingEstimator):
     def _compress_to(self, target: int) -> None:
         """Batched compaction: merge disjoint closest pairs until ≤ ``target``.
 
-        Each round computes the ``(K, K)`` max-norm distance matrix once with
-        :func:`_max_norm_distances` and reads its upper triangle row-major
-        into ``flat``.  ``argpartition`` pre-selects the ``4·excess + 16``
-        smallest entries and a stable sort orders them, so tied distances keep
-        the order ``argpartition`` returned: the merge order, ties included,
-        is a function of ``flat`` alone.  A greedy scan then merges up to
-        ``excess`` disjoint pairs; conflicts (a kernel appearing in two close
-        pairs) roll over to the next round.
+        Each round lists the ``limit = 4·excess + 16`` closest kernel pairs
+        in ascending distance, exactly as a dense ``(K, K)`` max-norm distance
+        matrix orders them (:func:`_closest_pairs_dense`): from
+        ``_TREE_MIN_KERNELS`` kernels on, :func:`_closest_pairs_tree` reads
+        them off a k-d tree's neighbour lists when it can prove the order is
+        the dense one, and the dense matrix decides every other round.  A
+        greedy scan then merges up to ``excess`` disjoint pairs; conflicts (a
+        kernel appearing in two close pairs) roll over to the next round.
         """
         while self._weights.size > target:
             self._mark_stale()
             kernels = self._weights.size
             excess = kernels - target
-            smoothing = self._smoothing_bandwidths()
-            normalised = self._means / smoothing
-            diff = np.empty((kernels, kernels))
-            _max_norm_distances(normalised, normalised, diff, np.empty_like(diff))
-            ids = np.arange(kernels)
-            flat = diff[ids[:, None] < ids]
+            normalised = self._means / self._smoothing_bandwidths()
             # Only the smallest distances can yield `excess` disjoint pairs;
             # pre-select a few times that many so the greedy scan stays short.
-            limit = min(flat.size, 4 * excess + 16)
-            candidates = np.argpartition(flat, limit - 1)[:limit]
-            candidates = candidates[np.argsort(flat[candidates], kind="stable")]
-            # Row i of the triangle holds columns i+1..K-1 from flat position
-            # row_start[i] on, so each candidate maps back to its pair.
-            row_start = ids * (2 * kernels - ids - 1) // 2
-            iu = np.searchsorted(row_start, candidates, side="right") - 1
-            ju = candidates - row_start[iu] + iu + 1
+            limit = min(kernels * (kernels - 1) // 2, 4 * excess + 16)
+            pairs = None
+            if kernels >= _TREE_MIN_KERNELS:
+                pairs = _closest_pairs_tree(normalised, limit)
+            iu, ju = pairs if pairs is not None else _closest_pairs_dense(normalised, limit)
             used = np.zeros(kernels, dtype=bool)
             left: list[int] = []
             right: list[int] = []

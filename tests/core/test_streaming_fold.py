@@ -183,3 +183,223 @@ def test_fold_matches_the_dense_reference_fold(monkeypatch, dims, decay, max_ker
     reference.start([f"x{axis}" for axis in range(dims)]).insert(rows)
     reference.flush()
     _assert_same_kernels(model, reference)
+
+
+# -- the k-d tree searches ----------------------------------------------------
+#
+# From ``_TREE_MIN_KERNELS`` kernels on, the fold answers both searches from a
+# max-norm k-d tree and falls back to the dense blocks only where the tree
+# cannot prove the dense answer.  Each test below pins which path ran, so a
+# build that always takes the dense code fails them, and checks the answer
+# against the 3-D oracles above.
+
+class _PathSpy:
+    """Records the fold's k-d tree builds and dense distance blocks."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.trees = 0
+        self.dense: list[tuple[int, int]] = []  # (points, centres) per block
+        self.pair_answers: list[bool] = []  # did the tree settle the round?
+        tree, dense, pairs = (
+            streaming.cKDTree,
+            streaming._max_norm_distances,
+            streaming._closest_pairs_tree,
+        )
+
+        def counting_tree(*args, **kwargs):
+            self.trees += 1
+            return tree(*args, **kwargs)
+
+        def counting_dense(points, centres, out, work):
+            self.dense.append((points.shape[0], centres.shape[0]))
+            return dense(points, centres, out, work)
+
+        def counting_pairs(centres, limit):
+            answer = pairs(centres, limit)
+            self.pair_answers.append(answer is not None)
+            return answer
+
+        monkeypatch.setattr(streaming, "cKDTree", counting_tree)
+        monkeypatch.setattr(streaming, "_max_norm_distances", counting_dense)
+        monkeypatch.setattr(streaming, "_closest_pairs_tree", counting_pairs)
+
+
+def _continuous_means(seed: int, kernels: int, dims: int) -> np.ndarray:
+    """Normal draws on unequal axis scales: no two distances tie."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(kernels, dims)) * rng.uniform(0.5, 20.0, size=dims)
+
+
+def _lattice(count: int) -> np.ndarray:
+    """``count`` 2-D means about 100 apart, jittered: far from every pair below."""
+    rng = np.random.default_rng(count)
+    cells = np.arange(count)
+    grid = np.column_stack([cells % 20, cells // 20]) * 100.0
+    return grid + rng.uniform(-1.0, 1.0, size=grid.shape)
+
+
+def _pairs_closer_than_tau(means: np.ndarray, smoothing: np.ndarray) -> int:
+    """Brute-force count of the pairs the tree check sees (see ``_closest_pairs_tree``)."""
+    scaled = means / smoothing
+    dist = np.abs(scaled[:, None, :] - scaled[None, :, :]).max(axis=2)
+    tau = np.sort(dist, axis=1)[:, streaming._PAIR_NEIGHBOURS - 1].min()
+    return int((dist[np.triu_indices(len(means), k=1)] < tau).sum())
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_nearest_kernels_take_the_tree_on_continuous_kernels(monkeypatch, seed, dims) -> None:
+    kernels = streaming._TREE_MIN_KERNELS + 13 * seed
+    model = _model(
+        _continuous_means(seed, kernels, dims), np.ones(kernels), np.zeros((kernels, dims))
+    )
+    rows = _continuous_means(seed + 100, 300, dims)
+    smoothing = model._smoothing_bandwidths()
+    spy = _PathSpy(monkeypatch)
+    nearest, scores = model._nearest_kernels(rows, smoothing)
+    assert spy.trees == 1 and spy.dense == []
+    want_nearest, want_scores = _reference_nearest_kernels(model, rows, smoothing)
+    np.testing.assert_array_equal(nearest, want_nearest)
+    assert scores.tobytes() == want_scores.tobytes()
+
+
+def test_nearest_kernels_settle_tied_rows_densely(monkeypatch) -> None:
+    """Rows exactly as far from two kernels go to the dense argmin, and only
+    those rows: the lower index wins, whichever the tree listed first."""
+    lattice = _lattice(streaming._TREE_MIN_KERNELS)
+    ties = 12
+    # Kernel pairs one unit apart in x, far below the lattice.  A row 5 above
+    # a pair's midpoint is exactly 5 from both kernels: the y offset is the
+    # max-norm distance to either, computed from the same two floats.
+    base = np.column_stack([np.arange(ties) * 1000.0, np.full(ties, -1000.0)])
+    left, right = base, base + [1.0, 0.0]
+    # Every other pair lists its right kernel first, so the lower index is
+    # sometimes the left and sometimes the right kernel.
+    first = np.where((np.arange(ties) % 2 == 0)[:, None], left, right)
+    second = np.where((np.arange(ties) % 2 == 0)[:, None], right, left)
+    means = np.concatenate([lattice, first, second])
+    kernels = means.shape[0]
+    model = _model(means, np.ones(kernels), np.zeros((kernels, 2)))
+    rng = np.random.default_rng(7)
+    tied_rows = base + np.column_stack([0.5 + rng.uniform(-0.4, 0.4, ties), np.full(ties, 5.0)])
+    free_rows = lattice[rng.choice(len(lattice), 200)] + rng.uniform(-30.0, 30.0, (200, 2))
+    rows = np.concatenate([free_rows[:100], tied_rows, free_rows[100:]])
+    smoothing = np.ones(2)
+    spy = _PathSpy(monkeypatch)
+    nearest, scores = model._nearest_kernels(rows, smoothing)
+    assert spy.trees == 1
+    assert spy.dense == [(ties, kernels)]
+    want_nearest, want_scores = _reference_nearest_kernels(model, rows, smoothing)
+    np.testing.assert_array_equal(nearest, want_nearest)
+    assert scores.tobytes() == want_scores.tobytes()
+    lower = len(lattice) + np.arange(ties)
+    np.testing.assert_array_equal(nearest[100 : 100 + ties], lower)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_compress_takes_the_tree_on_continuous_kernels(monkeypatch, seed, dims) -> None:
+    kernels = streaming._TREE_MIN_KERNELS + 5 + 11 * seed
+    target = kernels - 1 - seed % 5  # every round keeps at least the crossover
+    rng = np.random.default_rng(seed)
+    means = _continuous_means(seed, kernels, dims)
+    weights = rng.uniform(0.5, 3.0, kernels)
+    variances = rng.uniform(0.0, 1.0, (kernels, dims))
+    model = _model(means, weights, variances)
+    reference = _model(means, weights, variances)
+    spy = _PathSpy(monkeypatch)
+    model._compress_to(target)
+    assert spy.pair_answers and all(spy.pair_answers)
+    assert spy.trees == len(spy.pair_answers) and spy.dense == []
+    _reference_compress_to(reference, target)
+    assert model._weights.size == target
+    _assert_same_kernels(model, reference)
+
+
+@pytest.mark.parametrize("tie", ["none", "inside", "boundary"])
+def test_compress_falls_back_on_a_tie_among_the_closest_pairs(monkeypatch, tie) -> None:
+    """One merge (``limit`` 20) over 21 close pairs with one distance each.
+
+    A tie inside the 20 closest pairs or between the 20th and 21st leaves
+    the order to the dense sort, so the round must run the dense code;
+    without the tie the same layout takes the tree.
+    """
+    limit = 20
+    gaps = 0.01 * np.arange(1, limit + 2)
+    if tie == "inside":
+        gaps[5] = gaps[4]
+    elif tie == "boundary":
+        gaps[limit] = gaps[limit - 1]
+    # Each pair shares its y and, when tied, its x values too: tied pairs
+    # are exactly equally far apart in any scaling.
+    xs = np.arange(limit + 1) * 1000.0
+    xs[5] = xs[4]
+    xs[limit] = xs[limit - 1]
+    ys = -1000.0 * (1 + np.arange(limit + 1))
+    pair_left = np.column_stack([xs, ys])
+    pair_right = pair_left + np.column_stack([gaps, np.zeros(limit + 1)])
+    lattice = _lattice(streaming._TREE_MIN_KERNELS)
+    means = np.concatenate([lattice, pair_left, pair_right])
+    kernels = means.shape[0]
+    weights = 1.0 + np.arange(kernels) % 3
+    variances = np.zeros((kernels, 2))
+    model = _model(means, weights, variances)
+    reference = _model(means, weights, variances)
+    assert _pairs_closer_than_tau(means, model._smoothing_bandwidths()) >= limit
+    spy = _PathSpy(monkeypatch)
+    model._compress_to(kernels - 1)
+    if tie == "none":
+        assert spy.pair_answers == [True] and spy.dense == []
+    else:
+        assert spy.pair_answers == [False] and spy.dense == [(kernels, kernels)]
+    _reference_compress_to(reference, kernels - 1)
+    _assert_same_kernels(model, reference)
+
+
+def test_compress_falls_back_with_fewer_close_pairs_than_the_limit(monkeypatch) -> None:
+    """A tight cluster of ``_PAIR_NEIGHBOURS`` kernels sets ``tau`` below every
+    other distance, so at most its own pairs are closer than ``tau``: fewer
+    than ``limit`` once the round merges enough pairs."""
+    cluster_size = streaming._PAIR_NEIGHBOURS
+    close_pairs = cluster_size * (cluster_size - 1) // 2
+    excess = max((close_pairs - 16) // 4 + 1, 1)  # limit = 4·excess + 16 > close_pairs
+    rng = np.random.default_rng(3)
+    cluster = np.array([-5000.0, -5000.0]) + rng.uniform(0.0, 0.5, (cluster_size, 2))
+    means = np.concatenate([_lattice(streaming._TREE_MIN_KERNELS), cluster])
+    kernels = means.shape[0]
+    weights = rng.uniform(0.5, 3.0, kernels)
+    variances = np.zeros((kernels, 2))
+    model = _model(means, weights, variances)
+    reference = _model(means, weights, variances)
+    assert _pairs_closer_than_tau(means, model._smoothing_bandwidths()) < 4 * excess + 16
+    spy = _PathSpy(monkeypatch)
+    model._compress_to(kernels - excess)
+    assert spy.pair_answers[0] is False
+    assert spy.dense[0] == (kernels, kernels)
+    _reference_compress_to(reference, kernels - excess)
+    _assert_same_kernels(model, reference)
+
+
+@pytest.mark.parametrize("dims, decay", [(1, 1.0), (2, 0.999), (3, 1.0)])
+def test_fold_takes_the_tree_above_the_crossover(monkeypatch, dims, decay) -> None:
+    """A continuous drifting stream, which keeps opening kernels past a budget
+    above the crossover, folds to the dense reference fold's synopsis, and
+    once the model holds ``_TREE_MIN_KERNELS`` kernels every search of both
+    stages is a tree's."""
+    rng = np.random.default_rng(dims)
+    drift = np.linspace(0.0, 20.0, 6000)[:, None]
+    rows = (rng.normal(size=(6000, dims)) + drift) * np.array([1.0, 3.0, 10.0])[:dims]
+    max_kernels = streaming._TREE_MIN_KERNELS + 64
+    spy = _PathSpy(monkeypatch)
+    model = StreamingADE(max_kernels=max_kernels, decay=decay, chunk_size=128)
+    model.start([f"x{axis}" for axis in range(dims)]).insert(rows)
+    model.flush()
+    assert spy.pair_answers and all(spy.pair_answers)
+    assert spy.trees > len(spy.pair_answers)  # nearest-kernel searches too
+    assert all(centres < streaming._TREE_MIN_KERNELS for _, centres in spy.dense)
+    monkeypatch.setattr(StreamingADE, "_compress_to", _reference_compress_to)
+    monkeypatch.setattr(StreamingADE, "_nearest_kernels", _reference_nearest_kernels)
+    reference = StreamingADE(max_kernels=max_kernels, decay=decay, chunk_size=128)
+    reference.start([f"x{axis}" for axis in range(dims)]).insert(rows)
+    reference.flush()
+    _assert_same_kernels(model, reference)
