@@ -98,7 +98,8 @@ _ASSIGN_BUFFER_ELEMENTS = 1 << 16
 #: Kernel count from which the fold searches a max-norm ``cKDTree`` over the
 #: scaled kernel means instead of dense distance blocks.  Below it, building
 #: and querying the tree costs about as much as the blocks or more; from it
-#: on, the tree was faster in both searches of a 2-D fit.
+#: on, the tree won both searches in every timed run over kernels drawn from
+#: a 2-D mixture.
 _TREE_MIN_KERNELS = 288
 
 #: Neighbours, the kernel itself included, that a compaction round lists for

@@ -403,3 +403,24 @@ def test_fold_takes_the_tree_above_the_crossover(monkeypatch, dims, decay) -> No
     reference.start([f"x{axis}" for axis in range(dims)]).insert(rows)
     reference.flush()
     _assert_same_kernels(model, reference)
+
+
+def test_searches_over_non_finite_scaled_values_stay_dense(monkeypatch) -> None:
+    """``cKDTree`` refuses non-finite values, and finite rows near the float
+    limit overflow once scaled: those searches run the dense code alone."""
+    kernels = streaming._TREE_MIN_KERNELS + 10
+    model = _model(_continuous_means(0, kernels, 2), np.ones(kernels), np.zeros((kernels, 2)))
+    rows = _continuous_means(1, 50, 2)
+    rows[::7, 0] = 1e300
+    smoothing = np.full(2, 1e-9)
+    spy = _PathSpy(monkeypatch)
+    with np.errstate(over="ignore"):  # the overflow is the case under test
+        nearest, scores = model._nearest_kernels(rows, smoothing)
+        want_nearest, want_scores = _reference_nearest_kernels(model, rows, smoothing)
+    assert spy.trees == 0 and spy.dense == [(50, kernels)]
+    np.testing.assert_array_equal(nearest, want_nearest)
+    assert scores.tobytes() == want_scores.tobytes()
+    centres = _continuous_means(2, kernels, 2)
+    centres[3] = np.inf
+    assert streaming._closest_pairs_tree(centres, 20) is None
+    assert spy.trees == 0
