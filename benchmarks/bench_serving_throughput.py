@@ -67,10 +67,10 @@ def telemetry_overhead(
     :class:`~repro.obs.TelemetryCollector` sampling the registry every
     ``COLLECT_INTERVAL`` seconds against a plain loop of the same length.
     That pair lasts ``COLLECT_INTERVALS`` sampling periods, so it times the
-    sampling itself.  The *minimum paired delta* between
-    adjacent loops is taken as the instrumentation cost — the estimator that
-    survives scheduler and frequency jitter far larger than the
-    sub-microsecond delta under measurement.  Returns ``(plain_qps,
+    sampling itself.  The *minimum paired delta* between adjacent loops is
+    taken as the instrumentation cost — the estimator that survives
+    scheduler and frequency jitter far larger than the sub-microsecond delta
+    under measurement.  Returns ``(plain_qps,
     instrumented_qps, instrumented/plain ratio, tenant-labelled ratio,
     collected ratio, fewest ticks a collected loop saw)``.
     """
@@ -80,7 +80,9 @@ def telemetry_overhead(
     instrumented.estimate_batch(plan)
     instrumented.estimate_batch(plan, tenant="bench")
 
-    def loop(server: EstimatorServer, tenant: str | None = None, count: int = repeats) -> float:
+    def loop(
+        server: EstimatorServer, tenant: str | None = None, count: int = repeats
+    ) -> float:
         start = time.perf_counter()
         if tenant is None:
             for _ in range(count):
