@@ -301,8 +301,8 @@ class SelectivityEstimator(ABC):
     @staticmethod
     def _clip_fractions(values: np.ndarray) -> np.ndarray:
         """Vector form of :meth:`_clip_fraction` (NaN collapses to 0)."""
-        values = np.where(np.isnan(values), 0.0, values)
-        return np.clip(values, 0.0, 1.0)
+        values = np.fmax(values, 0.0)
+        return np.minimum(values, 1.0, out=values)
 
     # -- mergeable-synopsis protocol (sharded estimation) ----------------------
     def shard_frame(

@@ -38,19 +38,23 @@ Routes
 
 :func:`estimate_boxes` answers a multi-box plan on the *grouped route*:
 per-query candidate counts decide dense vs culled, wide boxes run on the
-dense micro-kernel, and selective boxes are grid-clustered.  Each group
-makes one :meth:`KernelSupportIndex.box_candidates` probe for its union box;
+dense micro-kernel, and selective boxes are grid-clustered; a plan that fits
+one grid cell (at most ``_TARGET_GROUP`` selective boxes) is one group,
+without computing a grid.  Each group makes one
+:meth:`KernelSupportIndex.box_candidates` probe for its union box;
 :meth:`KernelSupportIndex.overlaps` then keeps, by comparisons alone, the
 (box, kernel) pairs whose support edges overlap the box, and the
 micro-kernel evaluates those pairs only.  The mask and its pairs are built
 per block of boxes under the dense buffer's element bound.  A one-box plan
 — the request an optimizer sends, one predicate at a time — takes the
-*one-box route* instead: the same candidate count and dense/culled rule,
-then no grouping and none of the group bookkeeping, just one
-``box_candidates`` probe for the box, whose ids are already its pairs.  A
-culled box is therefore evaluated on the same pairs in the same order on
-either route, so the one-box route answers bitwise what the grouped route
-answers for it.  A dense-routed box agrees only within
+*one-box route* instead: the box's :meth:`KernelSupportIndex.tightest_slice`
+is its smallest candidate count, so the same dense/culled rule applies to
+it; then no grouping and none of the group bookkeeping, just one
+``box_candidates`` probe for the box, whose ids are already its pair codes,
+and the micro-kernel skips the pair decode for them.  A culled box is
+therefore evaluated on the same pairs in the same order on either route, so
+the one-box route answers bitwise what the grouped route answers for it.  A
+dense-routed box agrees only within
 :data:`DEFAULT_ATOL`: the dense ``matmul`` sums in an order that depends on
 the block shape.  Upstream,
 :func:`repro.workload.queries.compile_queries` builds the request's plan in
@@ -159,8 +163,9 @@ _BUFFER_ELEMENTS = 1 << 17
 #: bounds already shaped for broadcasting.  With ``ids=None`` the bounds are
 #: ``(block, 1)`` columns against all kernels and the result is
 #: ``(block, kernels)``; otherwise ``ids`` are the ``(P,)`` kernel ids of
-#: (box, kernel) pairs, the bounds their ``(P,)`` boxes' bounds, and the
-#: result is ``(P,)``.
+#: (box, kernel) pairs, the bounds their ``(P,)`` boxes' bounds (a one-box
+#: plan passes its ``(1,)`` bounds, which broadcast against the ids), and
+#: the result is ``(P,)``.
 AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
 
 #: The process-wide fast-path switch (see :func:`fastpath_disabled`).
@@ -247,7 +252,8 @@ def normal_box_mass(
     np.divide(work, stds, out=work)
     special.ndtr(work, out=work)
     np.subtract(mass, work, out=mass)
-    return np.clip(mass, 0.0, 1.0, out=mass)
+    np.maximum(mass, 0.0, out=mass)
+    return np.minimum(mass, 1.0, out=mass)
 
 
 class KernelSupportIndex:
@@ -298,7 +304,8 @@ class KernelSupportIndex:
 
         Two vectorised ``searchsorted`` probes per axis against the sorted
         positions, widened by the axis's maximum support radius.  The counts
-        drive the dense-vs-culled routing and the choice of primary axis.
+        drive the grouped route's dense-vs-culled routing; a single box gets
+        its smallest count from :meth:`tightest_slice`.
         """
         counts = np.empty(lows.shape, dtype=np.int64)
         for axis in range(self.dims):
@@ -309,27 +316,40 @@ class KernelSupportIndex:
             counts[:, axis] = stops - starts
         return counts
 
-    def box_candidates(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """Ascending kernel ids whose support can overlap the box ``[low, high]``.
+    def tightest_slice(self, low: np.ndarray, high: np.ndarray) -> tuple[int, int, int]:
+        """``(start, stop, axis)``: the box's fewest-kernel axis and its slice.
 
-        The axis with the fewest in-range kernels supplies the initial
-        contiguous slice of its sort order; every axis (including that one)
-        then refines with the exact per-kernel support edges, so the result
-        is the intersection of the per-axis support overlaps.  Reflected
-        kernel images (boundary-corrected KDE) need no extra probes: a
-        reflected image overlaps a domain-clipped interval only if its source
-        kernel sits within one support radius of the interval, which places
-        the source inside the same candidate slice.
+        The same two probes per axis as :meth:`candidate_counts`, on the
+        same float64 bounds ``lo - radius`` / ``hi + radius``, made with
+        Python floats for a single box; ``stop - start`` is therefore the
+        box's smallest candidate count (the first such axis on ties), and
+        ``axis_orders[axis, start:stop]`` its candidate slice.
         """
-        bounds = list(zip(low.tolist(), high.tolist()))
         best = None
-        for axis, ((lo, hi), radius) in enumerate(zip(bounds, self.max_radii.tolist())):
+        for axis, (lo, hi, radius) in enumerate(
+            zip(low.tolist(), high.tolist(), self.max_radii.tolist())
+        ):
             positions = self.axis_positions[axis]
             start = positions.searchsorted(lo - radius, side="left")
             stop = positions.searchsorted(hi + radius, side="right")
             if best is None or stop - start < best[1] - best[0]:
                 best = (start, stop, axis)
-        start, stop, primary = best
+        return best
+
+    def box_candidates(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """Ascending kernel ids whose support can overlap the box ``[low, high]``.
+
+        The :meth:`tightest_slice` of the box supplies the initial contiguous
+        slice of one axis's sort order; every axis (including that one) then
+        refines with the exact per-kernel support edges, so the result is the
+        intersection of the per-axis support overlaps.  Reflected kernel
+        images (boundary-corrected KDE) need no extra probes: a reflected
+        image overlaps a domain-clipped interval only if its source kernel
+        sits within one support radius of the interval, which places the
+        source inside the same candidate slice.
+        """
+        start, stop, primary = self.tightest_slice(low, high)
+        bounds = list(zip(low.tolist(), high.tolist()))
         lo, hi = bounds[primary]
         keep = self.sorted_upper_edges[primary, start:stop] >= lo
         keep &= self.sorted_lower_edges[primary, start:stop] <= hi
@@ -381,7 +401,10 @@ def weighted_box_masses(
     ``box * len(weights) + kernel`` (see :meth:`KernelSupportIndex.overlaps`):
     only those pairs are evaluated, ``axis_mass`` receives ``(P,)`` bounds
     against ``(P,)`` kernel ids, and each box's weighted terms are summed in
-    code order with ``np.bincount`` (a box without pairs gets 0).  This is
+    code order with ``np.bincount`` (a box without pairs gets 0).  For one
+    box the codes are its kernel ids: nothing is decoded, and ``axis_mass``
+    receives the box's ``(1,)`` bounds, which broadcast to the same values
+    (the terms and their sum are those of the decoded pass).  This is
     the single inner loop of the whole estimator family — the dense
     reference path runs it over all kernels, the fast path over culled pairs.
     """
@@ -393,10 +416,18 @@ def weighted_box_masses(
         if ids.size == 0:
             out[:n] = 0.0
             return out
-        boxes, kernels = np.divmod(ids, weights.size)
+        if n == 1:
+            # One box: its codes are its kernel ids, and its (1,) bounds
+            # broadcast against them.
+            boxes, kernels = np.zeros(ids.size, dtype=np.intp), ids
+        else:
+            boxes, kernels = np.divmod(ids, weights.size)
         terms = np.ones(ids.size)
         for axis in range(dims):
-            terms *= axis_mass(kernels, axis, lows[boxes, axis], highs[boxes, axis])
+            low, high = lows[:, axis], highs[:, axis]
+            if n > 1:
+                low, high = low[boxes], high[boxes]
+            terms *= axis_mass(kernels, axis, low, high)
         terms *= weights[kernels]
         out[:n] = np.bincount(boxes, weights=terms, minlength=n)
         out[:n] /= total_weight
@@ -429,10 +460,13 @@ def _spatial_groups(
     per-box overlap mask then narrows to each box's own pairs.  Box
     centers (clipped to the kernel position range, which keeps one-sided and
     full-domain boxes finite) are bucketed on a coarse grid sized for about
-    ``_TARGET_GROUP`` queries per cell; each occupied cell is one group.
+    ``_TARGET_GROUP`` queries per cell; each occupied cell is one group.  A
+    grid of one cell needs no bucketing: its one group is every box, in plan
+    order.
     """
     n, dims = lows.shape
-    if n <= 1:
+    cells_per_axis = max(int(np.ceil((n / _TARGET_GROUP) ** (1.0 / dims))), 1)
+    if cells_per_axis == 1:
         yield np.arange(n)
         return
     position_low = index.axis_positions[:, 0]
@@ -442,7 +476,6 @@ def _spatial_groups(
     )
     span = position_high - position_low
     span = np.where(span > 0, span, 1.0)
-    cells_per_axis = max(int(np.ceil((n / _TARGET_GROUP) ** (1.0 / dims))), 1)
     cells = ((centers - position_low) / span * cells_per_axis).astype(np.int64)
     np.clip(cells, 0, cells_per_axis - 1, out=cells)
     keys = np.zeros(n, dtype=np.int64)
@@ -474,9 +507,12 @@ def estimate_boxes(
     at all (tiny synopses, or every query is wide) — the caller then takes
     the dense path itself.
 
-    A one-box plan applies the same rule to its own count and then skips the
-    grouping: one ``box_candidates`` probe supplies its pairs.  A culled box
-    is answered bitwise as the grouped route answers it; a dense-routed box
+    A one-box plan applies the same rule to its own count, the length of its
+    :meth:`~KernelSupportIndex.tightest_slice` (the minimum of
+    :meth:`~KernelSupportIndex.candidate_counts` without building its
+    arrays), and then skips the grouping: one ``box_candidates`` probe
+    supplies its pairs.  A culled box is answered bitwise as the grouped
+    route answers it; a dense-routed box
     within :data:`DEFAULT_ATOL` (the dense ``matmul`` sums in a
     block-shape-dependent order).
     """
@@ -487,7 +523,8 @@ def estimate_boxes(
             route_metrics.counter("fastpath.dense_queries").inc(n)
         return None
     if n == 1:
-        if index.candidate_counts(lows, highs).min() >= index.kernel_count * _DENSE_FRACTION:
+        start, stop, _ = index.tightest_slice(lows[0], highs[0])
+        if stop - start >= index.kernel_count * _DENSE_FRACTION:
             if route_metrics is not None:
                 route_metrics.counter("fastpath.dense_queries").inc(1)
             return None

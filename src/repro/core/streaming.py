@@ -921,8 +921,9 @@ class StreamingADE(StreamingEstimator):
         def axis_mass(
             ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
         ) -> np.ndarray:
-            means = self._means[:, axis] if ids is None else self._means[ids, axis]
-            scale = stds[:, axis] if ids is None else stds[ids, axis]
+            means, scale = self._means[:, axis], stds[:, axis]
+            if ids is not None:
+                means, scale = means[ids], scale[ids]
             return _normal_interval_mass(low, high, means, scale)
 
         if use_fastpath:

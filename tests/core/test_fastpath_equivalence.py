@@ -196,6 +196,72 @@ class TestOneBoxRoute:
         counted, culled, _ = route(0.5, 28.5)  # window [0, 29]: 30 kernels
         assert counted == 30 and culled is None
 
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_route_follows_the_tightest_candidate_count(self, dims: int) -> None:
+        rng = np.random.default_rng(60 + dims)
+        kernels = 200  # the dense share is exactly 150 kernels
+        centers = rng.normal(size=(kernels, dims))
+        radii = rng.uniform(0.01, 0.2, size=(kernels, dims))
+        index = fastpath.KernelSupportIndex(centers, radii)
+        weights = rng.uniform(0.5, 2.0, size=kernels)
+        total = float(weights.sum())
+        # Gaussian kernels whose cull radius is the index's support radius.
+        stds = radii / fastpath.gaussian_cull_radius()
+
+        def axis_mass(ids, axis, low, high):
+            means, scale = centers[:, axis], stds[:, axis]
+            if ids is not None:
+                means, scale = means[ids], scale[ids]
+            return fastpath.normal_box_mass(low, high, means, scale)
+
+        inf = np.full(dims, np.inf)
+        random_lows = rng.uniform(-2.0, 1.5, size=(40, dims))
+        boxes = [(low, low + rng.uniform(0.0, 2.5, size=dims)) for low in random_lows]
+        boxes += [
+            (np.zeros(dims), np.zeros(dims)),  # point
+            (-inf, inf),  # full domain
+            (-inf, np.zeros(dims)),  # one-sided
+            (np.full(dims, 1e6), np.full(dims, 2e6)),  # outside every support
+        ]
+        # Boxes whose tightest axis (axis 0; the others are unbounded) holds
+        # just below, at and just above 0.75·K kernels: the window's edges
+        # sit halfway between neighbouring positions, widened by the radius.
+        positions = index.axis_positions[0]
+        radius = index.max_radii[0]
+        for target in (148, 149, 150, 151, 152):
+            first = int(rng.integers(1, kernels - target))
+            low, high = -inf.copy(), inf.copy()
+            low[0] = 0.5 * (positions[first - 1] + positions[first]) + radius
+            high[0] = 0.5 * (positions[first + target - 1] + positions[first + target]) - radius
+            boxes.append((low, high))
+
+        counted = []
+        for low, high in boxes:
+            lows, highs = low[None], high[None]
+            count = index.candidate_counts(lows, highs).min()
+            counted.append(count)
+            registry = MetricsRegistry()
+            fastpath.set_route_metrics(registry)
+            try:
+                culled = fastpath.estimate_boxes(lows, highs, index, weights, total, axis_mass)
+            finally:
+                fastpath.set_route_metrics(None)
+            dense = count >= 0.75 * kernels
+            assert (culled is None) == dense
+            assert registry.counter("fastpath.dense_queries").value == int(dense)
+            assert registry.counter("fastpath.culled_queries").value == int(not dense)
+            if not dense:
+                # The grouped route answers each copy of the box bitwise alike.
+                twice = fastpath.estimate_boxes(
+                    np.vstack([lows, lows]), np.vstack([highs, highs]),
+                    index, weights, total, axis_mass,
+                )
+                assert twice.tobytes() == np.concatenate([culled, culled]).tobytes()
+                reference = fastpath.weighted_box_masses(lows, highs, axis_mass, weights, total)
+                np.testing.assert_allclose(culled, reference, rtol=0.0, atol=DEFAULT_ATOL)
+        assert {148, 149, 150, 151, 152} <= set(counted)
+        assert min(counted) == 0 and max(counted) == kernels
+
     def test_box_candidates_match_a_brute_force_overlap(self) -> None:
         rng = np.random.default_rng(3)
         centers = rng.normal(size=(500, 3))
@@ -244,10 +310,13 @@ class TestCulledPairs:
                 index.box_candidates(low, high),
             )
 
+    @pytest.mark.parametrize("boxes", [120, 16])
     @pytest.mark.parametrize("name", sorted(_FINE_MODELS))
-    def test_culled_boxes_answer_bitwise_as_one_box_plans(self, name: str) -> None:
+    def test_culled_boxes_answer_bitwise_as_one_box_plans(self, name: str, boxes: int) -> None:
+        # 16 boxes fit one grid cell and form one group; 120 boxes do not.
         estimator = _fine(name)
-        plan = _selective_plan(estimator)
+        selective = _selective_plan(estimator)
+        plan = CompiledQueries(selective.columns, selective.lows[:boxes], selective.highs[:boxes])
         registry = MetricsRegistry()
         fastpath.set_route_metrics(registry)
         try:
