@@ -50,11 +50,10 @@ per block of boxes under the dense buffer's element bound.  A one-box plan
 *one-box route* instead: the box's :meth:`KernelSupportIndex.tightest_slice`
 is its smallest candidate count, so the same dense/culled rule applies to
 it; then no grouping and none of the group bookkeeping, just one
-``box_candidates`` probe for the box, whose ids are already its pair codes,
-and the micro-kernel skips the pair decode for them.  A culled box is
-therefore evaluated on the same pairs in the same order on either route, so
-the one-box route answers bitwise what the grouped route answers for it.  A
-dense-routed box agrees only within
+``box_candidates`` probe for the box, whose ids are already its pair
+codes.  A culled box is therefore evaluated on the same pairs in the same
+order on either route, so the one-box route answers bitwise what the grouped
+route answers for it.  A dense-routed box agrees only within
 :data:`DEFAULT_ATOL`: the dense ``matmul`` sums in an order that depends on
 the block shape.  Upstream,
 :func:`repro.workload.queries.compile_queries` builds the request's plan in
@@ -163,9 +162,8 @@ _BUFFER_ELEMENTS = 1 << 17
 #: bounds already shaped for broadcasting.  With ``ids=None`` the bounds are
 #: ``(block, 1)`` columns against all kernels and the result is
 #: ``(block, kernels)``; otherwise ``ids`` are the ``(P,)`` kernel ids of
-#: (box, kernel) pairs, the bounds their ``(P,)`` boxes' bounds (a one-box
-#: plan passes its ``(1,)`` bounds, which broadcast against the ids), and
-#: the result is ``(P,)``.
+#: (box, kernel) pairs, the bounds their ``(P,)`` boxes' bounds, and the
+#: result is ``(P,)``.
 AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
 
 #: The process-wide fast-path switch (see :func:`fastpath_disabled`).
@@ -401,10 +399,9 @@ def weighted_box_masses(
     ``box * len(weights) + kernel`` (see :meth:`KernelSupportIndex.overlaps`):
     only those pairs are evaluated, ``axis_mass`` receives ``(P,)`` bounds
     against ``(P,)`` kernel ids, and each box's weighted terms are summed in
-    code order with ``np.bincount`` (a box without pairs gets 0).  For one
-    box the codes are its kernel ids: nothing is decoded, and ``axis_mass``
-    receives the box's ``(1,)`` bounds, which broadcast to the same values
-    (the terms and their sum are those of the decoded pass).  This is
+    code order with ``np.bincount`` (a box without pairs gets 0); the
+    bounds are gathered from 1-D column views, one gather per axis and
+    side.  This is
     the single inner loop of the whole estimator family — the dense
     reference path runs it over all kernels, the fast path over culled pairs.
     """
@@ -416,18 +413,10 @@ def weighted_box_masses(
         if ids.size == 0:
             out[:n] = 0.0
             return out
-        if n == 1:
-            # One box: its codes are its kernel ids, and its (1,) bounds
-            # broadcast against them.
-            boxes, kernels = np.zeros(ids.size, dtype=np.intp), ids
-        else:
-            boxes, kernels = np.divmod(ids, weights.size)
+        boxes, kernels = np.divmod(ids, weights.size)
         terms = np.ones(ids.size)
         for axis in range(dims):
-            low, high = lows[:, axis], highs[:, axis]
-            if n > 1:
-                low, high = low[boxes], high[boxes]
-            terms *= axis_mass(kernels, axis, low, high)
+            terms *= axis_mass(kernels, axis, lows[:, axis][boxes], highs[:, axis][boxes])
         terms *= weights[kernels]
         out[:n] = np.bincount(boxes, weights=terms, minlength=n)
         out[:n] /= total_weight

@@ -230,7 +230,7 @@ class TestOneBoxRoute:
         radius = index.max_radii[0]
         for target in (148, 149, 150, 151, 152):
             first = int(rng.integers(1, kernels - target))
-            low, high = -inf.copy(), inf.copy()
+            low, high = np.full(dims, -np.inf), np.full(dims, np.inf)
             low[0] = 0.5 * (positions[first - 1] + positions[first]) + radius
             high[0] = 0.5 * (positions[first + target - 1] + positions[first + target]) - radius
             boxes.append((low, high))
