@@ -152,7 +152,7 @@ def test_fastpath_speedup(report):
         for (label, workload), row in rows.items():
             rep.metric(f"{label}_{workload}_speedup", row[4])
             rep.metric(f"{label}_{workload}_max_abs_deviation", row[5])
-        # The 1-query miss of ROADMAP item 5, recorded without a gate.
+        # The 1-query miss (one predicate per request), recorded without a gate.
         for label in ("kde", "adaptive_kde", "streaming_ade"):
             rep.metric(f"{label}_one_box_p50_us", rows[(label, "selective")][6])
         # The deviation gate is pure numerics and holds on any hardware: the

@@ -399,9 +399,7 @@ def weighted_box_masses(
     ``box * len(weights) + kernel`` (see :meth:`KernelSupportIndex.overlaps`):
     only those pairs are evaluated, ``axis_mass`` receives ``(P,)`` bounds
     against ``(P,)`` kernel ids, and each box's weighted terms are summed in
-    code order with ``np.bincount`` (a box without pairs gets 0); the
-    bounds are gathered from 1-D column views, one gather per axis and
-    side.  This is
+    code order with ``np.bincount`` (a box without pairs gets 0).  This is
     the single inner loop of the whole estimator family — the dense
     reference path runs it over all kernels, the fast path over culled pairs.
     """
@@ -501,9 +499,8 @@ def estimate_boxes(
     :meth:`~KernelSupportIndex.candidate_counts` without building its
     arrays), and then skips the grouping: one ``box_candidates`` probe
     supplies its pairs.  A culled box is answered bitwise as the grouped
-    route answers it; a dense-routed box
-    within :data:`DEFAULT_ATOL` (the dense ``matmul`` sums in a
-    block-shape-dependent order).
+    route answers it; a dense-routed box within :data:`DEFAULT_ATOL` (the
+    dense ``matmul`` sums in a block-shape-dependent order).
     """
     n = lows.shape[0]
     route_metrics = _ROUTE_METRICS.value
