@@ -1,10 +1,12 @@
 """Snapshot round-trip: save + load cost and fidelity for every estimator.
 
-Every registered estimator is fitted, saved to a single ``.npz`` snapshot,
-loaded back, and compared: the loaded model's ``estimate_batch`` must match
-the original to ``1e-12`` (the library's own round-trip tests assert bitwise
-equality; the benchmark keeps the looser published gate), and the whole
-save + load cycle must fit a fixed wall-clock budget per estimator.
+Every registered estimator is fitted, saved to a single format-2 snapshot
+(``<name>.snap``: a JSON header, the raw state arrays and a trailing
+CRC-32), loaded back, and compared: the loaded model's ``estimate_batch``
+must match the original to ``1e-12`` (the library's own round-trip tests
+assert bitwise equality; the benchmark keeps the looser published gate),
+and the whole save + load cycle must fit a fixed wall-clock budget per
+estimator.
 
 The saved snapshot files are left under ``benchmarks/results/models/`` so CI
 archives them alongside the rendered benchmark tables — a published artifact
@@ -33,7 +35,7 @@ from report import SMOKE, bench_report
 
 
 #: Wall-clock budget for one save + load cycle (generous: snapshots are a
-#: few KB to a few MB of npz; regressions here mean accidental recompute).
+#: few KB to a few MB; regressions here mean accidental recompute).
 TIME_BUDGET_SECONDS = 1.0
 
 #: Estimate fidelity gate between the original and the loaded model.
@@ -73,7 +75,7 @@ def snapshot_roundtrip(rows: int = 20_000, queries: int = 500, seed: int = 7) ->
         plan = compile_queries(workload, estimator.columns)
         before = estimator.estimate_batch(plan)
 
-        path = MODELS_DIR / f"{name}.npz"
+        path = MODELS_DIR / f"{name}.snap"
         start = time.perf_counter()
         estimator.save(path)
         save_seconds = time.perf_counter() - start

@@ -115,10 +115,9 @@ def main() -> None:
     #    Kernel-family estimators answer batches through the support-culling
     #    query fast path by default: kernels whose support cannot overlap a
     #    query box are skipped via a per-dimension sorted index, matching the
-    #    dense path to <=1e-12.  Pass fastpath=False to any of them (e.g.
-    #    ``StreamingADE(max_kernels=256, fastpath=False)``) — or wrap calls
-    #    in ``repro.fastpath_disabled()`` — to pin the dense reference path
-    #    when debugging estimate-level differences.
+    #    dense path to <=1e-12.  Wrap calls in ``repro.fastpath_disabled()``
+    #    to pin every estimator to the dense reference path when debugging
+    #    estimate-level differences.
     print()
     print(
         render_table(

@@ -59,7 +59,6 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
         sensitivity: float = 0.5,
         max_factor: float = 3.0,
         seed: int | None = 0,
-        fastpath: bool = True,
     ) -> None:
         super().__init__(
             sample_size=sample_size,
@@ -68,7 +67,6 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
             bandwidths=bandwidths,
             boundary_correction=boundary_correction,
             seed=seed,
-            fastpath=fastpath,
         )
         if not 0.0 <= sensitivity <= 1.0:
             raise InvalidParameterError("sensitivity must lie in [0, 1]")

@@ -55,15 +55,12 @@ class SnapshotCorruptError(PersistenceError):
     Distinct from the plain :class:`PersistenceError` cases (wrong format
     version, foreign file): corruption means the bytes do not match what was
     written, so the store's recovery machinery (quarantine + rollback to the
-    newest intact version) applies.  Carries the offending ``path`` and,
-    when known, the ``version`` that failed.
+    newest intact version) applies.  Carries the offending ``path``.
     """
 
-    def __init__(self, path: str, detail: str, version: "int | None" = None) -> None:
-        at = f" (version {version})" if version is not None else ""
-        super().__init__(f"corrupt snapshot {path}{at}: {detail}")
+    def __init__(self, path: str, detail: str) -> None:
+        super().__init__(f"corrupt snapshot {path}: {detail}")
         self.path = str(path)
-        self.version = version
         self.detail = detail
 
 

@@ -49,9 +49,9 @@ Every estimator is snapshotable:
   instance.  Streaming estimators are flushed first so rows sitting in a
   pending ingestion buffer are never dropped from a snapshot.
 * ``save(path)`` / ``SelectivityEstimator.load(path)`` persist a snapshot to
-  a single ``.npz`` file (see :mod:`repro.persist` for the on-disk format and
-  its versioning policy); the round-trip reproduces ``estimate_batch``
-  output bitwise.
+  a single CRC-32-framed file (see :mod:`repro.persist` for the on-disk
+  format and its versioning policy); the round-trip reproduces
+  ``estimate_batch`` output bitwise.
 
 Subclasses implement the paired hooks ``_state()`` (returning
 ``(arrays, meta)``) and ``_restore_state(arrays, meta)``; the base class
@@ -483,7 +483,7 @@ class SelectivityEstimator(ABC):
         return self
 
     def save(self, path: "str | Any") -> None:
-        """Write a single-file ``.npz`` snapshot (see :mod:`repro.persist`)."""
+        """Write a single-file format-2 snapshot (see :mod:`repro.persist`)."""
         from repro.persist.snapshot import save_estimator  # lazy: avoids a cycle
 
         save_estimator(self, path)

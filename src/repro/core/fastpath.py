@@ -100,11 +100,10 @@ from many threads) either see a consistent cached index or rebuild it — an
 idempotent, benign race.  Deep-copying an estimator (the serving layer's
 copy-on-write ``checkout``/``publish``) carries the cached index along.
 
-Disable the fast path per estimator with ``fastpath=False`` (constructor
-parameter of the kernel-family estimators) or process-wide with the
-:func:`fastpath_disabled` context manager; both leave the dense reference
-path as the single evaluation route, which the equivalence suite compares
-against.  The process-wide switch and the route-count sink
+The one switch is the :func:`fastpath_disabled` context manager: inside it
+every kernel-family estimator answers on the dense reference path, which
+the equivalence suite, the fast-path benchmark and ``perfbench/`` compare
+against.  The switch and the route-count sink
 (:func:`set_route_metrics`) are :class:`~repro.core.slot.Slot` values, so
 reading either costs one attribute load.
 """
@@ -195,9 +194,9 @@ def fastpath_enabled() -> bool:
 def fastpath_disabled() -> ContextManager[None]:
     """Force every estimator onto the dense reference path within the block.
 
-    The equivalence suite and the fast-path benchmark use this to reach the
-    dense path without rebuilding estimators; it composes with (and is
-    overridden by neither) the per-estimator ``fastpath=False`` parameter.
+    The one way to reach the dense path: the equivalence suite, the
+    fast-path benchmark and ``perfbench/`` use it on the estimators they
+    already built, and no estimator builds a support index inside it.
     """
     return _ENABLED.use(False)
 

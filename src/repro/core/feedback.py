@@ -21,8 +21,8 @@ budget no matter how long the workload runs.
 Estimation cost: the base-model half of every batch flows through the wrapped
 estimator's ``estimate_batch`` and therefore through the query fast path of
 :mod:`repro.core.fastpath` whenever the base is a kernel-family synopsis
-(build the base with ``fastpath=False`` to pin the wrapper to the dense
-reference path).  The correction half keeps its own region-overlap loop —
+(inside :func:`~repro.core.fastpath.fastpath_disabled` it answers on the
+dense reference path).  The correction half keeps its own region-overlap loop —
 box intersection, not CDF work — but the feedback-log arrays it consumes are
 cached behind a staleness counter (``feedback_count``) instead of being
 re-stacked from the record deque on every batch.
@@ -180,7 +180,7 @@ class FeedbackAdaptiveEstimator(FeedbackEstimator):
 
         The base estimator's arrays are merged in under ``base::`` keys and
         its (JSON-able) snapshot envelope travels in ``meta["base"]``, so one
-        flat npz file holds the whole wrapper.
+        snapshot file holds the whole wrapper.
         """
         dims = max(len(self._columns), 1)
         if self._records:

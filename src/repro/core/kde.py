@@ -62,12 +62,6 @@ class KDESelectivityEstimator(SelectivityEstimator):
         boundaries so no probability mass falls outside the observed domain.
     seed:
         Seed for the sampling generator (reproducibility).
-    fastpath:
-        When true (default), batch estimation runs through the support-culling
-        query fast path (:mod:`repro.core.fastpath`), which matches the dense
-        path to :data:`~repro.core.fastpath.DEFAULT_ATOL`.  Set ``False`` to
-        pin the estimator to the dense reference path (debugging, exact
-        reproduction of pre-fast-path numbers).
     """
 
     name = "kde"
@@ -80,7 +74,6 @@ class KDESelectivityEstimator(SelectivityEstimator):
         bandwidths: Sequence[float] | None = None,
         boundary_correction: bool = True,
         seed: int | None = 0,
-        fastpath: bool = True,
     ) -> None:
         super().__init__()
         if sample_size is not None and sample_size < 1:
@@ -93,7 +86,6 @@ class KDESelectivityEstimator(SelectivityEstimator):
         )
         self.boundary_correction = boundary_correction
         self.seed = seed
-        self.fastpath = bool(fastpath)
 
         self._points: np.ndarray = np.empty((0, 0))
         self._weights: np.ndarray = np.empty(0)
@@ -181,7 +173,6 @@ class KDESelectivityEstimator(SelectivityEstimator):
             ),
             "boundary_correction": self.boundary_correction,
             "seed": self.seed,
-            "fastpath": self.fastpath,
         }
 
     def _state(self) -> tuple[dict, dict]:
@@ -240,8 +231,9 @@ class KDESelectivityEstimator(SelectivityEstimator):
 
         Selective batches run through the support-culling fast path
         (:func:`repro.core.fastpath.estimate_boxes`); everything else — and
-        estimators built with ``fastpath=False`` — runs the dense reference
-        path on the same batched product-kernel CDF micro-kernel.
+        every batch inside :func:`~repro.core.fastpath.fastpath_disabled` —
+        runs the dense reference path on the same batched product-kernel CDF
+        micro-kernel.
         """
         n = lows.shape[0]
         if self._points.shape[0] == 0:
@@ -249,7 +241,7 @@ class KDESelectivityEstimator(SelectivityEstimator):
         total_weight = float(self._weights.sum())
         if total_weight <= 0:
             return np.zeros(n)
-        if self.fastpath and fastpath.fastpath_enabled():
+        if fastpath.fastpath_enabled():
             culled = fastpath.estimate_boxes(
                 lows, highs, self._support_index(), self._weights, total_weight,
                 self._axis_mass,

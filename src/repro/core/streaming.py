@@ -259,11 +259,6 @@ class StreamingADE(StreamingEstimator):
     seed:
         Seed for tie-breaking randomness (unused in the default policy but
         kept for reproducible subclasses).
-    fastpath:
-        When true (default), batch estimation runs through the support-culling
-        query fast path (:mod:`repro.core.fastpath`), rebuilt lazily after
-        maintenance via a staleness counter.  Set ``False`` to pin the
-        estimator to the dense reference path.
     """
 
     name = "streaming_ade"
@@ -277,7 +272,6 @@ class StreamingADE(StreamingEstimator):
         smoothing_factor: float = 1.0,
         chunk_size: int = 256,
         seed: int | None = 0,
-        fastpath: bool = True,
     ) -> None:
         super().__init__()
         if max_kernels < 2:
@@ -297,7 +291,6 @@ class StreamingADE(StreamingEstimator):
         self.smoothing_factor = float(smoothing_factor)
         self.chunk_size = int(chunk_size)
         self.seed = seed
-        self.fastpath = bool(fastpath)
         if self.decay < 1.0:
             # Cap the sub-chunk length so decay**chunk stays above the scale
             # floor: stored weights are expressed relative to the lazy decay
@@ -774,7 +767,6 @@ class StreamingADE(StreamingEstimator):
             "smoothing_factor": self.smoothing_factor,
             "chunk_size": self.chunk_size,
             "seed": self.seed,
-            "fastpath": self.fastpath,
         }
 
     def _state(self) -> tuple[dict, dict]:
@@ -900,8 +892,9 @@ class StreamingADE(StreamingEstimator):
 
         Selective batches run through the support-culling fast path
         (:func:`repro.core.fastpath.estimate_boxes`); everything else — and
-        models built with ``fastpath=False`` — runs the dense reference path
-        on the same batched product-kernel CDF micro-kernel.
+        every batch inside :func:`~repro.core.fastpath.fastpath_disabled` —
+        runs the dense reference path on the same batched product-kernel CDF
+        micro-kernel.
         """
         self.flush()
         n = lows.shape[0]
@@ -910,11 +903,11 @@ class StreamingADE(StreamingEstimator):
         total = float(self._weights.sum())
         if total <= 0:
             return np.zeros(n)
-        use_fastpath = self.fastpath and fastpath.fastpath_enabled()
+        use_fastpath = fastpath.fastpath_enabled()
         if use_fastpath:
             index, stds = self._support_state()
         else:
-            # Dense-pinned models never pay for an index they will not read.
+            # The dense path never pays for an index it will not read.
             smoothing = self._smoothing_bandwidths()
             stds = np.sqrt(self._variances + smoothing**2)
 

@@ -1,31 +1,34 @@
 """Model persistence: single-file snapshots and a versioned model store.
 
-Every fitted estimator can be captured as a *snapshot* — a single ``.npz``
-file holding the synopsis' numpy arrays plus a JSON header — and snapshots
-can be organised into a :class:`~repro.persist.store.ModelStore`: a directory
-of named models with monotonically increasing versions, atomic publishes and
-a prune policy.  This is the on-disk lifecycle layer that makes a synopsis
+Every fitted estimator can be captured as a *snapshot* — a single file
+holding the synopsis' numpy arrays plus a JSON header — and snapshots can be
+organised into a :class:`~repro.persist.store.ModelStore`: a directory of
+named models with monotonically increasing versions, atomic publishes and a
+prune policy.  This is the on-disk lifecycle layer that makes a synopsis
 built from a million-row table (or a long drift stream) survive the process
-that built it, and the substrate the serving layer
-(:mod:`repro.serve`) swaps new model versions through.
+that built it, and the substrate the serving layer (:mod:`repro.serve`)
+swaps new model versions through.
 
 Snapshot format
 ---------------
 
-A snapshot is a ``numpy.savez`` archive written without pickle:
+A format-2 snapshot (:mod:`repro.persist.snapshot`) is one flat file,
+written without pickle:
 
-* one ``uint8`` entry (:data:`~repro.persist.snapshot.HEADER_KEY`) holding a
-  UTF-8 JSON header with the keys ``format`` (integer format version),
+* an 8-byte preamble: the magic ``RSNP`` and the JSON header's length;
+* a UTF-8 JSON header with the keys ``format`` (integer format version),
   ``estimator`` (registry name), ``config`` (constructor parameters — the
-  reconstruction recipe), ``fitted``, ``columns``, ``row_count`` and ``meta``
-  (estimator-specific JSON scalars);
-* one ``a::<key>`` entry per state array of the estimator (bit-exact float64
-  payloads, so a load reproduces ``estimate_batch`` output bitwise).
+  reconstruction recipe), ``fitted``, ``columns``, ``row_count``, ``meta``
+  (estimator-specific JSON scalars), the optional ``schema`` and ``arrays``,
+  which maps each state array's key to its dtype, shape and payload offset;
+* the payload: every state array's raw bytes at an 8-byte-aligned offset
+  (bit-exact float64, so a load reproduces ``estimate_batch`` output
+  bitwise);
+* a CRC-32 of every byte before it.
 
-Every snapshot also carries a content checksum entry
-(:data:`~repro.persist.snapshot.CHECKSUM_KEY`, CRC-32 over the header bytes
-and every array's dtype/shape/raw bytes): loads verify it and raise the typed
-:class:`~repro.core.errors.SnapshotCorruptError` on any mismatch, and
+A reader reads the file once and checks the CRC before any other field, so
+torn writes, truncation and bit rot raise the typed
+:class:`~repro.core.errors.SnapshotCorruptError`, and
 :class:`~repro.persist.store.ModelStore` quarantines corrupt versions
 (``*.corrupt``) and rolls back to the newest intact one.  Crash-safe
 streaming ingest is provided by :class:`~repro.persist.journal.IngestJournal`
@@ -35,16 +38,19 @@ write-ahead journal whose replay reproduces the pre-crash model bitwise.
 Format version policy
 ---------------------
 
-:data:`~repro.persist.snapshot.FORMAT_VERSION` (currently ``1``) is written
+:data:`~repro.persist.snapshot.FORMAT_VERSION` (currently ``2``) is written
 into every header.
 
 * The version is bumped only for changes that make old readers misinterpret
   a snapshot (renamed array keys, changed semantics of a header field).
   Additive changes — new optional ``meta`` keys, new estimators — do **not**
   bump it.
-* Readers accept every version from 1 up to their own ``FORMAT_VERSION`` and
-  must tolerate unknown additive keys; snapshots from a *newer* format raise
-  :class:`~repro.core.errors.PersistenceError` instead of guessing.
+* Readers read their own ``FORMAT_VERSION`` only and must tolerate unknown
+  additive keys.  A later format keeps the preamble and the trailing CRC,
+  so a reader reaches its marker and raises
+  :class:`~repro.core.errors.PersistenceError` instead of guessing (and the
+  store does not quarantine it).  Format 1, the ``numpy.savez`` archive of
+  earlier builds, no longer loads: it fails the CRC check.
 * Per-estimator state layouts are owned by the estimators themselves (the
   ``_state`` / ``_restore_state`` hook pair); an estimator changing its
   layout incompatibly must either keep a translation path in

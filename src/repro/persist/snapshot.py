@@ -1,32 +1,33 @@
-"""Single-file ``.npz`` snapshots of fitted estimators.
+"""Single-file snapshots of fitted estimators (format 2).
 
 The serialisation split is deliberate: estimators describe their state as
 numpy arrays plus JSON scalars (``SelectivityEstimator.state_dict``), and
-this module owns the on-disk envelope — a pickle-free ``savez`` archive with
-a versioned JSON header.  See :mod:`repro.persist` for the format and its
-versioning policy.
+this module owns the on-disk envelope.  A snapshot file holds, in order:
 
-Integrity: every snapshot carries a CRC-32 envelope checksum (the
-``__repro_checksum__`` entry) computed over the header bytes and every state
-array's key, dtype, shape and raw bytes.  Loaders verify it, so torn writes,
-truncation and bit rot surface as a typed
-:class:`~repro.core.errors.SnapshotCorruptError` instead of raw
-``numpy``/``zipfile`` exceptions — and never as silently wrong estimates.
-The checksum entry is additive (readers that predate it ignore it, loaders
-accept legacy snapshots without one), so the format version is unchanged.
+* an 8-byte preamble: the magic ``RSNP`` and the header length (``<4sI``);
+* a UTF-8 JSON header, space-padded so the payload starts 8-byte aligned.
+  Besides the estimator envelope it maps each state array's key to
+  ``[dtype, shape, offset]``, the offset counted from the payload start;
+* the payload: each array's raw C-order bytes at an 8-byte-aligned offset;
+* a CRC-32 (``<I``) of every byte before it.
+
+Readers read the file once and check the trailing CRC before any other
+field, so torn writes, truncation and bit rot all surface as the typed
+:class:`~repro.core.errors.SnapshotCorruptError`, never as a parser error or
+silently wrong estimates.  Loaded arrays are writable ``np.frombuffer``
+views into the one buffer read.  See :mod:`repro.persist` for the version
+policy.
 """
 
 from __future__ import annotations
 
-import errno
-import io
 import json
+import math
 import os
 import struct
-import zipfile
 import zlib
 from pathlib import Path
-from typing import IO, Any, Mapping, NoReturn
+from typing import IO, Any, Mapping
 
 import numpy as np
 
@@ -35,9 +36,7 @@ from repro.core.estimator import SelectivityEstimator, estimator_from_config
 from repro.fault.plan import mutate_bytes
 
 __all__ = [
-    "CHECKSUM_KEY",
     "FORMAT_VERSION",
-    "HEADER_KEY",
     "save_estimator",
     "load_estimator",
     "read_snapshot_header",
@@ -45,53 +44,17 @@ __all__ = [
 ]
 
 #: On-disk snapshot format version (see :mod:`repro.persist` for the policy).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-#: Archive entry holding the UTF-8 JSON header.
-HEADER_KEY = "__repro_header__"
+#: File preamble: magic + JSON header length.
+_PREAMBLE = struct.Struct("<4sI")
+_MAGIC = b"RSNP"
 
-#: Archive entry holding the CRC-32 envelope checksum (additive; optional).
-CHECKSUM_KEY = "__repro_checksum__"
+#: Trailing CRC-32 of every byte before it.
+_CRC = struct.Struct("<I")
 
-#: Prefix namespacing estimator state arrays inside the archive.
-_ARRAY_PREFIX = "a::"
-
-#: Exceptions that mean "the bytes on disk are not a readable archive".
-#: ``RuntimeError`` covers ``zipfile`` refusing a damaged directory entry:
-#: ``NotImplementedError`` (a subclass) for an unsupported version,
-#: compression method or flag bit, plain ``RuntimeError`` for the encryption
-#: flag.  Deliberately excludes ``OSError``: a transient I/O failure (EIO,
-#: EACCES, too many open files) says nothing about the bytes, and classifying
-#: it as corruption would quarantine a perfectly intact snapshot — see
-#: :func:`_reraise_corrupt`.
-_CORRUPTION_ERRORS = (
-    zipfile.BadZipFile,
-    zipfile.LargeZipFile,
-    ValueError,
-    KeyError,
-    EOFError,
-    RuntimeError,
-    zlib.error,
-    struct.error,
-)
-
-
-def _reraise_corrupt(source: str, error: Exception) -> NoReturn:
-    """Re-raise ``error`` as :class:`SnapshotCorruptError` — or verbatim.
-
-    An ``OSError`` carrying an ``errno`` is the operating system reporting an
-    I/O / permission / resource failure, not evidence that the archive bytes
-    are damaged; it propagates unchanged so callers do not quarantine an
-    intact file.  ``EINVAL`` is the exception: ``zipfile`` seeking to a
-    negative offset derived from a damaged directory record fails with it.
-    Errno-less ``OSError`` (raised by parsers for unreadable data) and every
-    :data:`_CORRUPTION_ERRORS` member become the typed corruption error.
-    """
-    if isinstance(error, OSError) and error.errno not in (None, errno.EINVAL):
-        raise error
-    raise SnapshotCorruptError(
-        source, f"unreadable archive ({error})", version=_version_of(source)
-    ) from error
+#: Alignment of the payload and of every array in it.
+_ALIGN = 8
 
 
 def _json_default(value: Any) -> Any:
@@ -107,23 +70,6 @@ def _json_default(value: Any) -> Any:
     raise TypeError(f"snapshot header value {value!r} is not JSON-serialisable")
 
 
-def _compute_checksum(header_bytes: bytes, arrays: Mapping[str, np.ndarray]) -> int:
-    """CRC-32 over the envelope: header bytes + every array's identity.
-
-    Keys are folded in sorted order with each array's dtype and shape, so a
-    flip that moves bytes between arrays (or truncates one) changes the sum
-    even when the concatenated payload would not.
-    """
-    crc = zlib.crc32(header_bytes)
-    for key in sorted(arrays):
-        value = np.ascontiguousarray(arrays[key])
-        crc = zlib.crc32(key.encode("utf-8"), crc)
-        crc = zlib.crc32(value.dtype.str.encode("utf-8"), crc)
-        crc = zlib.crc32(repr(value.shape).encode("utf-8"), crc)
-        crc = zlib.crc32(value.tobytes(), crc)
-    return crc & 0xFFFFFFFF
-
-
 def save_estimator(
     estimator: SelectivityEstimator,
     path: str | os.PathLike[str] | IO[bytes],
@@ -132,42 +78,39 @@ def save_estimator(
 ) -> None:
     """Write ``estimator`` as a single snapshot file at ``path``.
 
-    The file is written through ``numpy.savez`` without pickle; the
-    round-trip via :func:`load_estimator` reproduces ``estimate_batch``
+    The round-trip via :func:`load_estimator` reproduces ``estimate_batch``
     output bitwise.  ``schema`` (a ``TableSchema.to_json()`` payload, its own
     ``schema_version`` inside) rides along in the header so dictionary-encoded
-    columns travel with the synopsis they were fitted on; readers that
-    predate it ignore the extra key, so the snapshot format version is
-    unchanged.  Parent directories are created.  (Writing is *not* atomic —
-    the :class:`~repro.persist.store.ModelStore` layers atomic
-    write-then-rename publishing on top.)
+    columns travel with the synopsis they were fitted on.  Parent
+    directories are created.  (Writing is *not* atomic — the
+    :class:`~repro.persist.store.ModelStore` layers atomic write-then-rename
+    publishing on top.)
 
     ``fault_point`` names the byte-mutation injection point the finished
-    archive passes through before it reaches disk (inert unless a
+    file passes through before it reaches disk (inert unless a
     :class:`~repro.fault.FaultPlan` is armed); the store's publish path
     overrides it so torn *publishes* can be injected independently of plain
     saves.
     """
     state = estimator.state_dict()
-    arrays = state.pop("arrays")
-    header = {"format": FORMAT_VERSION, **state}
+    arrays = {key: np.asarray(value) for key, value in state.pop("arrays").items()}
+    layout: dict[str, list] = {}
+    offset = 0
+    for key, value in arrays.items():
+        layout[key] = [value.dtype.str, list(value.shape), offset]
+        offset += value.nbytes + -value.nbytes % _ALIGN
+    header = {"format": FORMAT_VERSION, **state, "arrays": layout}
     if schema is not None:
         header["schema"] = dict(schema)
-    encoded_bytes = json.dumps(header, default=_json_default).encode("utf-8")
-    encoded = np.frombuffer(encoded_bytes, dtype=np.uint8)
-    payload: dict[str, np.ndarray] = {HEADER_KEY: encoded}
-    for key, value in arrays.items():
-        payload[_ARRAY_PREFIX + key] = np.asarray(value)
-    checksum = _compute_checksum(
-        encoded_bytes, {k: v for k, v in payload.items() if k != HEADER_KEY}
-    )
-    payload[CHECKSUM_KEY] = np.array([checksum], dtype=np.uint64)
-    # Build the archive in memory so the byte-mutation hook sees the exact
-    # bytes headed for disk (savez appends ".npz" to bare string paths; an
-    # in-memory build then a plain write preserves the requested name).
-    buffer = io.BytesIO()
-    np.savez(buffer, **payload)
-    raw = mutate_bytes(fault_point, buffer.getvalue())
+    encoded = json.dumps(header, default=_json_default).encode("utf-8")
+    encoded += b" " * (-(_PREAMBLE.size + len(encoded)) % _ALIGN)
+    raw = bytearray(_PREAMBLE.pack(_MAGIC, len(encoded)))
+    raw += encoded
+    for value in arrays.values():
+        raw += value.tobytes()
+        raw += bytes(-value.nbytes % _ALIGN)
+    raw += _CRC.pack(zlib.crc32(raw))
+    raw = mutate_bytes(fault_point, raw)
     if hasattr(path, "write"):
         path.write(raw)
         return
@@ -177,125 +120,72 @@ def save_estimator(
         handle.write(raw)
 
 
-def _version_of(source: str) -> int | None:
-    """Best-effort store version number parsed from a snapshot filename."""
-    stem = Path(source).name
-    if stem.startswith("v") and stem.endswith(".npz"):
-        digits = stem[1:-4]
-        if digits.isdigit():
-            return int(digits)
-    return None
+def _read_snapshot(
+    path: str | os.PathLike[str] | IO[bytes],
+) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Read ``path`` once, verify its CRC, and split it into header + arrays.
 
-
-def _parse_header(data: Mapping[str, np.ndarray], source: str) -> dict[str, Any]:
-    if HEADER_KEY not in data:
-        raise PersistenceError(f"{source} is not an estimator snapshot (missing header)")
-    try:
-        header = json.loads(bytes(np.asarray(data[HEADER_KEY])).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise SnapshotCorruptError(
-            source, "corrupt snapshot header", version=_version_of(source)
-        ) from error
+    Raises :class:`~repro.core.errors.SnapshotCorruptError` when the file is
+    shorter than the framing or its trailing CRC does not match, and a plain
+    :class:`~repro.core.errors.PersistenceError` for an intact file that is
+    not a format-2 snapshot.  An ``OSError`` from the read propagates
+    unchanged: it says nothing about the bytes on disk.
+    """
+    source = str(path)
+    raw = bytearray(path.read() if hasattr(path, "read") else Path(path).read_bytes())
+    body = len(raw) - _CRC.size
+    if body < _PREAMBLE.size:
+        raise SnapshotCorruptError(source, f"truncated to {len(raw)} bytes")
+    if zlib.crc32(memoryview(raw)[:body]) != _CRC.unpack_from(raw, body)[0]:
+        raise SnapshotCorruptError(source, "checksum mismatch")
+    magic, header_size = _PREAMBLE.unpack_from(raw)
+    if magic != _MAGIC:
+        raise PersistenceError(f"{source} is not an estimator snapshot")
+    start = _PREAMBLE.size + header_size
+    header = json.loads(raw[_PREAMBLE.size : start])
     version = header.get("format")
-    if not isinstance(version, int) or version < 1:
-        raise PersistenceError(f"{source} has an invalid snapshot format marker")
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise PersistenceError(
-            f"{source} uses snapshot format {version}, but this build reads "
-            f"only up to format {FORMAT_VERSION}"
+            f"{source} uses snapshot format {version!r}, but this build reads "
+            f"only format {FORMAT_VERSION}"
         )
-    return header
+    arrays = {
+        key: np.frombuffer(raw, dtype, math.prod(shape), start + offset).reshape(shape)
+        for key, (dtype, shape, offset) in header.pop("arrays").items()
+    }
+    return header, arrays
 
 
 def read_snapshot_header(path: str | os.PathLike[str] | IO[bytes]) -> dict[str, Any]:
-    """Read and validate just the JSON header of a snapshot (cheap metadata).
+    """Read and validate the JSON header of a snapshot (estimator metadata).
 
-    Does not verify the envelope checksum (that requires reading every
-    array — use :func:`verify_snapshot` or :func:`load_estimator`), but a
-    structurally damaged archive still raises
-    :class:`~repro.core.errors.SnapshotCorruptError`.
+    Goes through the same verified read as :func:`load_estimator`, so damage
+    raises :class:`~repro.core.errors.SnapshotCorruptError`; no estimator is
+    constructed.
     """
-    source = str(path)
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return _parse_header(data, source)
-    except FileNotFoundError:
-        raise
-    except _CORRUPTION_ERRORS + (OSError,) as error:
-        _reraise_corrupt(source, error)
+    return _read_snapshot(path)[0]
 
 
-def _read_snapshot(
-    path: str | os.PathLike[str] | IO[bytes],
-) -> tuple[dict[str, Any], dict[str, np.ndarray], bool]:
-    """Read, structurally validate and checksum-verify a snapshot archive.
+def verify_snapshot(path: str | os.PathLike[str] | IO[bytes]) -> None:
+    """Read ``path`` once and check its CRC, magic and format marker.
 
-    Returns ``(header, prefixed arrays, had_checksum)``; raises
+    Returns quietly for an intact format-2 snapshot; raises
     :class:`~repro.core.errors.SnapshotCorruptError` on any damage.
     """
-    source = str(path)
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            header = _parse_header(data, source)
-            header_bytes = bytes(np.asarray(data[HEADER_KEY]))
-            arrays = {
-                key: np.array(data[key])
-                for key in data.files
-                if key.startswith(_ARRAY_PREFIX)
-            }
-            stored = (
-                int(np.asarray(data[CHECKSUM_KEY]).ravel()[0])
-                if CHECKSUM_KEY in data.files
-                else None
-            )
-    except FileNotFoundError:
-        raise
-    except _CORRUPTION_ERRORS + (OSError,) as error:
-        _reraise_corrupt(source, error)
-    if stored is not None:
-        actual = _compute_checksum(header_bytes, arrays)
-        if actual != stored:
-            raise SnapshotCorruptError(
-                source,
-                f"envelope checksum mismatch (stored {stored:#010x}, "
-                f"computed {actual:#010x})",
-                version=_version_of(source),
-            )
-    return header, arrays, stored is not None
-
-
-def verify_snapshot(path: str | os.PathLike[str] | IO[bytes]) -> bool:
-    """Fully read ``path`` and verify its envelope checksum.
-
-    Returns ``True`` when a checksum was present and matched, ``False`` for
-    an intact legacy snapshot written before checksums existed.  Raises
-    :class:`~repro.core.errors.SnapshotCorruptError` on any damage.
-    """
-    return _read_snapshot(path)[2]
+    _read_snapshot(path)
 
 
 def load_estimator(path: str | os.PathLike[str] | IO[bytes]) -> SelectivityEstimator:
     """Rebuild the estimator persisted at ``path``.
 
-    The estimator is constructed from the header's registry name and config
-    (via :func:`~repro.core.estimator.estimator_from_config`) and its state
-    restored from the archived arrays.  The envelope checksum is verified
-    first (when present); damage raises
-    :class:`~repro.core.errors.SnapshotCorruptError`.
+    The file is verified first (damage raises
+    :class:`~repro.core.errors.SnapshotCorruptError`); the estimator is then
+    constructed from the header's registry name and config (via
+    :func:`~repro.core.estimator.estimator_from_config`) and its state
+    restored from the stored arrays.
     """
-    header, prefixed, _ = _read_snapshot(path)
-    arrays = {key[len(_ARRAY_PREFIX):]: value for key, value in prefixed.items()}
+    header, arrays = _read_snapshot(path)
     estimator = estimator_from_config(
         {"name": header["estimator"], **header.get("config", {})}
     )
-    try:
-        estimator.load_state({**header, "arrays": arrays})
-    except KeyError as error:
-        # A damaged directory length field can hide the trailing members —
-        # the checksum among them — so the archive reads like an
-        # unchecksummed legacy snapshot that lacks state arrays.
-        source = str(path)
-        raise SnapshotCorruptError(
-            source, f"missing state {error}", version=_version_of(source)
-        ) from error
-    return estimator
+    return estimator.load_state({**header, "arrays": arrays})

@@ -1,7 +1,7 @@
 """Versioned on-disk model store.
 
 A :class:`ModelStore` is a directory of named models.  Each publish writes an
-immutable snapshot file ``<root>/<name>/v<version>.npz`` with a monotonically
+immutable snapshot file ``<root>/<name>/v<version>.snap`` with a monotonically
 increasing version number, then flips the model's ``LATEST`` pointer — the
 snapshot via write-to-temp + fsync + ``os.link``, the pointer via
 write-to-temp + ``os.replace`` followed by a model-directory fsync — so
@@ -48,8 +48,16 @@ __all__ = ["ModelStore", "ModelVersion", "fsync_path"]
 logger = logging.getLogger("repro.persist")
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_VERSION_PATTERN = re.compile(r"^v(\d{8})\.npz$")
 _LATEST = "LATEST"
+
+#: The one definition of a version's file name (format-2 snapshots):
+#: :func:`_version_file` builds it and ``_VERSION_PATTERN`` recognises it.
+_VERSION_PATTERN = re.compile(r"^v(\d{8})\.snap$")
+
+
+def _version_file(version: int) -> str:
+    return f"v{version:08d}.snap"
+
 
 #: Suffix appended to a snapshot file when ``load`` quarantines it; the
 #: resulting name no longer matches the version pattern, so scans, pruning
@@ -137,7 +145,7 @@ class ModelStore:
         return self.root / name
 
     def _version_path(self, name: str, version: int) -> Path:
-        return self._model_dir(name) / f"v{version:08d}.npz"
+        return self._model_dir(name) / _version_file(version)
 
     def model_names(self) -> list[str]:
         """Names of all models with at least one published version."""
@@ -335,7 +343,7 @@ class ModelStore:
                 # (quarantined or deleted): the check runs under the flock,
                 # so a concurrent publisher that flipped the pointer to a
                 # newer intact version since the caller scanned always wins.
-                pointed = model_dir / f"v{current:08d}.npz"
+                pointed = model_dir / _version_file(current)
                 if not repair or pointed.is_file():
                     return
             temp_pointer = model_dir / f".{_LATEST}.{os.getpid()}.{threading.get_ident()}.tmp"

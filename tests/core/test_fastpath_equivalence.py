@@ -359,20 +359,19 @@ class TestCulledPairs:
 
 
 class TestDenseReferenceReachable:
-    """`fastpath=False` pins the dense path and stays contract-complete."""
+    """`fastpath_disabled()` pins the dense path and stays contract-complete."""
 
-    def test_fastpath_false_never_builds_an_index(self) -> None:
-        table = _table()
-        pinned = KDESelectivityEstimator(sample_size=400, fastpath=False).fit(table)
-        plan = _plan(pinned, [(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))])
-        pinned.estimate_batch(plan)
-        assert pinned._support_cache is None
-        assert pinned.config()["fastpath"] is False
-        # and its answers agree with the fast twin within the documented atol
-        fast = KDESelectivityEstimator(sample_size=400).fit(table)
-        assert fast.estimate_batch(plan) == pytest.approx(
-            pinned.estimate_batch(plan), abs=DEFAULT_ATOL
-        )
+    @pytest.mark.parametrize("name", ["kde", "adaptive_kde", "streaming_ade"])
+    def test_fastpath_false_never_builds_an_index(self, name: str) -> None:
+        estimator = create_estimator(name, **_FAST_KWARGS[name]).fit(_table())
+        plan = _plan(estimator, [(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))])
+        with fastpath_disabled():
+            dense = estimator.estimate_batch(plan)
+        assert estimator._support_cache is None
+        assert "fastpath" not in estimator.config()
+        # and its answers agree with the fast path within the documented atol
+        assert estimator.estimate_batch(plan) == pytest.approx(dense, abs=DEFAULT_ATOL)
+        assert estimator._support_cache is not None
 
     def test_disabled_context_restores_switch(self) -> None:
         assert fastpath.fastpath_enabled()

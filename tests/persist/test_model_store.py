@@ -284,7 +284,8 @@ class TestForeignEntriesTolerance:
         store.publish("m", fitted)
         (store.root / "README.md").write_text("not a model\n")
         (store.root / "m" / "notes.txt").write_text("scratch\n")
-        (store.root / "m" / "v1.npz.bak").write_bytes(b"junk")
+        backup = store._version_path("m", 1).name + ".bak"
+        (store.root / "m" / backup).write_bytes(b"junk")
         assert store.model_names() == ["m"]
         assert store.versions("m") == [1]
         assert store.latest_version("m") == 1
@@ -293,9 +294,9 @@ class TestForeignEntriesTolerance:
         """A *directory* named like a snapshot file must be ignored, not
         treated as a version (loading/pruning it would fail)."""
         store.publish("m", fitted)
-        squatter = store.root / "m" / "v00000002.npz"
+        squatter = store._version_path("m", 2)
         squatter.mkdir()
-        (squatter / "part.npz").write_bytes(b"x")
+        (squatter / "part.snap").write_bytes(b"x")
         assert store.versions("m") == [1]
         assert store.latest_version("m") == 1
         # Publishing routes around the squatter (os.link refuses the slot).
@@ -308,7 +309,7 @@ class TestForeignEntriesTolerance:
     def test_prune_skips_foreign_directories(self, store, fitted) -> None:
         store.publish("m", fitted)
         store.publish("m", fitted)
-        squatter = store.root / "m" / "v00000099.npz"
+        squatter = store._version_path("m", 99)
         squatter.mkdir()
         (squatter / "inner").write_bytes(b"x")
         removed = store.prune("m", keep_versions=1)
@@ -318,8 +319,8 @@ class TestForeignEntriesTolerance:
 
     def test_foreign_directory_beside_models(self, store, fitted) -> None:
         store.publish("m", fitted)
-        save_estimator(fitted, store.root / "export" / "shard-0000.npz")
-        save_estimator(fitted, store.root / "m" / "export" / "shard-0000.npz")
+        save_estimator(fitted, store.root / "export" / "shard-0000.snap")
+        save_estimator(fitted, store.root / "m" / "export" / "shard-0000.snap")
         assert store.model_names() == ["m"]
         assert store.versions("m") == [1]
         assert store.load("m").is_fitted

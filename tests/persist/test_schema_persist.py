@@ -39,7 +39,7 @@ def _fitted(table: Table):
 
 class TestSnapshotSchema:
     def test_header_carries_schema_bitwise(self, table: Table, tmp_path) -> None:
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model.snap"
         save_estimator(_fitted(table), path, schema=table.schema.to_json())
         header = read_snapshot_header(path)
         assert header["schema"] == table.schema.to_json()
@@ -49,7 +49,7 @@ class TestSnapshotSchema:
 
     def test_header_without_schema_stays_clean(self, tmp_path) -> None:
         numeric = Table("n", {"x": np.arange(50, dtype=float)})
-        path = tmp_path / "plain.npz"
+        path = tmp_path / "plain.snap"
         save_estimator(_fitted(numeric), path)
         assert "schema" not in read_snapshot_header(path)
         load_estimator(path)  # still loads fine
@@ -58,7 +58,7 @@ class TestSnapshotSchema:
         self, table: Table, tmp_path
     ) -> None:
         estimator = _fitted(table)
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model.snap"
         save_estimator(estimator, path, schema=table.schema.to_json())
         loaded = load_estimator(path)
         catalog = Catalog()

@@ -1,6 +1,6 @@
 """Snapshot round-trip contract: ``load(save(est))`` is bitwise faithful.
 
-For every registered estimator, saving to a single ``.npz`` file and loading
+For every registered estimator, saving to a single snapshot file and loading
 it back must reproduce ``estimate_batch`` output with zero tolerance, along
 with the fitted metadata (columns, row count, memory accounting).  The suite
 also pins the satellite guarantees: snapshots flush pending streaming
@@ -10,14 +10,20 @@ format-version policy rejects snapshots from the future instead of guessing.
 
 from __future__ import annotations
 
+import errno
+import io
 import json
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.errors import NotFittedError, PersistenceError
+from repro.core.errors import NotFittedError, PersistenceError, SnapshotCorruptError
 from repro.core.estimator import (
     SelectivityEstimator,
+    StreamingEstimator,
     available_estimators,
     create_estimator,
 )
@@ -25,7 +31,6 @@ from repro.core.streaming import StreamingADE
 from repro.engine.table import Table
 from repro.persist.snapshot import (
     FORMAT_VERSION,
-    HEADER_KEY,
     load_estimator,
     read_snapshot_header,
     save_estimator,
@@ -33,6 +38,11 @@ from repro.persist.snapshot import (
 from repro.workload.queries import RangeQuery, compile_queries
 
 ALL_ESTIMATORS = sorted(available_estimators())
+STREAMING_ESTIMATORS = [
+    name
+    for name in ALL_ESTIMATORS
+    if isinstance(create_estimator(name), StreamingEstimator)
+]
 
 #: Constructor overrides keeping per-test fit cost small.
 _FAST_KWARGS: dict[str, dict] = {
@@ -59,14 +69,14 @@ class TestRoundTrip:
         estimator = _fitted(name, mixture_table_2d)
         plan = compile_queries(workload_2d, estimator.columns)
         before = estimator.estimate_batch(plan)
-        path = tmp_path / f"{name}.npz"
+        path = tmp_path / f"{name}.snap"
         estimator.save(path)
         loaded = load_estimator(path)
         np.testing.assert_allclose(loaded.estimate_batch(plan), before, rtol=0.0, atol=0.0)
 
     def test_metadata_survives(self, name: str, small_table: Table, tmp_path) -> None:
         estimator = _fitted(name, small_table)
-        path = tmp_path / f"{name}.npz"
+        path = tmp_path / f"{name}.snap"
         estimator.save(path)
         loaded = load_estimator(path)
         assert type(loaded) is type(estimator)
@@ -91,7 +101,7 @@ class TestRoundTrip:
         self, name: str, small_table: Table, tmp_path
     ) -> None:
         estimator = _fitted(name, small_table)
-        path = tmp_path / f"{name}.npz"
+        path = tmp_path / f"{name}.snap"
         estimator.save(path)
         header = read_snapshot_header(path)
         assert header["format"] == FORMAT_VERSION
@@ -99,6 +109,17 @@ class TestRoundTrip:
         assert header["columns"] == list(estimator.columns)
         assert header["row_count"] == estimator.row_count
         json.dumps(header)  # the whole header must be pure JSON
+
+    def test_saving_twice_writes_identical_bytes(
+        self, name: str, small_table: Table
+    ) -> None:
+        """A snapshot is a pure function of the model: the same fitted state
+        always serialises to the same bytes, CRC included."""
+        estimator = _fitted(name, small_table)
+        first, second = io.BytesIO(), io.BytesIO()
+        save_estimator(estimator, first)
+        save_estimator(estimator, second)
+        assert first.getvalue() == second.getvalue()
 
     def test_load_state_rejects_wrong_estimator(
         self, name: str, small_table: Table
@@ -109,11 +130,31 @@ class TestRoundTrip:
             create_estimator(other).load_state(estimator.state_dict())
 
 
+@pytest.mark.parametrize("name", STREAMING_ESTIMATORS)
+def test_loaded_streaming_model_keeps_ingesting(
+    name: str, mixture_table_2d: Table, workload_2d
+) -> None:
+    """Loaded state arrays are writable views of the file's bytes: a model
+    restored from memory folds new rows exactly as the original does."""
+    kwargs = _FAST_KWARGS.get(name, {})
+    if name == "sharded":  # the default equi-width base does not stream
+        kwargs = {"base": {"name": "streaming_ade", "max_kernels": 32}, "shards": 2}
+    original = create_estimator(name, **kwargs).fit(mixture_table_2d)
+    buffer = io.BytesIO()
+    save_estimator(original, buffer)
+    loaded = load_estimator(io.BytesIO(buffer.getvalue()))
+    rows = np.random.default_rng(8).normal(loc=2.0, size=(700, 2))
+    original.insert(rows)
+    loaded.insert(rows)
+    plan = compile_queries(workload_2d, original.columns)
+    np.testing.assert_array_equal(loaded.estimate_batch(plan), original.estimate_batch(plan))
+
+
 class TestSnapshotEdgeCases:
     @pytest.mark.parametrize("name", ALL_ESTIMATORS)
     def test_unfitted_estimator_roundtrips_as_unfitted(self, name, tmp_path) -> None:
         estimator = create_estimator(name, **_FAST_KWARGS.get(name, {}))
-        path = tmp_path / "unfitted.npz"
+        path = tmp_path / "unfitted.snap"
         save_estimator(estimator, path)
         loaded = load_estimator(path)
         assert not loaded.is_fitted
@@ -127,7 +168,7 @@ class TestSnapshotEdgeCases:
         for query, truth in zip(workload_2d[:25], truths[:25]):
             estimator.feedback(query, float(truth))
         before = estimator.estimate_batch(workload_2d)
-        path = tmp_path / "feedback.npz"
+        path = tmp_path / "feedback.snap"
         estimator.save(path)
         loaded = load_estimator(path)
         assert loaded.feedback_count == estimator.feedback_count
@@ -143,7 +184,7 @@ class TestSnapshotEdgeCases:
         rows = np.random.default_rng(5).normal(size=(100, 2))  # all stay pending
         estimator.insert(rows)
         assert estimator._pending_count == 100  # the buffer really is populated
-        path = tmp_path / "pending.npz"
+        path = tmp_path / "pending.snap"
         estimator.save(path)
         loaded = load_estimator(path)
         assert loaded.row_count == 100
@@ -157,7 +198,7 @@ class TestSnapshotEdgeCases:
         first, second = rng.normal(size=(300, 2)), rng.normal(loc=3.0, size=(300, 2))
         original = StreamingADE(max_kernels=32).start(["x0", "x1"])
         original.insert(first)
-        path = tmp_path / "live.npz"
+        path = tmp_path / "live.snap"
         original.save(path)
         loaded = load_estimator(path)
         original.insert(second)
@@ -172,7 +213,7 @@ class TestSnapshotEdgeCases:
         original = create_estimator("reservoir_sampling", sample_size=64)
         original.start(["x0"])
         original.insert(first)
-        path = tmp_path / "reservoir.npz"
+        path = tmp_path / "reservoir.snap"
         original.save(path)
         loaded = load_estimator(path)
         original.insert(second)
@@ -182,26 +223,30 @@ class TestSnapshotEdgeCases:
         )
 
     def test_future_format_rejected(self, small_table, tmp_path) -> None:
+        """An intact snapshot from a newer format is refused with a plain
+        PersistenceError naming the format — not quarantined as corrupt."""
         estimator = create_estimator("independence").fit(small_table)
-        path = tmp_path / "future.npz"
+        path = tmp_path / "future.snap"
         estimator.save(path)
-        with np.load(path, allow_pickle=False) as data:
-            payload = {key: data[key] for key in data.files}
-        header = json.loads(bytes(payload[HEADER_KEY]).decode())
-        header["format"] = FORMAT_VERSION + 1
-        payload[HEADER_KEY] = np.frombuffer(
-            json.dumps(header).encode(), dtype=np.uint8
-        )
-        with open(path, "wb") as handle:
-            np.savez(handle, **payload)
-        with pytest.raises(PersistenceError, match="format"):
+        body = path.read_bytes()[:-4]
+        marker = f'"format": {FORMAT_VERSION}'.encode()
+        assert body.count(marker) == 1
+        body = body.replace(marker, f'"format": {FORMAT_VERSION + 1}'.encode())
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(PersistenceError, match="format") as excinfo:
             load_estimator(path)
+        assert not isinstance(excinfo.value, SnapshotCorruptError)
 
     def test_non_snapshot_archive_rejected(self, tmp_path) -> None:
-        path = tmp_path / "not_a_snapshot.npz"
-        with open(path, "wb") as handle:
-            np.savez(handle, stuff=np.zeros(3))
-        with pytest.raises(PersistenceError, match="missing header"):
+        """A foreign file is refused: as corrupt when its last four bytes are
+        not a CRC-32 of the rest, and as not-a-snapshot when they are."""
+        path = tmp_path / "not_a_snapshot.snap"
+        path.write_bytes(b"PK\x03\x04 a zip archive, say")
+        with pytest.raises(SnapshotCorruptError):
+            load_estimator(path)
+        body = b"a foreign file that ends in its own CRC-32"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(PersistenceError, match="not an estimator snapshot"):
             load_estimator(path)
 
     def test_transient_io_error_is_not_corruption(
@@ -210,18 +255,14 @@ class TestSnapshotEdgeCases:
         """An errno-bearing OSError (EIO, EACCES, …) is the OS failing the
         read, not evidence of bad bytes: it must propagate verbatim so the
         store never quarantines an intact snapshot over it."""
-        import errno
-
-        from repro.core.errors import SnapshotCorruptError
-
         estimator = create_estimator("independence").fit(small_table)
-        path = tmp_path / "intact.npz"
+        path = tmp_path / "intact.snap"
         estimator.save(path)
 
         def eio(*args, **kwargs):
             raise OSError(errno.EIO, "Input/output error")
 
-        monkeypatch.setattr(np, "load", eio)
+        monkeypatch.setattr(Path, "read_bytes", eio)
         with pytest.raises(OSError) as excinfo:
             load_estimator(path)
         assert not isinstance(excinfo.value, SnapshotCorruptError)

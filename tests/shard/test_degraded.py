@@ -183,7 +183,7 @@ class TestDegradedPersistence:
         sharded.mark_shard_lost(2)
         degraded = sharded.estimate_batch(plan)
 
-        path = tmp_path / "degraded.npz"
+        path = tmp_path / "degraded.snap"
         save_estimator(sharded, path)
         loaded = load_estimator(path)
         assert loaded.degraded

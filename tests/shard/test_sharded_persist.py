@@ -47,7 +47,7 @@ class TestModelStoreIntegration:
         store = ModelStore(tmp_path / "store")
         store.publish("stats", sharded)
         for foreign in (store.root / "stats" / "export", store.root / "loose-export"):
-            save_estimator(sharded.shard(0), foreign / "shard-0000.npz")
+            save_estimator(sharded.shard(0), foreign / "shard-0000.snap")
         assert store.versions("stats") == [1]
         assert store.latest_version("stats") == 1
         assert store.model_names() == ["stats"]
@@ -81,15 +81,14 @@ class TestModelStoreIntegration:
 
 class TestSnapshotIntegrity:
     def test_routing_state_is_checksummed(self, sharded, tmp_path) -> None:
-        """The envelope checksum covers the partitioner's routing arrays:
-        a snapshot whose shard boundaries were altered is refused."""
-        path = tmp_path / "sharded.npz"
+        """The trailing CRC covers the partitioner's routing arrays: a
+        snapshot whose shard boundaries were altered is refused."""
+        path = tmp_path / "sharded.snap"
         save_estimator(sharded, path)
-        with np.load(path, allow_pickle=False) as data:
-            payload = {key: data[key] for key in data.files}
-        payload["a::part::boundaries"] = payload["a::part::boundaries"] + 0.5
-        with open(path, "wb") as handle:
-            np.savez(handle, **payload)
+        raw = path.read_bytes()
+        boundaries = sharded.state_dict()["arrays"]["part::boundaries"]
+        assert raw.count(boundaries.tobytes()) == 1
+        path.write_bytes(raw.replace(boundaries.tobytes(), (boundaries + 0.5).tobytes()))
         with pytest.raises(SnapshotCorruptError, match="checksum"):
             load_estimator(path)
 
