@@ -49,7 +49,7 @@ into every header.
   additive keys.  A later format keeps the preamble and the trailing CRC,
   so a reader reaches its marker and raises
   :class:`~repro.core.errors.PersistenceError` instead of guessing (and the
-  store does not quarantine it).  Format 1, the ``numpy.savez`` archive of
+  store does not quarantine it).  Format 1, the numpy zip archive of
   earlier builds, no longer loads: it fails the CRC check.
 * Per-estimator state layouts are owned by the estimators themselves (the
   ``_state`` / ``_restore_state`` hook pair); an estimator changing its

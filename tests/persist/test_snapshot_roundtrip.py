@@ -130,26 +130,6 @@ class TestRoundTrip:
             create_estimator(other).load_state(estimator.state_dict())
 
 
-@pytest.mark.parametrize("name", STREAMING_ESTIMATORS)
-def test_loaded_streaming_model_keeps_ingesting(
-    name: str, mixture_table_2d: Table, workload_2d
-) -> None:
-    """Loaded state arrays are writable views of the file's bytes: a model
-    restored from memory folds new rows exactly as the original does."""
-    kwargs = _FAST_KWARGS.get(name, {})
-    if name == "sharded":  # the default equi-width base does not stream
-        kwargs = {"base": {"name": "streaming_ade", "max_kernels": 32}, "shards": 2}
-    original = create_estimator(name, **kwargs).fit(mixture_table_2d)
-    buffer = io.BytesIO()
-    save_estimator(original, buffer)
-    loaded = load_estimator(io.BytesIO(buffer.getvalue()))
-    rows = np.random.default_rng(8).normal(loc=2.0, size=(700, 2))
-    original.insert(rows)
-    loaded.insert(rows)
-    plan = compile_queries(workload_2d, original.columns)
-    np.testing.assert_array_equal(loaded.estimate_batch(plan), original.estimate_batch(plan))
-
-
 class TestSnapshotEdgeCases:
     @pytest.mark.parametrize("name", ALL_ESTIMATORS)
     def test_unfitted_estimator_roundtrips_as_unfitted(self, name, tmp_path) -> None:
@@ -192,19 +172,27 @@ class TestSnapshotEdgeCases:
         query = RangeQuery({"x0": (-10.0, 10.0), "x1": (-10.0, 10.0)})
         assert loaded.estimate(query) == estimator.estimate(query) > 0.0
 
-    def test_streaming_continues_ingesting_after_load(self, tmp_path) -> None:
-        """A restored streaming model is a live model, not a frozen artifact."""
-        rng = np.random.default_rng(6)
-        first, second = rng.normal(size=(300, 2)), rng.normal(loc=3.0, size=(300, 2))
-        original = StreamingADE(max_kernels=32).start(["x0", "x1"])
-        original.insert(first)
-        path = tmp_path / "live.snap"
-        original.save(path)
-        loaded = load_estimator(path)
-        original.insert(second)
-        loaded.insert(second)
-        query = RangeQuery({"x0": (2.0, 4.0), "x1": (2.0, 4.0)})
-        assert loaded.estimate(query) == original.estimate(query)
+    @pytest.mark.parametrize("name", STREAMING_ESTIMATORS)
+    def test_streaming_continues_ingesting_after_load(
+        self, name, mixture_table_2d, workload_2d
+    ) -> None:
+        """A restored streaming model is a live model, not a frozen artifact:
+        its state arrays are writable views of the bytes read, and it folds
+        new rows exactly as the original does."""
+        kwargs = _FAST_KWARGS.get(name, {})
+        if name == "sharded":  # the default equi-width base does not stream
+            kwargs = {"base": {"name": "streaming_ade", "max_kernels": 32}, "shards": 2}
+        original = create_estimator(name, **kwargs).fit(mixture_table_2d)
+        buffer = io.BytesIO()
+        save_estimator(original, buffer)
+        loaded = load_estimator(io.BytesIO(buffer.getvalue()))
+        rows = np.random.default_rng(6).normal(loc=3.0, size=(300, 2))
+        original.insert(rows)
+        loaded.insert(rows)
+        plan = compile_queries(workload_2d, original.columns)
+        np.testing.assert_array_equal(
+            loaded.estimate_batch(plan), original.estimate_batch(plan)
+        )
 
     def test_reservoir_replays_stream_identically_after_load(self, tmp_path) -> None:
         """The restored generator state makes future replacements identical."""
