@@ -18,7 +18,7 @@ drawn from the registry behind the full
   sugar, so :class:`~repro.core.feedback.FeedbackAdaptiveEstimator`-style
   execution logs can drive it unchanged;
 * snapshots carry the complete lifecycle — weights, per-expert states
-  (namespaced ``e{i}::`` in one flat archive), spawn history and the pool's
+  (namespaced ``e{i}::`` in one snapshot file), spawn history and the pool's
   RNG state — so a restored ensemble is bitwise the live one.
 
 Sharding: the ensemble does not state-merge (its experts may not), so
