@@ -439,7 +439,7 @@ class ModelStore:
         return corrupt_path
 
     def describe(self, name: str, version: int | None = None) -> dict:
-        """Snapshot header of a published version (cheap — no arrays read)."""
+        """Snapshot header of a published version (verified; no model built)."""
         return read_snapshot_header(self._resolve(name, version).path)
 
     def _resolve(self, name: str, version: int | None) -> ModelVersion:
