@@ -74,7 +74,12 @@ through one of two paths:
   The histogram family (``equiwidth``, ``equidepth``, ``grid``) sums
   integer bucket counts over aligned frames, so its merged synopsis
   reproduces a monolithic fit *bitwise*; sample-based merges (reservoir
-  subsampling) are statistically equivalent but not bit-identical.
+  subsampling) are statistically equivalent but not bit-identical.  The
+  streaming ADE (``streaming_ade``) merges into the union of its shards'
+  kernel mixtures, with each shard's weights rescaled to its row count and
+  each kernel's std carried from its shard: the union reproduces the
+  weighted estimate combination below up to float rounding, not a
+  monolithic fit, and is a read-only cache of the shard states.
 * **Weighted estimate combination** — every estimator inherits
   :meth:`combine_estimates`, a row-count-weighted average of per-shard
   estimate vectors.  This is the universal fallback: a sharded front end can

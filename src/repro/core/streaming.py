@@ -68,6 +68,25 @@ around a chunked, vectorized pipeline rather than a per-tuple loop:
   bulk path is validated against (same distribution modelled; drift-suite
   accuracy within a few percent) and the baseline of
   ``benchmarks/bench_ingest_throughput.py``.
+
+Sharded union
+-------------
+
+A row-weighted mean of kernel mixtures is itself one kernel mixture, so
+``StreamingADE`` is a lossless mergeable synopsis (see the mergeable-synopsis
+protocol in :mod:`repro.core.estimator`).  :meth:`StreamingADE.merge_state`
+flushes the shards and concatenates their kernels, in shard order, into one
+*union*: shard ``s``'s stored weights are scaled by ``n_s / W_s`` (its row
+count over its stored weight sum, so the lazy decay scale cancels), and each
+kernel keeps the std ``sqrt(var + h_s²)`` it has in its own shard, with that
+shard's smoothing bandwidth ``h_s``.  The stds are carried, not recomputed:
+a union has no bandwidth of its own.  The union therefore answers what the
+row-count-weighted :meth:`~repro.core.estimator.SelectivityEstimator.combine_estimates`
+of the shards answers, up to summation order, but from one support index and
+one fast-path pass per batch.  It is a read-only cache of shard state:
+``insert``, ``insert_sequential``, ``compress`` and ``state_dict`` raise
+:class:`~repro.core.errors.StreamError` on it, because it would fold rows into
+a mixture no shard holds, or save a snapshot that has lost its stds.
 """
 
 from __future__ import annotations
@@ -80,7 +99,12 @@ from scipy.spatial import cKDTree
 
 from repro.core import fastpath
 from repro.core.errors import InvalidParameterError, StreamError
-from repro.core.estimator import FLOAT_BYTES, StreamingEstimator, register_estimator
+from repro.core.estimator import (
+    FLOAT_BYTES,
+    SelectivityEstimator,
+    StreamingEstimator,
+    register_estimator,
+)
 from repro.stream.batches import normalize_batch
 from typing import TYPE_CHECKING
 
@@ -263,6 +287,11 @@ class StreamingADE(StreamingEstimator):
 
     name = "streaming_ade"
 
+    # State-merge into one union mixture (see "Sharded union" in the module
+    # docstring): exact up to float summation order.
+    supports_merge = True
+    merge_lossless = True
+
     def __init__(
         self,
         max_kernels: int = 256,
@@ -314,6 +343,9 @@ class StreamingADE(StreamingEstimator):
         self._sum_w = 0.0
         self._sum_wx = np.empty(0)
         self._sum_wx2 = np.empty(0)
+        # Per-kernel stds carried from the shards by merge_state(); None on
+        # every model that derives them from its own smoothing bandwidth.
+        self._carried_stds: np.ndarray | None = None
         # Staleness counter for the query fast path: every maintenance step
         # (chunk fold, per-tuple insert, compress, prune, restore) bumps the
         # epoch; the support index + std cache is rebuilt lazily on the next
@@ -356,6 +388,7 @@ class StreamingADE(StreamingEstimator):
         self._sum_w = 0.0
         self._sum_wx = np.zeros(self._dims)
         self._sum_wx2 = np.zeros(self._dims)
+        self._carried_stds = None
         self._mark_stale()
         self._mark_fitted(columns, 0)
         return self
@@ -364,6 +397,41 @@ class StreamingADE(StreamingEstimator):
         """Bump the maintenance epoch: the synopsis changed under the index."""
         self._maintenance_epoch += 1
         self._support_cache = None
+
+    def _require_writable(self, operation: str) -> None:
+        """Refuse a mutation or a snapshot of a read-only shard union."""
+        if self._carried_stds is not None:
+            raise StreamError(
+                f"{operation}() on a merged union of shard mixtures: it is a "
+                "read-only cache of shard state; update or save the shards"
+            )
+
+    def merge_state(self, shards: Sequence[SelectivityEstimator]) -> "StreamingADE":
+        """Fold flushed shard mixtures into this instance as one union mixture.
+
+        Kernels are concatenated in shard order; shard ``s``'s stored weights
+        are scaled by ``n_s / W_s`` and its per-kernel stds are carried (see
+        "Sharded union" in the module docstring).  A shard without rows or
+        kernels adds nothing.  The union models ``Σ n_s`` rows.
+        """
+        peers = self._require_merge_peers(shards)
+        self.start(peers[0].columns)
+        parts = []
+        for peer in peers:
+            peer.flush()
+            if peer.row_count > 0 and peer._weights.size:
+                scale = peer.row_count / float(peer._weights.sum())
+                parts.append(
+                    (peer._means, peer._variances, peer._kernel_stds(), peer._weights * scale)
+                )
+        stds = np.empty((0, self._dims))
+        if parts:
+            self._means, self._variances, stds, self._weights = (
+                np.concatenate(arrays) for arrays in zip(*parts)
+            )
+        self._carried_stds = stds
+        self._mark_fitted(peers[0].columns, sum(peer.row_count for peer in peers))
+        return self
 
     # -- streaming maintenance -----------------------------------------------
     def insert(self, rows: np.ndarray) -> None:
@@ -375,6 +443,7 @@ class StreamingADE(StreamingEstimator):
         """
         if not self.is_fitted:
             raise StreamError("call fit() or start() before insert()")
+        self._require_writable("insert")
         rows = self._validate_rows(rows)
         if rows is None:
             return
@@ -405,6 +474,7 @@ class StreamingADE(StreamingEstimator):
         """
         if not self.is_fitted:
             raise StreamError("call fit() or start() before insert()")
+        self._require_writable("insert_sequential")
         rows = self._validate_rows(rows)
         if rows is None:
             return
@@ -693,6 +763,7 @@ class StreamingADE(StreamingEstimator):
         target = target_kernels if target_kernels is not None else self.max_kernels
         if target < 1:
             raise InvalidParameterError("target_kernels must be positive")
+        self._require_writable("compress")
         self.flush()
         self._compress_to(target)
 
@@ -772,6 +843,7 @@ class StreamingADE(StreamingEstimator):
     def _state(self) -> tuple[dict, dict]:
         # state_dict() has already flushed: the pending ingestion buffer is
         # empty, so the kernel arrays plus running sums are the whole model.
+        self._require_writable("state_dict")
         arrays = {
             "means": self._means,
             "variances": self._variances,
@@ -809,6 +881,7 @@ class StreamingADE(StreamingEstimator):
         self._sum_w = float(meta["sum_w"])
         self._pending = np.empty((self._chunk, self._dims))
         self._pending_count = 0
+        self._carried_stds = None
         self._mark_stale()
 
     # -- model introspection -----------------------------------------------------
@@ -908,8 +981,7 @@ class StreamingADE(StreamingEstimator):
             index, stds = self._support_state()
         else:
             # The dense path never pays for an index it will not read.
-            smoothing = self._smoothing_bandwidths()
-            stds = np.sqrt(self._variances + smoothing**2)
+            stds = self._kernel_stds()
 
         def axis_mass(
             ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
@@ -927,20 +999,30 @@ class StreamingADE(StreamingEstimator):
                 return culled
         return fastpath.weighted_box_masses(lows, highs, axis_mass, self._weights, total)
 
+    def _kernel_stds(self) -> np.ndarray:
+        """Per-kernel per-attribute std (``(K, d)``) that every read uses.
+
+        The kernel's own spread combined with the global smoothing bandwidth,
+        ``sqrt(var + h²)``; a shard union returns the stds it carried from its
+        shards instead (see "Sharded union" in the module docstring).
+        """
+        if self._carried_stds is not None:
+            return self._carried_stds
+        smoothing = self._smoothing_bandwidths()
+        return np.sqrt(self._variances + smoothing**2)
+
     def _support_state(self) -> tuple["fastpath.KernelSupportIndex", np.ndarray]:
         """Cached ``(support index, per-kernel stds)`` for the current epoch.
 
-        The per-kernel per-attribute standard deviation combines the kernel's
-        own spread with the global smoothing bandwidth; the effective support
-        radius is the Gaussian cull radius times that std.  Rebuilt lazily
+        The stds are :meth:`_kernel_stds`; the effective support radius is
+        the Gaussian cull radius times that std.  Rebuilt lazily
         whenever the maintenance epoch moved (never per tuple); the cache
         tuple is swapped atomically so concurrent readers at worst rebuild.
         """
         cached = self._support_cache
         if cached is not None and cached[0] == self._maintenance_epoch:
             return cached[1], cached[2]
-        smoothing = self._smoothing_bandwidths()
-        stds = np.sqrt(self._variances + smoothing**2)
+        stds = self._kernel_stds()
         radius = fastpath.gaussian_cull_radius()
         index = fastpath.KernelSupportIndex(self._means, stds * radius)
         self._support_cache = (self._maintenance_epoch, index, stds)
@@ -955,8 +1037,7 @@ class StreamingADE(StreamingEstimator):
             raise InvalidParameterError(f"density expects {self._dims}-dimensional points")
         if self._weights.size == 0:
             return np.zeros(points.shape[0])
-        smoothing = self._smoothing_bandwidths()
-        stds = np.sqrt(self._variances + smoothing**2)
+        stds = self._kernel_stds()
         total = float(self._weights.sum())
         result = np.zeros(points.shape[0])
         for start in range(0, points.shape[0], 1024):

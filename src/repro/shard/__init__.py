@@ -29,16 +29,22 @@ mergeable-synopsis protocol in :mod:`repro.core.estimator`):
   ``independence`` — moment recombination): the merged synopsis has the
   same distribution as (for ``independence``: is float-rounding-equal to) a
   monolithic fit, but is not bit-identical.
-* **Weighted combine** (everything else, incl. the KDE/ADE family): per-shard
+* **Float-rounding merge** (``streaming_ade``): the merged synopsis is the
+  union of the shard kernel mixtures (see :mod:`repro.core.streaming`).  It
+  answers what the weighted combine below answers, up to float rounding
+  (within ``DEFAULT_ATOL``), so its deviation from a monolithic fit is the
+  weighted combine's, not zero.
+* **Weighted combine** (everything else, incl. the KDE family): per-shard
   estimates are reduced with the row-count-weighted ``combine_estimates``.
   Documented tolerance, measured as mean relative deviation from the
   monolithic estimator with selectivities floored at 0.05 on the standard
   workload (uniform 2-D range queries over the 20k-row mixture table at
-  default synopsis budgets): ≤ 5 % for the KDE/ADE family and the wavelet
-  synopsis; ≤ 8 % for the self-tuning histogram (its initial structure is
-  data-derived per shard) and for the samplers, which additionally carry
-  their usual ``O(sqrt(p(1-p)/m))`` sampling noise per query.  These bounds
-  are pinned by ``tests/shard/test_sharded_estimator.py``.
+  default synopsis budgets): ≤ 5 % for the KDE/ADE family (the
+  ``streaming_ade`` union included) and the wavelet synopsis; ≤ 8 % for the
+  self-tuning histogram (its initial structure is data-derived per shard)
+  and for the samplers, which additionally carry their usual
+  ``O(sqrt(p(1-p)/m))`` sampling noise per query.  These bounds are pinned
+  by ``tests/shard/test_sharded_estimator.py``.
 """
 
 from repro.shard.parallel import ShardExecutor

@@ -16,8 +16,11 @@ Estimation modes (the ``combine`` parameter)
     Estimators with a lossless state-merge (``merge_lossless``) are served
     through a lazily maintained merged synopsis: for the histogram family
     (``equiwidth``, ``equidepth``, ``grid``) it reproduces the monolithic
-    estimator **bitwise**, for ``independence`` up to float rounding.
-    Everything else is served by the weighted path.
+    estimator **bitwise**, for ``independence`` up to float rounding.  For
+    ``streaming_ade`` it is the union of the shard mixtures, which answers
+    what the weighted path answers up to float rounding (not what a
+    monolithic fit answers).  Everything else, and every base while a shard
+    is lost, is served by the weighted path.
 ``"weighted"``
     One vectorized ``estimate_batch`` pass per shard, reduced with the base
     estimator's row-count-weighted
@@ -33,13 +36,21 @@ Estimation modes (the ``combine`` parameter)
 The memory accounting (``memory_bytes``) charges the shard synopses only —
 the merged view is a cache rebuilt from shard state, not independent state.
 
-Query fast path: kernel-family shard synopses each carry their own
-support-culling index (:mod:`repro.core.fastpath`), built lazily inside the
-shard's ``estimate_batch`` and invalidated by that shard's own staleness
-counter — so a routed ``insert`` only invalidates the indexes of the shards
-that actually received rows, and a copy-on-write shard swap
-(:meth:`ShardedEstimator.with_shard`) keeps the untouched shards' indexes
-warm.
+Query fast path: a sharded ``streaming_ade`` serves from its union, so a
+read makes one pass of fast-path routing, candidate culling and the
+product-CDF micro-kernel (:mod:`repro.core.fastpath`) over one support index,
+built lazily on the union's first read.  The union and its index are one
+cache: ``fit``, ``insert``, ``flush``, a shard refit, swap or loss, and
+``load_state`` drop it, and a deep copy carries it along.  On the weighted
+path, kernel-family shard synopses each carry their own index, invalidated
+by that shard's own staleness counter — so a routed ``insert`` only
+invalidates the indexes of the shards that actually received rows, and a
+copy-on-write shard swap (:meth:`ShardedEstimator.with_shard`) keeps the
+untouched shards' indexes warm.
+
+Faults: the ``shard.estimate`` fault point and the estimate strikes sit on
+the weighted path only.  A merged read has no per-shard fault boundary and
+never reaches them; a lost shard turns merged serving off until it heals.
 """
 
 from __future__ import annotations
@@ -324,17 +335,20 @@ class ShardedEstimator(StreamingEstimator):
         if self.combine == "weighted":
             return False
         # auto: merge when it is a deterministic statistics recombination
-        # (histograms: bitwise; independence: float-rounding exact).  Sample
-        # merges *shrink* the pooled evidence back to one sample, so the
-        # weighted path serves samplers better.
+        # (histograms: bitwise; independence and the streaming_ade union:
+        # float-rounding exact).  Sample merges *shrink* the pooled evidence
+        # back to one sample, so the weighted path serves samplers better.
         return self._template.merge_lossless
 
     def merged_estimator(self) -> SelectivityEstimator:
-        """The shard states folded into one monolithic-equivalent synopsis.
+        """The shard states folded into one synopsis (``merge_state``).
 
-        Requires a mergeable base.  The result is cached until the next
-        ``insert`` / ``flush`` / shard swap; callers must treat it as
-        immutable.
+        Requires a mergeable base.  For the histogram family the result
+        equals a monolithic fit; for ``streaming_ade`` it is the union of the
+        shard mixtures, estimate-equivalent to the weighted path rather than
+        to a monolithic fit, and read-only.  The result is cached until the
+        next ``insert`` / ``flush`` / shard refit, swap or loss; callers must
+        treat it as immutable.
         """
         self._require_fitted()
         if not self._template.supports_merge:
@@ -521,9 +535,10 @@ class ShardedEstimator(StreamingEstimator):
                 "meta": part_meta,
             }
         if self._frame is not None:
+            # Sorted, as the reload rebuilds the frame from this key list.
             meta["frame_keys"] = sorted(self._frame)
-            for key, value in self._frame.items():
-                arrays[f"frame::{key}"] = value
+            for key in meta["frame_keys"]:
+                arrays[f"frame::{key}"] = self._frame[key]
         return arrays, meta
 
     def _restore_state(
@@ -554,7 +569,7 @@ class ShardedEstimator(StreamingEstimator):
             }
             self._partitioner.load_state(part_arrays, part.get("meta", {}))
         self._frame = None
-        if meta.get("frame_keys"):
+        if "frame_keys" in meta:  # an empty frame is still a frame
             self._frame = {
                 key: np.asarray(arrays[f"frame::{key}"])
                 for key in meta["frame_keys"]

@@ -13,9 +13,9 @@ updates — insert → estimate → flush → compress → estimate must stay
 equivalent at every step, and the cached index must actually be reused
 between estimates that did not mutate the synopsis.
 
-Composition: per-shard indexes under :class:`~repro.shard.sharded.ShardedEstimator`
-and index survival across the serving layer's copy-on-write
-``checkout``/``publish`` cycle.
+Composition: the one union index a sharded ``StreamingADE`` serves from
+under :class:`~repro.shard.sharded.ShardedEstimator`, and index survival
+across the serving layer's copy-on-write ``checkout``/``publish`` cycle.
 """
 
 from __future__ import annotations
@@ -436,23 +436,55 @@ class TestStaleness:
 
 
 class TestComposition:
-    """Per-shard indexes and index survival across serving swaps."""
+    """The sharded union's index and index survival across serving swaps."""
 
-    def test_sharded_shards_keep_private_indexes(self) -> None:
+    def test_sharded_reads_share_one_union_index(self, monkeypatch) -> None:
+        builds: list[int] = []
+
+        class CountingIndex(fastpath.KernelSupportIndex):
+            __slots__ = ()
+
+            def __init__(self, centers, radii) -> None:
+                builds.append(len(centers))
+                super().__init__(centers, radii)
+
+        monkeypatch.setattr(fastpath, "KernelSupportIndex", CountingIndex)
+        table = _table()
         sharded = ShardedEstimator(
             StreamingADE(max_kernels=64), shards=2, partitioner="hash"
-        ).fit(_table())
+        ).fit(table)
         plan = _plan(sharded, _probe_boxes())
         _assert_fast_matches_dense(sharded, plan)
-        caches = [shard._support_cache for shard in sharded.shard_estimators]
-        assert all(cache is not None for cache in caches)
-        assert caches[0][1] is not caches[1][1]  # one index per shard
-        # A routed insert only touches the receiving shards' synopses; the
-        # estimate afterwards stays equivalent to the dense path.
-        rng = np.random.default_rng(23)
-        sharded.insert(rng.normal(size=(300, 2)))
-        sharded.flush()
+        # One union over every shard's kernels, with one index; the shards
+        # build none of their own.
+        union = sharded.merged_estimator()
+        cached = union._support_cache
+        assert builds == [union.kernel_count]
+        assert union.kernel_count == sum(s.kernel_count for s in sharded.shard_estimators)
+        assert all(shard._support_cache is None for shard in sharded.shard_estimators)
+        # A second read reuses both the union and its index.
+        sharded.estimate_batch(plan)
+        assert sharded.merged_estimator() is union
+        assert union._support_cache is cached
+        assert len(builds) == 1
+
+        # A routed insert drops the union; the next read builds a fresh one
+        # and stays equivalent to the dense path.
+        sharded.insert(np.random.default_rng(23).normal(size=(300, 2)))
         _assert_fast_matches_dense(sharded, plan)
+        assert sharded.merged_estimator() is not union
+        assert len(builds) == 2
+
+        # A shard swap, a shard refit and a shard loss each drop it too.
+        union = sharded.merged_estimator()
+        clone = sharded.with_shard(0, sharded.checkout_shard(0))
+        assert clone.merged_estimator() is not union
+        sharded.refit_shard(1, table)
+        assert sharded.merged_estimator() is not union
+        union = sharded.merged_estimator()
+        sharded.mark_shard_lost(0)
+        assert not sharded.merge_mode
+        assert sharded.merged_estimator() is not union
 
     def test_index_survives_checkout_publish(self) -> None:
         model = StreamingADE(max_kernels=64).fit(_table())

@@ -2,9 +2,10 @@
 
 Exact-merge estimators (histogram family) must reproduce a monolithic fit
 bitwise when their shards are built against a common frame; lossless moment
-merges (independence) agree to float rounding; sample merges are pinned
-statistically; and the row-count-weighted ``combine_estimates`` fallback is
-checked against its closed form.
+merges (independence) agree to float rounding; the streaming ADE's union
+mixture agrees with the row-count-weighted combine of its shards to float
+rounding; sample merges are pinned statistically; and the row-count-weighted
+``combine_estimates`` fallback is checked against its closed form.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from repro.core.estimator import (
     available_estimators,
     create_estimator,
 )
+from repro.core.fastpath import DEFAULT_ATOL
 from repro.engine.table import Table
 from repro.shard.partition import HashPartitioner, partition_table
 from repro.workload.queries import compile_queries
 
 EXACT_MERGE = ["equiwidth", "equidepth", "grid"]
-LOSSLESS_MERGE = EXACT_MERGE + ["independence"]
+LOSSLESS_MERGE = EXACT_MERGE + ["independence", "streaming_ade"]
 SAMPLE_MERGE = ["sampling", "reservoir_sampling"]
 
 _FAST_KWARGS = {
@@ -112,6 +114,27 @@ class TestLosslessMerge:
             rtol=1e-9,
             atol=1e-12,
         )
+
+
+    def test_streaming_union_recombines_shard_estimates(
+        self, mixture_table_2d, workload_2d
+    ) -> None:
+        kwargs = {"max_kernels": 64, "decay": 0.999}
+        shards = [
+            create_estimator("streaming_ade", **kwargs).fit(sub)
+            for sub in _shard_tables(mixture_table_2d)
+        ]
+        merged = create_estimator("streaming_ade", **kwargs).merge_state(shards)
+        plan = compile_queries(workload_2d, merged.columns)
+        weighted = SelectivityEstimator.combine_estimates(
+            np.stack([shard.estimate_batch(plan) for shard in shards]),
+            np.array([shard.row_count for shard in shards]),
+        )
+        np.testing.assert_allclose(
+            merged.estimate_batch(plan), weighted, rtol=0.0, atol=DEFAULT_ATOL
+        )
+        assert merged.row_count == mixture_table_2d.row_count
+        assert merged.kernel_count == sum(shard.kernel_count for shard in shards)
 
 
 @pytest.mark.parametrize("name", SAMPLE_MERGE)

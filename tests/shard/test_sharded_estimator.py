@@ -7,12 +7,15 @@ workload —
 
 * bitwise for the exact state-merge family (``equiwidth``, ``equidepth``,
   ``grid``) and to float rounding for ``independence``;
-* for the weighted-combine family, mean relative deviation (selectivities
-  floored at 0.05) within :data:`WEIGHTED_TOLERANCE`.
+* for the weighted-combine family and ``streaming_ade``, mean relative
+  deviation (selectivities floored at 0.05) within
+  :data:`WEIGHTED_TOLERANCE`.
 
-Plus the front-end mechanics: insert routing (batch-invariant), flush,
-per-shard refresh, copy-on-write shard swap, parallel-backend equivalence
-and catalog integration.
+A sharded ``streaming_ade`` serves from one union mixture, which must answer
+what the weighted combine answers within ``DEFAULT_ATOL``.  Plus the
+front-end mechanics: insert routing (batch-invariant), flush, per-shard
+refresh, copy-on-write shard swap, parallel-backend equivalence and catalog
+integration.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ from repro.core.errors import (
     StreamError,
 )
 from repro.core.estimator import available_estimators, create_estimator
+from repro.core.fastpath import DEFAULT_ATOL, fastpath_disabled
+from repro.core.streaming import StreamingADE
 from repro.engine.catalog import Catalog
 from repro.engine.table import Table
+from repro.fault.plan import FaultPlan, use_fault_plan
 from repro.shard.sharded import ShardedEstimator
 from repro.workload.generators import UniformWorkload
-from repro.workload.queries import compile_queries
+from repro.workload.queries import CompiledQueries, compile_queries
 
 ALL_BASES = sorted(n for n in available_estimators() if n != "sharded")
 
@@ -242,6 +248,133 @@ class TestStreamingFrontEnd:
             estimator.insert(batch)
         np.testing.assert_array_equal(estimator.shard_row_counts(), counts)
         np.testing.assert_array_equal(estimator.estimate_batch(workload_2d), before)
+
+
+def _union_twins(
+    dims: int = 2, shards: int = 4, decay: float = 1.0
+) -> tuple[ShardedEstimator, ShardedEstimator]:
+    """A ``combine="auto"`` sharded StreamingADE and its weighted twin."""
+    from repro.data.generators import gaussian_mixture_table
+
+    table = gaussian_mixture_table(
+        rows=3000, dimensions=dims, separation=4.0, seed=40 + dims, name="union"
+    )
+    base = {"name": "streaming_ade", "max_kernels": 48, "decay": decay, "chunk_size": 64}
+    union, weighted = (
+        ShardedEstimator(base, shards=shards, combine=combine, parallel="serial").fit(table)
+        for combine in ("auto", "weighted")
+    )
+    assert union.merge_mode and not weighted.merge_mode
+    return union, weighted
+
+
+def _union_plans(columns: tuple[str, ...], seed: int = 41) -> list[CompiledQueries]:
+    """1-, 16- and 500-box plans; point, full, one-sided boxes lead the big ones."""
+    dims = len(columns)
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-6.0, 6.0, size=(500, dims))
+    half = rng.uniform(0.05, 3.0, size=(500, dims))
+    lows, highs = centers - half, centers + half
+    lows[0] = highs[0] = centers[0]  # point box
+    lows[1], highs[1] = -np.inf, np.inf  # full domain
+    lows[2] = -np.inf  # one-sided from below
+    highs[3] = np.inf  # one-sided from above
+    one_box = [CompiledQueries(columns, lows[i : i + 1], highs[i : i + 1]) for i in range(5)]
+    return one_box + [
+        CompiledQueries(columns, lows[:16], highs[:16]),
+        CompiledQueries(columns, lows, highs),
+    ]
+
+
+def _assert_union_matches_weighted(
+    union: ShardedEstimator, weighted: ShardedEstimator
+) -> None:
+    for plan in _union_plans(union.columns):
+        np.testing.assert_allclose(
+            union.estimate_batch(plan), weighted.estimate_batch(plan),
+            rtol=0.0, atol=DEFAULT_ATOL,
+        )
+        with fastpath_disabled():
+            np.testing.assert_allclose(
+                union.estimate_batch(plan), weighted.estimate_batch(plan),
+                rtol=0.0, atol=DEFAULT_ATOL,
+            )
+
+
+class TestStreamingUnion:
+    """A sharded StreamingADE served from one union mixture."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("decay", [1.0, 0.995])
+    def test_union_equals_the_weighted_combine(
+        self, dims: int, shards: int, decay: float
+    ) -> None:
+        union, weighted = _union_twins(dims, shards, decay)
+        _assert_union_matches_weighted(union, weighted)
+
+        # Rows still pending in the shard buffers: the union folds them in.
+        rows = np.random.default_rng(42).normal(size=(37, dims))
+        union.insert(rows)
+        weighted.insert(rows)
+        assert any(shard._pending_count for shard in union.shard_estimators)
+        _assert_union_matches_weighted(union, weighted)
+
+        # An empty shard adds no kernels and no rows.
+        def empty() -> StreamingADE:
+            model = StreamingADE(max_kernels=48, decay=decay, chunk_size=64)
+            return model.start(union.columns)
+
+        union = union.with_shard(shards - 1, empty())
+        weighted = weighted.with_shard(shards - 1, empty())
+        assert union.merged_estimator().row_count == union.row_count
+        _assert_union_matches_weighted(union, weighted)
+
+    def test_lost_shard_serves_the_weighted_path(self) -> None:
+        union, weighted = _union_twins()
+        plan = _union_plans(union.columns)[-1]
+        # A merged read has no per-shard fault boundary.
+        faults = FaultPlan(seed=1)
+        rule = faults.arm("shard.estimate", action="raise")
+        with use_fault_plan(faults):
+            union.estimate_batch(plan)
+        assert rule.fired == 0
+
+        union.mark_shard_lost(1)
+        weighted.mark_shard_lost(1)
+        assert not union.merge_mode
+        np.testing.assert_array_equal(
+            union.estimate_batch(plan), weighted.estimate_batch(plan)
+        )
+        faults = FaultPlan(seed=1)
+        rule = faults.arm("shard.estimate", action="raise", at=(1,))
+        with use_fault_plan(faults):
+            union.estimate_batch(plan)
+        assert rule.fired == 1
+
+    def test_with_shard_heals_back_to_the_union(self) -> None:
+        union, _ = _union_twins()
+        plan = _union_plans(union.columns)[-1]
+        before = union.estimate_batch(plan)
+        union.mark_shard_lost(2)
+        healed = union.with_shard(2, union.checkout_shard(2))
+        assert healed.merge_mode
+        np.testing.assert_array_equal(healed.estimate_batch(plan), before)
+
+    def test_union_is_read_only(self) -> None:
+        union, _ = _union_twins()
+        merged = union.merged_estimator()
+        rows = np.zeros((3, 2))
+        with pytest.raises(StreamError, match="read-only"):
+            merged.insert(rows)
+        with pytest.raises(StreamError, match="read-only"):
+            merged.insert_sequential(rows)
+        with pytest.raises(StreamError, match="read-only"):
+            merged.compress(8)
+        with pytest.raises(StreamError, match="read-only"):
+            merged.state_dict()
+        # The sharded model persists its shard states, not the union.
+        assert union.state_dict()["row_count"] == union.row_count
 
 
 class TestPerShardLifecycle:

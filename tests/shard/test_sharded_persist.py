@@ -9,16 +9,25 @@ generation swaps.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError, SnapshotCorruptError
-from repro.core.estimator import create_estimator
+from repro.core.estimator import available_estimators, create_estimator
 from repro.engine.catalog import Catalog
 from repro.persist.snapshot import load_estimator, save_estimator
 from repro.persist.store import ModelStore
 from repro.serve import EstimatorServer
 from repro.shard.sharded import ShardedEstimator
+
+
+MERGEABLE_BASES = sorted(
+    name
+    for name in available_estimators()
+    if name != "sharded" and create_estimator(name).supports_merge
+)
 
 
 @pytest.fixture()
@@ -91,6 +100,18 @@ class TestSnapshotIntegrity:
         path.write_bytes(raw.replace(boundaries.tobytes(), (boundaries + 0.5).tobytes()))
         with pytest.raises(SnapshotCorruptError, match="checksum"):
             load_estimator(path)
+
+
+    @pytest.mark.parametrize("base", MERGEABLE_BASES)
+    def test_reload_saves_identical_bytes(self, base: str, mixture_table_2d) -> None:
+        """save → load → save writes the same bytes: a reloaded model keeps
+        its fit frame, also when the base's frame is empty (the samplers,
+        ``streaming_ade``)."""
+        estimator = ShardedEstimator(base, shards=2).fit(mixture_table_2d)
+        first, second = io.BytesIO(), io.BytesIO()
+        save_estimator(estimator, first)
+        save_estimator(load_estimator(io.BytesIO(first.getvalue())), second)
+        assert second.getvalue() == first.getvalue()
 
 
 class TestShardedServing:
