@@ -20,6 +20,8 @@ across the serving layer's copy-on-write ``checkout``/``publish`` cycle.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -462,10 +464,12 @@ class TestComposition:
         assert builds == [union.kernel_count]
         assert union.kernel_count == sum(s.kernel_count for s in sharded.shard_estimators)
         assert all(shard._support_cache is None for shard in sharded.shard_estimators)
-        # A second read reuses both the union and its index.
+        # A second read reuses both the union and its index, and a deep copy
+        # (the serving layer's publish) carries them along.
         sharded.estimate_batch(plan)
         assert sharded.merged_estimator() is union
         assert union._support_cache is cached
+        copy.deepcopy(sharded).estimate_batch(plan)
         assert len(builds) == 1
 
         # A routed insert drops the union; the next read builds a fresh one

@@ -115,7 +115,6 @@ class TestLosslessMerge:
             atol=1e-12,
         )
 
-
     def test_streaming_union_recombines_shard_estimates(
         self, mixture_table_2d, workload_2d
     ) -> None:

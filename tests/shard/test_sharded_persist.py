@@ -101,12 +101,11 @@ class TestSnapshotIntegrity:
         with pytest.raises(SnapshotCorruptError, match="checksum"):
             load_estimator(path)
 
-
     @pytest.mark.parametrize("base", MERGEABLE_BASES)
     def test_reload_saves_identical_bytes(self, base: str, mixture_table_2d) -> None:
         """save → load → save writes the same bytes: a reloaded model keeps
-        its fit frame, also when the base's frame is empty (the samplers,
-        ``streaming_ade``)."""
+        its fit frame, also an empty one (the samplers, ``independence``,
+        ``streaming_ade``), and its frame arrays in key order (``grid``)."""
         estimator = ShardedEstimator(base, shards=2).fit(mixture_table_2d)
         first, second = io.BytesIO(), io.BytesIO()
         save_estimator(estimator, first)
