@@ -3,11 +3,29 @@
 The server holds ``(generation, model)`` as one immutable pair that is
 replaced atomically on publish, so a reader either sees the old model or the
 new one — never a half-swapped mixture.  Results are memoised in a bounded
-LRU cache keyed by ``(generation, plan fingerprint)``: repeated workloads
-(the common case for dashboard / optimizer traffic) are answered without
-touching the model at all, and a publish invalidates every cached result of
-previous generations simply by moving to a new generation tag (stale entries
-are also evicted eagerly).
+LRU cache keyed on the request, with the generation as ``key[0]``:
+repeated workloads (the common case for dashboard / optimizer traffic) are
+answered without touching the model at all, and a publish invalidates every
+cached result of previous generations simply by moving to a new generation
+tag (stale entries are also evicted eagerly).
+
+Cache keys (:meth:`EstimatorServer._cache_key`):
+
+* a request made only of :class:`~repro.workload.queries.RangeQuery`
+  objects is keyed by ``(generation, model columns, tuple of the queries)``
+  and looked up *before* it is compiled, so a hit neither compiles nor
+  digests it.  ``RangeQuery`` is immutable and hashes by value (with a
+  cached hash), so equal requests — the same objects or fresh equal ones —
+  compile to the same plan.  The key holds references to the request's
+  queries for as long as the entry lives, so the cache keeps up to
+  ``cache_size`` requests' queries alive (a fresh 2-attribute ``RangeQuery``
+  takes about 490 bytes on 64-bit CPython 3.11);
+* a :class:`~repro.workload.queries.CompiledQueries` plan, or a request
+  holding anything else, is compiled first and keyed by
+  ``(generation, row count, SHA-256 of the plan's columns and bounds)``.
+
+The two forms never share an entry: a ``RangeQuery`` list and its compiled
+plan are cached as two entries, each answered bitwise alike.
 
 Update protocol (ingest-while-serve)::
 
@@ -45,7 +63,12 @@ from repro.core.estimator import SelectivityEstimator, StreamingEstimator
 from repro.fault.plan import inject
 from repro.obs.metrics import default_metrics, hit_rate
 from repro.serve.breaker import CircuitBreaker
-from repro.workload.queries import CompiledQueries, RangeQuery, compile_queries
+from repro.workload.queries import (
+    CompiledQueries,
+    LoweredQueries,
+    RangeQuery,
+    compile_queries,
+)
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids a package cycle)
     from repro.persist.store import ModelStore
@@ -110,13 +133,13 @@ class EstimatorServer:
         model faults during estimation are caught and counted instead of
         propagating: enough consecutive faults trip the breaker, and while
         it refuses calls the server answers from the degraded path —
-        last-good results for previously seen plans (any generation), then
+        last-good results for requests answered before (any generation), then
         the ``fallback`` estimator, then a
         :class:`~repro.core.errors.CircuitOpenError`.  Publishing a new
         model resets the breaker.
     fallback:
         Optional fitted estimator over the same columns, served while the
-        breaker is open for plans with no last-good result (typically a
+        breaker is open for requests with no last-good result (typically a
         cheap histogram next to an expensive KDE).  Requires ``breaker``.
     """
 
@@ -155,10 +178,11 @@ class EstimatorServer:
         self.model_name = model_name
         self.breaker = breaker
         self.fallback = fallback
-        # Last-good results keyed by plan digest only (generation-agnostic):
-        # the stale-serving store the degraded path answers from while the
-        # breaker is open.  Bounded LRU, maintained on every fresh result.
-        self._last_good: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        # Last-good results keyed by the cache key without its generation
+        # (``key[1:]``): the stale-serving store the degraded path answers
+        # from while the breaker is open.  Bounded LRU, maintained on every
+        # fresh result.
+        self._last_good: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._last_good_size = max(self.cache_size, 64) if breaker is not None else 0
         # (generation, model) is swapped as one tuple: readers grab both with
         # a single attribute load, so a concurrent publish can never pair the
@@ -276,12 +300,25 @@ class EstimatorServer:
 
     # -- serving ---------------------------------------------------------------
     @staticmethod
-    def _plan_key(generation: int, plan: CompiledQueries) -> tuple:
+    def _cache_key(
+        generation: int,
+        columns: tuple[str, ...],
+        request: "tuple[RangeQuery, ...] | CompiledQueries",
+    ) -> tuple:
+        """Cache key of a request: ``(generation, ...)``.
+
+        A tuple of ``RangeQuery`` objects is keyed by value, as
+        ``(generation, columns, request)``; a compiled plan by
+        ``(generation, row count, SHA-256 digest of its columns and bounds)``.
+        ``key[1:]`` keys the breaker's generation-agnostic last-good map.
+        """
+        if not isinstance(request, CompiledQueries):
+            return (generation, columns, request)
         digest = hashlib.sha256()
-        digest.update(repr(plan.columns).encode())
-        digest.update(plan.lows.tobytes())
-        digest.update(plan.highs.tobytes())
-        return (generation, len(plan), digest.digest())
+        digest.update(repr(request.columns).encode())
+        digest.update(request.lows.tobytes())
+        digest.update(request.highs.tobytes())
+        return (generation, len(request), digest.digest())
 
     def estimate_batch(
         self,
@@ -293,7 +330,10 @@ class EstimatorServer:
         """Vector of selectivity estimates for a workload (cached, thread-safe).
 
         The returned array is read-only and may be shared between callers
-        that submit the same plan — treat it as immutable.  ``tenant``
+        that submit equal requests — the same compiled plan, or equal
+        ``RangeQuery`` sequences, which hit the cache without being compiled
+        (see the module docstring for the cache keys) — so treat it as
+        immutable.  ``tenant``
         labels the request in the telemetry registry (when one is attached);
         it never influences the answer or the cache key.  ``now`` is the
         timestamp of the circuit breaker's open → half-open transition
@@ -349,18 +389,29 @@ class EstimatorServer:
     ) -> tuple[int, np.ndarray, str]:
         """The serving core: ``(generation, result, cache outcome)``."""
         generation, model = self._current
-        plan = compile_queries(queries, model.columns)
-        if len(plan) == 0:
-            # Zero-row plans never touch the model and never enter the cache:
-            # caching them would spend LRU slots (and hash work) on answers
-            # that are a constant empty vector.
+        columns = model.columns
+        plan = None
+        if not isinstance(queries, (CompiledQueries, LoweredQueries)):
+            queries = tuple(queries)  # read once: a generator request is consumed here
+        if isinstance(queries, tuple) and all(type(query) is RangeQuery for query in queries):
+            # Keyed by value: compiled only on a miss, below.
+            request = queries
+        else:
+            plan = request = compile_queries(queries, columns)
+        if len(request) == 0:
+            # Zero-row requests never touch the model and never enter the
+            # cache: caching them would spend LRU slots (and hash work) on
+            # answers that are a constant empty vector.
             return generation, np.zeros(0), "empty"
+        key = (
+            self._cache_key(generation, columns, request)
+            if self.cache_size or self._last_good_size
+            else None
+        )
         outcome = "miss"
-        key = None
         if self.cache_size == 0:
             outcome = "uncached"
         else:
-            key = self._plan_key(generation, plan)
             with self._lock:
                 cached = self._cache.get(key)
                 if cached is not None:
@@ -368,6 +419,8 @@ class EstimatorServer:
                     self._hits += 1
                     return generation, cached, "hit"
                 self._misses += 1
+        if plan is None:
+            plan = compile_queries(request, columns)
         breaker = self.breaker
         if breaker is None:
             result = model.estimate_batch(plan)
@@ -386,15 +439,15 @@ class EstimatorServer:
         result.setflags(write=False)
         with self._lock:
             if self._last_good_size:
-                digest = key[2] if key is not None else self._plan_key(0, plan)[2]
-                self._last_good[digest] = result
-                self._last_good.move_to_end(digest)
+                last_good_key = key[1:]
+                self._last_good[last_good_key] = result
+                self._last_good.move_to_end(last_good_key)
                 while len(self._last_good) > self._last_good_size:
                     self._last_good.popitem(last=False)
             # Only results of the *current* generation are admitted: a read
             # that raced a publish may hold a now-superseded model, and its
             # result must not outlive that version in the cache.
-            if key is not None and key[0] == self._current[0]:
+            if self.cache_size and key[0] == self._current[0]:
                 self._cache[key] = result
                 self._cache.move_to_end(key)
                 while len(self._cache) > self.cache_size:
@@ -405,20 +458,19 @@ class EstimatorServer:
         self,
         generation: int,
         plan: CompiledQueries,
-        key: tuple | None,
+        key: tuple,
         error: Exception | None,
     ) -> tuple[int, np.ndarray, str]:
         """Answer while the model is unavailable (breaker open or faulting).
 
-        Preference order: the last-good result for this exact plan (any
+        Preference order: the last-good result for an equal request (any
         generation — a stale answer beats no answer), then the fallback
         estimator, then :class:`~repro.core.errors.CircuitOpenError`.
-        Degraded answers never enter the plan cache: they must not outlive
+        Degraded answers never enter the result cache: they must not outlive
         the outage as fresh results.
         """
-        digest = key[2] if key is not None else self._plan_key(0, plan)[2]
         with self._lock:
-            stale = self._last_good.get(digest)
+            stale = self._last_good.get(key[1:])
         if stale is not None:
             if self._instrumented:
                 self.metrics.counter("serve.stale_served").inc()

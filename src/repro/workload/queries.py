@@ -280,7 +280,8 @@ class RangeQuery(Mapping[str, Interval]):
 
     def restrict(self, attributes: Iterable[str]) -> "RangeQuery | None":
         """Project the query onto ``attributes``; ``None`` if nothing remains."""
-        keep = {name: iv for name, iv in self._constraints.items() if name in set(attributes)}
+        wanted = set(attributes)
+        keep = {name: iv for name, iv in self._constraints.items() if name in wanted}
         if not keep:
             return None
         return RangeQuery(keep)
@@ -403,7 +404,8 @@ class TypedQuery(Mapping[str, object]):
 
     def restrict(self, attributes: Iterable[str]) -> "TypedQuery | None":
         """Project the query onto ``attributes``; ``None`` if nothing remains."""
-        keep = {n: p for n, p in self._constraints.items() if n in set(attributes)}
+        wanted = set(attributes)
+        keep = {n: p for n, p in self._constraints.items() if n in wanted}
         if not keep:
             return None
         return TypedQuery(keep)

@@ -157,6 +157,24 @@ class TestServerIntegration:
         assert metrics.counter("serve.stale_served").value == 1
         assert metrics.counter("serve.model_faults").value == 1
 
+    def test_open_breaker_serves_last_good_for_an_equal_request(self) -> None:
+        """The last-good map is keyed by value: fresh, equal ``RangeQuery``
+        objects find the answer their twins got while the model was up."""
+        server, model, breaker, metrics = self._server()
+        healthy = server.estimate_batch(_queries(5), now=0.0)
+
+        plan = FaultPlan(seed=4)
+        plan.arm("serve.estimate", action="raise")
+        with use_fault_plan(plan):
+            server.estimate_batch(_queries(5), now=0.1)
+            server.estimate_batch(_queries(5), now=0.2)  # second fault: trips
+            assert breaker.state == "open"
+            shed = server.estimate_batch(_queries(5), now=0.3)
+        np.testing.assert_array_equal(shed, healthy)
+        assert metrics.counter("serve.stale_served").value == 3
+        assert metrics.counter("serve.model_faults").value == 2
+        assert metrics.counter("serve.fallback_served").value == 0
+
     def test_fallback_served_for_uncached_plans_while_open(self) -> None:
         server, model, breaker, metrics = self._server()
         plan = FaultPlan(seed=4)

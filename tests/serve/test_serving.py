@@ -12,12 +12,13 @@ final served state must equal the serial replay of the whole stream.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.errors import InvalidParameterError, NotFittedError
+from repro.core.errors import InvalidParameterError, InvalidQueryError, NotFittedError
 from repro.core.kde import KDESelectivityEstimator
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
@@ -25,8 +26,9 @@ from repro.engine.table import Table
 from repro.ensemble import EnsembleEstimator
 from repro.persist.store import ModelStore
 from repro.serve import EstimatorServer
+from repro.serve import server as server_module
 from repro.workload.generators import UniformWorkload
-from repro.workload.queries import compile_queries
+from repro.workload.queries import RangeQuery, TypedQuery, compile_queries
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,107 @@ class TestServing:
         assert loaded.row_count == server.model.row_count
 
 
+class TestRequestKey:
+    """``RangeQuery`` requests are looked up by value before any compile."""
+
+    @staticmethod
+    def _queries(table, seed: int = 11) -> list[RangeQuery]:
+        return UniformWorkload(table, volume_fraction=0.2, seed=seed).generate(6)
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch) -> list:
+        """Every request the server compiles, through the module attribute."""
+        calls: list = []
+        original = server_module.compile_queries
+
+        def counting(queries, *args, **kwargs):
+            calls.append(queries)
+            return original(queries, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "compile_queries", counting)
+        return calls
+
+    def test_hit_makes_no_compile_call(self, server, table, compiles) -> None:
+        queries = self._queries(table)
+        first = server.estimate_batch(queries)
+        assert len(compiles) == 1  # the miss compiles once
+        second = server.estimate_batch(queries)
+        assert len(compiles) == 1  # the hit does not compile at all
+        assert second is first
+        info = server.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_equal_but_distinct_request_is_a_hit(self, server, table, compiles) -> None:
+        queries, twins = self._queries(table), self._queries(table)
+        assert queries == twins and queries[0] is not twins[0]
+        first = server.estimate_batch(queries)
+        assert server.estimate_batch(tuple(twins)) is first
+        assert len(compiles) == 1
+        expected = server.model.estimate_batch(compile_queries(queries, server.columns))
+        np.testing.assert_array_equal(first, expected)
+
+    def test_generator_request_is_read_once_then_cached(self, server, table) -> None:
+        queries = self._queries(table)
+        drawn: list[RangeQuery] = []
+
+        def stream():
+            for query in queries:
+                drawn.append(query)
+                yield query
+
+        first = server.estimate_batch(stream())
+        assert drawn == queries
+        np.testing.assert_array_equal(first, server.estimate_batch(list(queries)))
+        assert server.estimate_batch(query for query in queries) is first
+        info = server.cache_info()
+        assert (info.hits, info.misses, info.size) == (2, 1, 1)
+
+    def test_empty_request_is_never_cached(self, table) -> None:
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        server = EstimatorServer(
+            StreamingADE(max_kernels=32).fit(table), cache_size=8, metrics=metrics
+        )
+        empties = ([], (), iter(()), compile_queries([], server.columns))
+        for empty in empties:
+            assert server.estimate_batch(empty, tenant="t").shape == (0,)
+        empty_count = metrics.counter("serve.requests", tenant="t", outcome="empty")
+        assert empty_count.value == len(empties)
+        info = server.cache_info()
+        assert (info.hits, info.misses, info.size) == (0, 0, 0)
+
+    def test_typed_or_foreign_elements_raise_and_are_never_cached(
+        self, server, table
+    ) -> None:
+        query = self._queries(table)[0]
+        typed = TypedQuery({"x0": (0.0, 1.0)})
+        with pytest.raises(InvalidQueryError, match="query 0 uses typed predicates"):
+            server.estimate_batch([typed])
+        with pytest.raises(InvalidQueryError, match="query 1 uses typed predicates"):
+            server.estimate_batch([query, typed])
+        with pytest.raises(AttributeError, match="_constraints"):
+            server.estimate_batch([query, {"x0": (0.0, 1.0)}])
+        info = server.cache_info()
+        assert (info.hits, info.misses, info.size) == (0, 0, 0)
+
+    def test_keys_lead_with_the_generation(self, server, table, plan) -> None:
+        """A ``RangeQuery`` list and its compiled plan are two entries."""
+        queries = plan.to_queries()
+        by_value = server.estimate_batch(queries)
+        by_digest = server.estimate_batch(plan)
+        assert by_value is not by_digest
+        np.testing.assert_array_equal(by_value, by_digest)
+        assert server.cache_info().size == 2
+        assert all(key[0] == server.generation == 1 for key in server._cache)
+        server.publish(server.checkout())
+        assert server.stats()["cache_invalidations"] == 2
+        server.estimate_batch(queries)
+        server.estimate_batch(plan)
+        assert server.cache_info().size == 2
+        assert all(key[0] == server.generation == 2 for key in server._cache)
+
+
 class TestIngestWhileServe:
     """Satellite: hammer the server with a writer and concurrent readers."""
 
@@ -230,21 +333,68 @@ class TestIngestWhileServe:
         # The cache holds only current-generation entries.
         assert all(key[0] == server.generation for key in server._cache)
 
-    def test_concurrent_cache_serves_only_current_generation(self, table, plan) -> None:
-        """A cached answer is never served across a generation boundary."""
+    @pytest.mark.parametrize("form", ["compiled", "range_queries"])
+    def test_concurrent_cache_serves_only_current_generation(
+        self, table, plan, form
+    ) -> None:
+        """A cached answer is never served across a generation boundary.
+
+        Readers hammer the same request while the writer publishes, once as
+        the compiled plan (digest key) and once as its ``RangeQuery`` list
+        (value key, compiled only on a miss).
+        """
+        request = plan if form == "compiled" else plan.to_queries()
         server = EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8)
-        baseline = np.array(server.estimate_batch(plan))
-        for step in range(4):
-            model = server.checkout()
-            model.insert(np.random.default_rng(step).normal(loc=5.0, size=(300, 2)))
-            model.flush()
-            server.publish(model)
-            fresh_model = server.model.estimate_batch(plan)
-            served = server.estimate_batch(plan)  # miss: new generation key
-            served_again = server.estimate_batch(plan)  # hit: same generation
-            np.testing.assert_array_equal(served, fresh_model)
-            np.testing.assert_array_equal(served_again, fresh_model)
-            assert not np.array_equal(served, baseline)
+        baseline = np.array(server.estimate_batch(request))
+        expected = {1: baseline.tobytes()}
+        errors: list[str] = []
+        # Each distinct result object once (hits share the cached array);
+        # holding the arrays keeps their ids unique.
+        observed: dict[int, tuple[int, np.ndarray]] = {}
+        done = threading.Event()
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    generation, result = server.estimate_batch_tagged(request)
+                    observed.setdefault(id(result), (generation, result))
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(f"reader: {error!r}")
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave readers and publishes finely
+        for thread in readers:
+            thread.start()
+        try:
+            for step in range(4):
+                model = server.checkout()
+                model.insert(np.random.default_rng(step).normal(loc=5.0, size=(300, 2)))
+                model.flush()
+                generation = server.publish(model)
+                fresh_model = server.model.estimate_batch(plan)
+                expected[generation] = fresh_model.tobytes()
+                served = server.estimate_batch(request)  # miss unless a reader got there first
+                served_again = server.estimate_batch(request)  # hit: same generation
+                np.testing.assert_array_equal(served, fresh_model)
+                np.testing.assert_array_equal(served_again, fresh_model)
+                assert not np.array_equal(served, baseline)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not errors, errors
+        assert observed, "readers never produced a result"
+        # No torn reads: each answer is bitwise its own generation's.
+        for generation, result in observed.values():
+            assert result.tobytes() == expected[generation], f"generation {generation} torn"
+        # Only current-generation results entered (and stayed in) the cache.
+        assert server._cache
+        for key, cached in server._cache.items():
+            assert key[0] == server.generation
+            assert cached.tobytes() == expected[server.generation]
 
 
 class TestServerStats:

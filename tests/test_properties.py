@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -18,11 +20,18 @@ from repro.engine.table import Table
 from repro.metrics.errors import q_errors, relative_errors
 from repro.stream.reservoir import ReservoirSampler
 from repro.stream.windows import SlidingWindow
-from repro.workload.queries import Interval, RangeQuery
+from repro.workload.queries import Interval, RangeQuery, compile_queries
 
 # Shared strategies -----------------------------------------------------------
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+#: Query bounds: floats, ints, signed zeros and infinities.
+query_bounds = st.one_of(
+    st.floats(min_value=-100, max_value=100, allow_nan=False),
+    st.integers(min_value=-100, max_value=100),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+)
 
 bounded_arrays = npst.arrays(
     dtype=np.float64,
@@ -92,22 +101,47 @@ class TestIntervalAndQueryProperties:
     @given(
         bounds=st.dictionaries(
             st.sampled_from(["a", "b", "c"]),
-            st.tuples(
-                st.floats(min_value=-100, max_value=100, allow_nan=False),
-                st.floats(min_value=0, max_value=100, allow_nan=False),
-            ),
+            st.tuples(query_bounds, query_bounds, st.booleans()),
             min_size=1,
             max_size=3,
         )
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_range_query_equality_and_hash(self, bounds) -> None:
-        constraints = {k: (low, low + width) for k, (low, width) in bounds.items()}
+        """Equal queries hash alike and compile to equal plans.
+
+        The server's result cache keys ``RangeQuery`` requests by value and
+        compiles only on a miss, so this is the contract that key rests on.
+        The twin of each query spells every bound differently where it can:
+        an int as a float (and back), ``0.0`` as ``-0.0`` (and back).
+        """
+
+        def twin(value):
+            if isinstance(value, int):
+                return float(value)
+            if value == 0:
+                return -value
+            if math.isfinite(value) and value.is_integer():
+                return int(value)
+            return value
+
+        constraints, twins = {}, {}
+        for name, (x, y, point) in bounds.items():
+            low, high = sorted((x, y))
+            if point:
+                high = low
+            constraints[name] = (low, high)
+            twins[name] = (twin(low), twin(high))
         q1 = RangeQuery(constraints)
-        q2 = RangeQuery(dict(reversed(list(constraints.items()))))
+        q2 = RangeQuery(dict(reversed(list(twins.items()))))
         assert q1 == q2
         assert hash(q1) == hash(q2)
         assert q1.dimensionality == len(constraints)
+        columns = ("a", "b", "c")
+        plan1 = compile_queries([q1], columns)
+        plan2 = compile_queries([q2], columns)
+        assert np.array_equal(plan1.lows, plan2.lows)
+        assert np.array_equal(plan1.highs, plan2.highs)
 
 
 class TestTableProperties:

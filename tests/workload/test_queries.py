@@ -114,6 +114,10 @@ class TestRangeQuery:
         assert restricted is not None
         assert restricted.attributes == ("a",)
         assert query.restrict(["z"]) is None
+        # One-shot iterables are read once, not once per constraint.
+        wide = RangeQuery({"a": (0, 1), "b": (2, 3), "c": (4, 5)})
+        assert wide.restrict(iter(["a", "b"])).attributes == ("a", "b")
+        assert wide.restrict(name for name in ("b", "c")).attributes == ("b", "c")
 
     def test_volume(self) -> None:
         query = RangeQuery({"a": (0.0, 0.5)})

@@ -109,6 +109,9 @@ class TestPredicateNodes:
         assert query.attributes == ("c", "s", "x")
         assert query.dimensionality == 3
         assert query.restrict(["x"]).attributes == ("x",)
+        # One-shot iterables are read once, not once per constraint.
+        assert query.restrict(iter(["c", "s"])).attributes == ("c", "s")
+        assert query.restrict(name for name in ("s", "x")).attributes == ("s", "x")
 
     def test_typed_query_rejects_unknown_predicate(self) -> None:
         with pytest.raises(InvalidQueryError):
