@@ -46,11 +46,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -209,19 +210,26 @@ class EstimatorServer:
             self._tenant_series: dict[str, tuple] = {}
             # The cache/generation counters already exist on the server;
             # exporting them as snapshot-time callbacks keeps the request
-            # path free of duplicate bookkeeping.
-            self.metrics.gauge_fn("serve.cache_hits", lambda: self._hits)
-            self.metrics.gauge_fn("serve.cache_misses", lambda: self._misses)
-            self.metrics.gauge_fn("serve.hit_rate", lambda: hit_rate(self._hits, self._misses))
-            self.metrics.gauge_fn("serve.generation", lambda: self._current[0])
-            self.metrics.gauge_fn("serve.generation_swaps", lambda: self._generation_swaps)
-            self.metrics.gauge_fn(
-                "serve.cache_invalidations", lambda: self._cache_invalidations
-            )
-            self.metrics.gauge_fn("serve.cached_plans", lambda: len(self._cache))
+            # path free of duplicate bookkeeping.  They read the server
+            # through a weak reference, so the registry keeps no dropped
+            # server alive, and read 0.0 once it is gone.
+            metrics, server = self.metrics, weakref.ref(self)
+
+            def gauge(name: str, read: Callable[[EstimatorServer], float]) -> None:
+                metrics.gauge_fn(
+                    name, lambda: 0.0 if (live := server()) is None else read(live)
+                )
+
+            gauge("serve.cache_hits", lambda s: s._hits)
+            gauge("serve.cache_misses", lambda s: s._misses)
+            gauge("serve.hit_rate", lambda s: hit_rate(s._hits, s._misses))
+            gauge("serve.generation", lambda s: s._current[0])
+            gauge("serve.generation_swaps", lambda s: s._generation_swaps)
+            gauge("serve.cache_invalidations", lambda s: s._cache_invalidations)
+            gauge("serve.cached_plans", lambda s: len(s._cache))
             if breaker is not None:
-                self.metrics.gauge_fn("serve.breaker_state", lambda: breaker.state_code)
-                self.metrics.gauge_fn("serve.breaker_trips", lambda: breaker.trips)
+                gauge("serve.breaker_state", lambda s: s.breaker.state_code)
+                gauge("serve.breaker_trips", lambda s: s.breaker.trips)
 
     # -- introspection ---------------------------------------------------------
     @property

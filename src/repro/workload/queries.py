@@ -15,6 +15,10 @@ For high-throughput estimation a workload is *compiled* once into a
 ``(n, d)`` bound matrices aligned with a fixed column tuple, the unit every
 estimator's ``estimate_batch`` consumes without touching per-query Python
 objects again.
+
+:class:`TypedQuery` adds IN sets and string prefixes over dictionary-encoded
+columns; the same one loop of :func:`compile_queries` lowers them onto
+disjoint boxes of such a plan (a :class:`LoweredQueries`).
 """
 
 from __future__ import annotations
@@ -571,122 +575,6 @@ class LoweredQueries:
 MAX_BOXES_PER_QUERY = 4096
 
 
-def _lower_workload(
-    query_list: Sequence["RangeQuery | TypedQuery"],
-    columns: tuple[str, ...],
-    schema,
-) -> LoweredQueries:
-    """Lower a mixed RangeQuery/TypedQuery workload onto disjoint numeric boxes.
-
-    ``schema`` provides ``predicate_runs(column, predicate) -> (r, 2)`` arrays
-    of closed code/value ranges per predicate (duck-typed so this module does
-    not import the engine layer).  Each query's per-column runs are expanded
-    into their cross product of disjoint boxes.
-    """
-    index_of = {c: d for d, c in enumerate(columns)}
-    # Memoised tuple-of-pairs runs when the schema offers them (TableSchema
-    # does); the duck-typed fallback keeps any predicate_runs provider valid.
-    # Hits read the memo dict directly — the method call only pays on a miss.
-    runs_of = getattr(schema, "predicate_runs_cached", None)
-    runs_cache = getattr(schema, "_runs_cache", None) if runs_of is not None else None
-    cache_get = runs_cache.get if runs_cache is not None else None
-    index_get = index_of.get
-    dimensions = len(columns)
-    query_count = len(query_list)
-    counts: list[int] = []
-    base = 0
-    # Single-box queries (the dominant case) scatter through one fancy
-    # assignment; multi-box queries take the stride fill below.
-    flat_rows: list[int] = []
-    flat_cols: list[int] = []
-    flat_lows: list[float] = []
-    flat_highs: list[float] = []
-    multi: list[tuple[int, int, list[tuple[int, tuple]]]] = []
-    for i, query in enumerate(query_list):
-        # Both query classes live in this module; reading the constraint dict
-        # directly keeps the hot loop free of Mapping-protocol dispatch.
-        constraints = getattr(query, "_constraints", None)
-        if constraints is None:
-            constraints = dict(query)
-        per_column: list[tuple[int, tuple]] = []
-        total = 1
-        for name, predicate in constraints.items():
-            d = index_get(name)
-            if d is None:
-                unknown = sorted(set(constraints) - set(columns))
-                raise DimensionMismatchError(
-                    f"query {i} constrains {unknown} which are not covered by "
-                    f"the plan columns {list(columns)}"
-                )
-            if predicate.__class__ is Interval:
-                # Intervals lower to themselves; skip the schema round trip.
-                runs: tuple = ((predicate.low, predicate.high),)
-            else:
-                runs = cache_get((name, predicate)) if cache_get is not None else None
-                if runs is None:
-                    try:
-                        if runs_of is not None:
-                            runs = runs_of(name, predicate)
-                        else:
-                            array = np.asarray(
-                                schema.predicate_runs(name, predicate), dtype=float
-                            ).reshape(-1, 2)
-                            runs = tuple((float(lo), float(hi)) for lo, hi in array)
-                    except SchemaError as err:
-                        raise InvalidQueryError(
-                            f"query {i}, column {name!r}: {err}"
-                        ) from err
-                if not runs:
-                    total = 0
-                    break
-            per_column.append((d, runs))
-            total *= len(runs)
-        if total > MAX_BOXES_PER_QUERY:
-            raise InvalidQueryError(
-                f"query {i} expands into {total} disjoint boxes, above the "
-                f"per-query cap of {MAX_BOXES_PER_QUERY}; shrink its IN sets"
-            )
-        counts.append(total)
-        if total == 1:
-            for d, runs in per_column:
-                lo, hi = runs[0]
-                flat_rows.append(base)
-                flat_cols.append(d)
-                flat_lows.append(lo)
-                flat_highs.append(hi)
-        elif total > 1:
-            multi.append((base, total, per_column))
-        base += total
-    total_boxes = base
-    lows = np.full((total_boxes, dimensions), -np.inf)
-    highs = np.full((total_boxes, dimensions), np.inf)
-    group = np.repeat(
-        np.arange(query_count, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    )
-    if flat_rows:
-        rows_index = np.asarray(flat_rows, dtype=np.int64)
-        cols_index = np.asarray(flat_cols, dtype=np.int64)
-        lows[rows_index, cols_index] = flat_lows
-        highs[rows_index, cols_index] = flat_highs
-    for box_base, boxes, per_column in multi:
-        # Cross product of runs: column d cycles through its runs with a
-        # stride equal to the product of the run counts before it.
-        stride = 1
-        for d, runs in per_column:
-            run_count = len(runs)
-            if run_count == 1:
-                lows[box_base : box_base + boxes, d] = runs[0][0]
-                highs[box_base : box_base + boxes, d] = runs[0][1]
-                continue
-            pattern = np.asarray(runs, dtype=float)
-            choice = (np.arange(boxes) // stride) % run_count
-            lows[box_base : box_base + boxes, d] = pattern[choice, 0]
-            highs[box_base : box_base + boxes, d] = pattern[choice, 1]
-            stride *= run_count
-    plan = CompiledQueries(columns, lows, highs)
-    return LoweredQueries(plan, group, query_count)
-
-
 def compile_queries(
     queries: "Sequence[RangeQuery | TypedQuery] | Iterable[RangeQuery] | CompiledQueries",
     columns: Sequence[str],
@@ -694,18 +582,22 @@ def compile_queries(
 ) -> "CompiledQueries | LoweredQueries":
     """Compile a workload into a plan over ``columns``.
 
-    Without ``schema`` (the numeric path, unchanged): a sequence of
-    :class:`RangeQuery` compiles into a :class:`CompiledQueries`; an
-    already-compiled plan is passed through when its column tuple matches
+    One loop over the queries appends rows of bounds to nested lists that
+    numpy sees once, in the :class:`CompiledQueries` constructor; as in
+    :meth:`RangeQuery.bounds`, every position of a column name gets that
+    attribute's bounds.  A :class:`RangeQuery` appends one row.  A
+    :class:`TypedQuery` needs ``schema`` (a
+    :class:`~repro.engine.table.TableSchema`), whose ``predicate_runs_cached``
+    lowers IN sets to runs of dictionary codes and prefixes to one code
+    interval; the query appends the cross product of its per-column runs as
+    disjoint boxes, the first constrained column cycling fastest.
+
+    Without ``schema`` the result is a :class:`CompiledQueries`; with it, a
+    :class:`LoweredQueries` whose ``group`` holds each box's query index.
+    An already-compiled plan is passed through when its column tuple matches
     (and re-projected via :meth:`CompiledQueries.restrict` when ``columns``
     is a subset), so callers can compile once and hand the same plan to every
     layer.
-
-    With ``schema`` (a :class:`~repro.engine.table.TableSchema` or anything
-    providing ``predicate_runs``): typed predicates are *lowered* — IN sets
-    become runs of dictionary-code ranges, prefixes become one code interval —
-    and the result is a :class:`LoweredQueries` of disjoint boxes whose
-    ``.plan`` is consumable by any ``estimate_batch`` unchanged.
 
     A query constraining an attribute outside ``columns`` raises
     :class:`~repro.core.errors.DimensionMismatchError` naming the query index
@@ -725,20 +617,18 @@ def compile_queries(
             return queries
         return queries.restrict(columns)
     query_list = list(queries)
-    if schema is not None:
-        return _lower_workload(query_list, columns, schema)
-    if not query_list:
-        empty = np.empty((0, len(columns)))
-        return CompiledQueries(columns, empty, empty)
-    # One pass over the queries into nested lists; numpy sees the bounds
-    # once, in the CompiledQueries constructor.  As in RangeQuery.bounds,
-    # every position of a column name gets that attribute's bounds.
     known = set(columns)
     unbounded = Interval(-math.inf, math.inf)
     lows: list[list[float]] = []
     highs: list[list[float]] = []
+    counts = [1] * len(query_list)  # boxes per query, for the LoweredQueries group
+    positions: dict[str, list[int]] = {}  # where a typed box writes each column
+    if schema is not None:
+        for d, name in enumerate(columns):
+            positions.setdefault(name, []).append(d)
     for i, query in enumerate(query_list):
-        if isinstance(query, TypedQuery):
+        typed = isinstance(query, TypedQuery)
+        if typed and schema is None:
             raise InvalidQueryError(
                 f"query {i} uses typed predicates; compile it with a schema "
                 "(compile_queries(..., schema=table.schema))"
@@ -749,10 +639,62 @@ def compile_queries(
                 f"query {i} constrains {sorted(set(constraints) - known)} which are "
                 f"not covered by the plan columns {list(columns)}"
             )
-        intervals = [constraints.get(name, unbounded) for name in columns]
-        lows.append([interval.low for interval in intervals])
-        highs.append([interval.high for interval in intervals])
-    return CompiledQueries(columns, lows, highs)
+        if not typed:
+            intervals = [constraints.get(name, unbounded) for name in columns]
+            lows.append([interval.low for interval in intervals])
+            highs.append([interval.high for interval in intervals])
+            continue
+        # Single-run columns fill the query's first box in place; columns with
+        # several runs (or none) are crossed with it below.
+        box_lows = [-math.inf] * len(columns)
+        box_highs = [math.inf] * len(columns)
+        crossed: list[tuple[list[int], tuple]] = []
+        total = 1
+        for name, predicate in constraints.items():
+            if predicate.__class__ is Interval:
+                runs: tuple = ((predicate.low, predicate.high),)
+            else:
+                try:
+                    runs = schema.predicate_runs_cached(name, predicate)
+                except SchemaError as err:
+                    raise InvalidQueryError(f"query {i}, column {name!r}: {err}") from err
+            if len(runs) != 1:
+                crossed.append((positions[name], runs))
+                total *= len(runs)
+                if not total:
+                    break  # the predicate matches no rows: the query has no boxes
+                continue
+            ((low, high),) = runs
+            for d in positions[name]:
+                box_lows[d], box_highs[d] = low, high
+        if total > MAX_BOXES_PER_QUERY:
+            raise InvalidQueryError(
+                f"query {i} expands into {total} disjoint boxes, above the "
+                f"per-query cap of {MAX_BOXES_PER_QUERY}; shrink its IN sets"
+            )
+        # The first crossed column cycles fastest; LoweredQueries.reduce sums
+        # a query's boxes in this order.
+        boxes = [(box_lows, box_highs)]
+        for where, runs in crossed:
+            grown = []
+            for low, high in runs:
+                for box_lows, box_highs in boxes:
+                    box_lows, box_highs = box_lows.copy(), box_highs.copy()
+                    for d in where:
+                        box_lows[d], box_highs[d] = low, high
+                    grown.append((box_lows, box_highs))
+            boxes = grown
+        for box_lows, box_highs in boxes:
+            lows.append(box_lows)
+            highs.append(box_highs)
+        counts[i] = total
+    if not lows:
+        lows = highs = np.empty((0, len(columns)))
+    plan = CompiledQueries(columns, lows, highs)
+    if schema is None:
+        return plan
+    group = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return LoweredQueries(plan, group, len(counts))
 
 
 @dataclass(frozen=True)

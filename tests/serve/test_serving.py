@@ -609,6 +609,39 @@ class TestServerTelemetry:
         server.estimate_batch_many([plan, plan], tenant="b")  # label forwarded
         assert metrics.histogram("serve.request_seconds", tenant="b").count == 2
 
+    def test_dropped_instrumented_server_is_freed(self, table, plan) -> None:
+        """The callback gauges hold the server weakly: with the cyclic GC off,
+        dropping an instrumented server that has a breaker frees it, and the
+        registry still snapshots, its gauges reading 0.0."""
+        import gc
+        import weakref
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve.breaker import CircuitBreaker
+
+        metrics = MetricsRegistry()
+        gc.collect()
+        gc.disable()
+        try:
+            server = EstimatorServer(
+                StreamingADE(max_kernels=32).fit(table),
+                cache_size=8,
+                metrics=metrics,
+                breaker=CircuitBreaker(),
+            )
+            server.estimate_batch(plan)
+            gauges = metrics.snapshot()["gauges"]
+            assert gauges["serve.cache_misses"]["value"] == 1.0
+            assert gauges["serve.generation"]["value"] == 1.0
+            alive = weakref.ref(server)
+            del server
+            assert alive() is None
+        finally:
+            gc.enable()
+        gauges = metrics.snapshot()["gauges"]
+        assert "serve.breaker_trips" in gauges
+        assert {key: g["value"] for key, g in gauges.items()} == dict.fromkeys(gauges, 0.0)
+
     def test_uninstrumented_by_default(self, table, plan) -> None:
         server = EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8)
         assert not server._instrumented

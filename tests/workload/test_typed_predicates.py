@@ -220,14 +220,48 @@ class TestLowering:
                 schema=TableSchema(),
             )
 
+    @pytest.mark.parametrize(
+        ("columns", "queries"),
+        [
+            pytest.param(["x", "cat"], [RangeQuery({"x": (0.0, 1.0)})], id="range_only"),
+            pytest.param(
+                ["x", "x"],
+                [
+                    RangeQuery({"x": (1.0, 2.0)}),
+                    TypedQuery({"x": SetMembership([1.0, 3.0])}),
+                    RangeQuery({"x": (-1.0, 0.5)}),
+                ],
+                id="repeated_column",
+            ),
+            pytest.param(
+                ["x", "cat"],
+                [
+                    TypedQuery({"cat": SetMembership(["a", "c"])}),
+                    RangeQuery({"x": (0.0, 1.0)}),
+                    TypedQuery({"cat": SetMembership(["e"]), "x": Interval(2.0, 3.0)}),
+                ],
+                id="between_typed",
+            ),
+        ],
+    )
     def test_plain_range_queries_with_schema_still_compile(
-        self, schema: TableSchema
+        self, schema: TableSchema, columns: list[str], queries: list
     ) -> None:
-        lowered = compile_queries(
-            [RangeQuery({"x": (0.0, 1.0)})], ["x", "cat"], schema=schema
-        )
-        assert lowered.box_count == 1
-        np.testing.assert_array_equal(lowered.reduce(np.asarray([0.5])), [0.5])
+        # Each RangeQuery lowers to one box under its own index, bitwise the
+        # row it compiles to without a schema: a RangeQuery-only workload
+        # lowers to the plain plan with group == arange(n).
+        lowered = compile_queries(queries, columns, schema=schema)
+        ranged = [i for i, query in enumerate(queries) if isinstance(query, RangeQuery)]
+        plain = compile_queries([queries[i] for i in ranged], columns)
+        rows = np.flatnonzero(np.isin(lowered.group, ranged))
+        np.testing.assert_array_equal(lowered.group[rows], ranged)
+        assert lowered.plan.lows[rows].tobytes() == plain.lows.tobytes()
+        assert lowered.plan.highs[rows].tobytes() == plain.highs.tobytes()
+        # Every position of a repeated column name holds that name's bounds,
+        # in typed boxes too.
+        first = [columns.index(name) for name in columns]
+        assert lowered.plan.lows.tobytes() == lowered.plan.lows[:, first].tobytes()
+        assert lowered.plan.highs.tobytes() == lowered.plan.highs[:, first].tobytes()
 
 
 # -- round trips --------------------------------------------------------------
