@@ -226,12 +226,13 @@ class TestLowering:
             pytest.param(["x", "cat"], [RangeQuery({"x": (0.0, 1.0)})], id="range_only"),
             pytest.param(
                 ["x", "x"],
-                [
-                    RangeQuery({"x": (1.0, 2.0)}),
-                    TypedQuery({"x": SetMembership([1.0, 3.0])}),
-                    RangeQuery({"x": (-1.0, 0.5)}),
-                ],
+                [RangeQuery({"x": (1.0, 2.0)}), RangeQuery({"x": (-1.0, 0.5)})],
                 id="repeated_column",
+            ),
+            pytest.param(
+                ["x", "x"],
+                [TypedQuery({"x": SetMembership([1.0, 3.0])}), RangeQuery({"x": (0.0, 1.0)})],
+                id="repeated_column_typed",
             ),
             pytest.param(
                 ["x", "cat"],
