@@ -102,7 +102,6 @@ from repro.data.generators import (
     clustered_table,
     correlated_table,
     gaussian_mixture_table,
-    make_dataset,
     mixed_table,
     mixed_type_table,
     uniform_table,
@@ -186,7 +185,6 @@ from repro.shard import (
     partition_table,
 )
 from repro.stream.reservoir import DecayedReservoirSampler, ReservoirSampler
-from repro.stream.windows import SlidingWindow
 from repro.traffic import (
     DEFAULT_TENANTS,
     TenantProfile,
@@ -200,13 +198,11 @@ from repro.workload.generators import (
     TypedWorkload,
     UniformWorkload,
     WorkloadGenerator,
-    generate_workload,
 )
 from repro.workload.queries import (
     CompiledQueries,
     Interval,
     LoweredQueries,
-    QueryRegion,
     RangeQuery,
     SetMembership,
     StringPrefix,
@@ -332,7 +328,6 @@ __all__ = [
     "clustered_table",
     "mixed_table",
     "mixed_type_table",
-    "make_dataset",
     "DataStream",
     "stationary_stream",
     "sudden_drift_stream",
@@ -343,7 +338,6 @@ __all__ = [
     "Interval",
     "SetMembership",
     "StringPrefix",
-    "QueryRegion",
     "CompiledQueries",
     "LoweredQueries",
     "compile_queries",
@@ -352,11 +346,9 @@ __all__ = [
     "DataCenteredWorkload",
     "SkewedWorkload",
     "TypedWorkload",
-    "generate_workload",
     # streams
     "ReservoirSampler",
     "DecayedReservoirSampler",
-    "SlidingWindow",
     # metrics
     "ErrorSummary",
     "absolute_errors",

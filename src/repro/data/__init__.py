@@ -1,12 +1,10 @@
 """Synthetic dataset and drifting-stream generators."""
 
 from repro.data.generators import (
-    DATASET_BUILDERS,
     clustered_table,
     correlated_table,
     gaussian_mixture_density,
     gaussian_mixture_table,
-    make_dataset,
     mixed_table,
     sample_gaussian_mixture,
     uniform_table,
@@ -20,14 +18,12 @@ from repro.data.streams import (
 )
 
 __all__ = [
-    "DATASET_BUILDERS",
     "uniform_table",
     "gaussian_mixture_table",
     "zipf_table",
     "correlated_table",
     "clustered_table",
     "mixed_table",
-    "make_dataset",
     "gaussian_mixture_density",
     "sample_gaussian_mixture",
     "DataStream",

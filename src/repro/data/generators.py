@@ -40,8 +40,6 @@ __all__ = [
     "mixed_type_table",
     "gaussian_mixture_density",
     "sample_gaussian_mixture",
-    "DATASET_BUILDERS",
-    "make_dataset",
 ]
 
 
@@ -313,25 +311,3 @@ def mixed_type_table(
         {"amount": amount, "score": score, "region": region, "product": product},
         schema=schema,
     )
-
-
-#: Named dataset registry used by experiment configurations.
-DATASET_BUILDERS = {
-    "uniform": uniform_table,
-    "gaussian_mixture": gaussian_mixture_table,
-    "zipf": zipf_table,
-    "correlated": correlated_table,
-    "clustered": clustered_table,
-    "mixed_type": mixed_type_table,
-}
-
-
-def make_dataset(kind: str, rows: int, **kwargs: object) -> Table:
-    """Build one of the named datasets (``DATASET_BUILDERS``) by keyword."""
-    try:
-        builder = DATASET_BUILDERS[kind]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown dataset kind {kind!r}; available: {sorted(DATASET_BUILDERS)}"
-        ) from None
-    return builder(rows, **kwargs)  # type: ignore[arg-type]

@@ -79,31 +79,6 @@ class Catalog:
         self._estimators[table_name] = estimator
         return estimator
 
-    def attach_sharded(
-        self,
-        table_name: str,
-        base: "SelectivityEstimator | Mapping | str",
-        shards: int = 4,
-        partitioner: str | Mapping = "hash",
-        columns: Sequence[str] | None = None,
-        **options,
-    ) -> "ShardedEstimator":
-        """Fit a partition-wise synopsis on the named table and attach it.
-
-        Builds a :class:`~repro.shard.sharded.ShardedEstimator` over ``base``
-        (an estimator instance, registry name or config mapping) with the
-        given shard count and routing policy; extra keyword ``options``
-        (``combine``, ``parallel``, ``max_workers``) are forwarded.  The
-        per-shard refresh path is :meth:`refresh` with a ``shard`` id.
-        """
-        from repro.shard.sharded import ShardedEstimator  # lazy: avoids a cycle
-
-        estimator = ShardedEstimator(
-            base, shards=shards, partitioner=partitioner, **options
-        )
-        self.attach_estimator(table_name, estimator, columns)
-        return estimator
-
     def attach_fitted(
         self, table_name: str, estimator: SelectivityEstimator
     ) -> SelectivityEstimator:

@@ -4,8 +4,8 @@ Production code is sprinkled with *injection points* — cheap, inert-by-default
 hooks named like metrics (``"persist.publish.write"``, ``"shard.task"``).
 Two hook shapes cover the fault surface:
 
-- :func:`inject` — control-flow faults: raise :class:`InjectedFault` or hang
-  (a bounded sleep) at the point.
+- :func:`inject` — control-flow faults: raise :class:`InjectedFault` at the
+  point.
 - :func:`mutate_bytes` — data faults: tear (truncate) or bit-flip a byte
   payload on its way to disk.
 
@@ -27,7 +27,6 @@ process-wide with :func:`set_default_fault_plan` or for a scope with the
 from __future__ import annotations
 
 import threading
-import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -54,10 +53,10 @@ __all__ = [
     "use_fault_plan",
 ]
 
-#: Supported rule actions.  ``raise`` and ``hang`` apply at :func:`inject`
-#: points (``raise`` also fails :func:`mutate_bytes` writes); ``torn`` and
-#: ``bitflip`` apply at :func:`mutate_bytes` points.
-ACTIONS = ("raise", "hang", "torn", "bitflip")
+#: Supported rule actions.  ``raise`` applies at :func:`inject` points and
+#: also fails :func:`mutate_bytes` writes; ``torn`` and ``bitflip`` apply at
+#: :func:`mutate_bytes` points.
+ACTIONS = ("raise", "torn", "bitflip")
 
 #: Injection points that the hardened layers absorb *by design* (publish
 #: verify-and-retry, executor transient retries).  A low-rate random plan
@@ -88,7 +87,6 @@ class FaultRule:
     limit: int | None = None
     fraction: float = 0.5  # torn: fraction of the payload kept
     flips: int = 1  # bitflip: number of bits flipped
-    delay: float = 0.0  # hang: seconds slept
     message: str = ""
     fired: int = field(default=0, compare=False)
 
@@ -228,13 +226,9 @@ class FaultPlan(CopyByReference):
     # -- the two hook shapes ---------------------------------------------
 
     def inject(self, point: str) -> None:
-        """Control-flow hook: raise or hang when an armed rule fires."""
+        """Control-flow hook: raise when an armed ``raise`` rule fires."""
         rule = self._hit(point)
-        if rule is None:
-            return
-        if rule.action == "hang":
-            time.sleep(rule.delay)
-        elif rule.action == "raise":
+        if rule is not None and rule.action == "raise":
             raise InjectedFault(point, rule.message)
 
     def mutate_bytes(self, point: str, data: bytes) -> bytes:

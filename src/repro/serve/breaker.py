@@ -14,16 +14,16 @@ shard backend, or resource exhaustion):
   consecutive successes close the breaker, any failure reopens it.
 
 Time is explicit: every transition decision takes a ``now`` timestamp (the
-server passes its request clock through), defaulting to ``time.monotonic``
-— so virtual-time simulators drive the open→half-open transition
-deterministically.  All methods are thread-safe.
+server passes its request clock through; the traffic simulator and the
+fault bench pass virtual time), and ``time.monotonic()`` is read only when a
+caller passes none — so virtual-time callers drive the open→half-open
+transition deterministically.  All methods are thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
 
 from repro.core.errors import InvalidParameterError
 
@@ -44,8 +44,6 @@ class CircuitBreaker:
         Seconds the breaker stays open before half-opening for probes.
     probe_successes:
         Consecutive successful probes (while half-open) that close it.
-    clock:
-        Time source used when a caller passes no explicit ``now``.
     """
 
     def __init__(
@@ -53,7 +51,6 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         reset_timeout: float = 1.0,
         probe_successes: int = 2,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise InvalidParameterError("failure_threshold must be >= 1")
@@ -64,7 +61,6 @@ class CircuitBreaker:
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout = float(reset_timeout)
         self.probe_successes = int(probe_successes)
-        self._clock = clock
         self._lock = threading.Lock()
         self._state = "closed"
         self._failures = 0  # consecutive, while closed
@@ -103,7 +99,7 @@ class CircuitBreaker:
     # -- state machine ----------------------------------------------------
 
     def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else float(now)
+        return time.monotonic() if now is None else float(now)
 
     def before_call(self, now: float | None = None) -> str:
         """Gate one request: ``"attempt"`` (call the model) or ``"shed"``.

@@ -48,7 +48,6 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -505,28 +504,6 @@ class EstimatorServer:
     def estimate(self, query: RangeQuery) -> float:
         """Scalar sugar over a one-row batch (mirrors the estimator API)."""
         return float(self.estimate_batch((query,))[0])
-
-    def estimate_batch_many(
-        self,
-        workloads: Sequence[Sequence[RangeQuery] | CompiledQueries],
-        max_workers: int = 4,
-        *,
-        tenant: str | None = None,
-    ) -> list[np.ndarray]:
-        """Answer many workloads concurrently on a thread pool.
-
-        This is the multi-threaded batch entry point: numpy releases the GIL
-        in the kernels that dominate batch estimation, so independent
-        workloads overlap on multi-core hardware; cached workloads are
-        answered without touching the model at all.  ``tenant`` labels
-        every workload in the batch.
-        """
-        if max_workers < 1:
-            raise InvalidParameterError("max_workers must be positive")
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(lambda plan: self.estimate_batch(plan, tenant=tenant), workloads)
-            )
 
     # -- copy-on-write updates -------------------------------------------------
     def checkout(self) -> SelectivityEstimator:

@@ -29,9 +29,12 @@ Estimation modes (the ``combine`` parameter)
     hash partition the deviation from the monolithic model is small
     (≤ 5 % mean relative deviation on the standard workloads — pinned by
     ``tests/shard/test_sharded_estimator.py``).
-``"merge"``
-    Force the merged-synopsis path (requires ``supports_merge``; samplers
-    merge statistically rather than bitwise).
+
+Any other ``combine`` value raises
+:class:`~repro.core.errors.InvalidParameterError`, also when a stored
+snapshot config carries it.  The samplers' statistical ``merge_state``
+serves no reads: only :meth:`ShardedEstimator.merged_estimator` builds it,
+on request.
 
 The memory accounting (``memory_bytes``) charges the shard synopses only —
 the merged view is a cache rebuilt from shard state, not independent state.
@@ -108,8 +111,8 @@ class ShardedEstimator(StreamingEstimator):
         config mapping, or a :class:`~repro.shard.partition.Partitioner`
         instance.
     combine:
-        Estimation mode (see module docstring): ``"auto"``, ``"weighted"``
-        or ``"merge"``.
+        Estimation mode (see module docstring): ``"auto"`` or
+        ``"weighted"``.
     parallel:
         Execution backend for per-shard fit, ingest and estimation work:
         ``"thread"`` (default) or ``"serial"`` (also ``None``).
@@ -131,18 +134,13 @@ class ShardedEstimator(StreamingEstimator):
         super().__init__()
         if shards < 1:
             raise InvalidParameterError("shards must be positive")
-        if combine not in ("auto", "weighted", "merge"):
+        if combine not in ("auto", "weighted"):
             raise InvalidParameterError(
-                "combine must be 'auto', 'weighted' or 'merge'"
+                f"combine must be 'auto' or 'weighted', got {combine!r}"
             )
         template = resolve_estimator(base, what="base")
         if isinstance(template, ShardedEstimator):
             raise InvalidParameterError("sharded estimators cannot be nested")
-        if combine == "merge" and not template.supports_merge:
-            raise InvalidParameterError(
-                f"combine='merge' requires a mergeable base, and "
-                f"{template.name!r} does not support state-merge"
-            )
         self.shard_count = int(shards)
         self.combine = combine
         self.parallel = parallel
@@ -330,15 +328,11 @@ class ShardedEstimator(StreamingEstimator):
             # Degraded: the merged synopsis would fold lost-shard state back
             # in; only the weighted path can renormalize over survivors.
             return False
-        if self.combine == "merge":
-            return True
-        if self.combine == "weighted":
-            return False
         # auto: merge when it is a deterministic statistics recombination
         # (histograms: bitwise; independence and the streaming_ade union:
         # float-rounding exact).  Sample merges *shrink* the pooled evidence
         # back to one sample, so the weighted path serves samplers better.
-        return self._template.merge_lossless
+        return self.combine == "auto" and self._template.merge_lossless
 
     def merged_estimator(self) -> SelectivityEstimator:
         """The shard states folded into one synopsis (``merge_state``).

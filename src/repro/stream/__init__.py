@@ -1,6 +1,5 @@
-"""Stream substrate: reservoir samplers and sliding windows."""
+"""Stream substrate: reservoir samplers and batch normalisation."""
 
 from repro.stream.reservoir import DecayedReservoirSampler, ReservoirSampler
-from repro.stream.windows import SlidingWindow
 
-__all__ = ["ReservoirSampler", "DecayedReservoirSampler", "SlidingWindow"]
+__all__ = ["ReservoirSampler", "DecayedReservoirSampler"]

@@ -1,11 +1,10 @@
 """Batch normalisation shared by every streaming ingestion surface.
 
-Every ``insert(rows)`` in the library — the streaming estimators, the
-reservoir samplers and the sliding window — accepts the same inputs: a
-``(n, d)`` matrix of finite values, a single 1-D row, or an empty batch (a
-no-op, never an error).  This helper is the single implementation of that
-contract; the sharded and journaled front ends apply it before they route or
-log a batch.
+Every ``insert(rows)`` in the library — the streaming estimators and the
+reservoir samplers — accepts the same inputs: a ``(n, d)`` matrix of finite
+values, a single 1-D row, or an empty batch (a no-op, never an error).  This
+helper is the single implementation of that contract; the sharded and
+journaled front ends apply it before they route or log a batch.
 """
 
 from __future__ import annotations

@@ -6,13 +6,11 @@ from repro.workload.generators import (
     TypedWorkload,
     UniformWorkload,
     WorkloadGenerator,
-    generate_workload,
 )
 from repro.workload.queries import (
     CompiledQueries,
     Interval,
     LoweredQueries,
-    QueryRegion,
     RangeQuery,
     SetMembership,
     StringPrefix,
@@ -26,7 +24,6 @@ __all__ = [
     "StringPrefix",
     "RangeQuery",
     "TypedQuery",
-    "QueryRegion",
     "CompiledQueries",
     "LoweredQueries",
     "compile_queries",
@@ -35,5 +32,4 @@ __all__ = [
     "DataCenteredWorkload",
     "SkewedWorkload",
     "TypedWorkload",
-    "generate_workload",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "DataCenteredWorkload",
     "SkewedWorkload",
     "TypedWorkload",
-    "generate_workload",
 ]
 
 
@@ -285,32 +284,3 @@ class TypedWorkload(UniformWorkload):
                     [dictionary[int(i)] for i in chosen]
                 )
         return TypedQuery(constraints)
-
-
-_WORKLOADS = {
-    "uniform": UniformWorkload,
-    "data_centered": DataCenteredWorkload,
-    "skewed": SkewedWorkload,
-    "typed": TypedWorkload,
-}
-
-
-def generate_workload(
-    kind: str,
-    table: Table,
-    count: int,
-    **kwargs: object,
-) -> list[RangeQuery]:
-    """Generate ``count`` queries of the named workload kind.
-
-    ``kind`` is ``"uniform"``, ``"data_centered"`` or ``"skewed"``; extra
-    keyword arguments are forwarded to the generator constructor.
-    """
-    try:
-        generator_type = _WORKLOADS[kind]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown workload kind {kind!r}; available: {sorted(_WORKLOADS)}"
-        ) from None
-    generator = generator_type(table, **kwargs)  # type: ignore[arg-type]
-    return generator.generate(count)

@@ -24,7 +24,7 @@ disjoint boxes of such a plan (a :class:`LoweredQueries`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "StringPrefix",
     "RangeQuery",
     "TypedQuery",
-    "QueryRegion",
     "CompiledQueries",
     "LoweredQueries",
     "compile_queries",
@@ -695,31 +694,3 @@ def compile_queries(
         return plan
     group = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     return LoweredQueries(plan, group, len(counts))
-
-
-@dataclass(frozen=True)
-class QueryRegion:
-    """A query together with bookkeeping used by feedback-driven estimators.
-
-    Attributes
-    ----------
-    query:
-        The range predicate.
-    true_fraction:
-        Observed true selectivity in ``[0, 1]`` (from executing the query).
-    estimated_fraction:
-        The estimate the synopsis produced at observation time, if recorded.
-    """
-
-    query: RangeQuery
-    true_fraction: float
-    estimated_fraction: float | None = None
-    weight: float = field(default=1.0)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.true_fraction <= 1.0:
-            raise InvalidQueryError(
-                f"true_fraction must be in [0, 1], got {self.true_fraction}"
-            )
-        if self.weight <= 0:
-            raise InvalidQueryError("feedback weight must be positive")

@@ -7,12 +7,10 @@ import pytest
 
 from repro.core.errors import InvalidParameterError
 from repro.data.generators import (
-    DATASET_BUILDERS,
     clustered_table,
     correlated_table,
     gaussian_mixture_density,
     gaussian_mixture_table,
-    make_dataset,
     mixed_table,
     sample_gaussian_mixture,
     uniform_table,
@@ -153,14 +151,3 @@ class TestClusteredAndMixed:
         assert table.row_count == 3000
         observed = np.corrcoef(table.column("base"), table.column("corr"))[0, 1]
         assert observed > 0.6
-
-
-class TestRegistry:
-    def test_all_builders_run(self) -> None:
-        for kind in DATASET_BUILDERS:
-            table = make_dataset(kind, 200, seed=1)
-            assert table.row_count == 200
-
-    def test_unknown_kind_raises(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            make_dataset("nope", 10)

@@ -125,17 +125,6 @@ class TestServing:
         with pytest.raises(NotFittedError):
             server.publish(StreamingADE(max_kernels=16))
 
-    def test_estimate_batch_many(self, server, table) -> None:
-        workloads = [
-            UniformWorkload(table, volume_fraction=0.2, seed=s).generate(10)
-            for s in range(6)
-        ]
-        results = server.estimate_batch_many(workloads, max_workers=3)
-        for workload, result in zip(workloads, results):
-            np.testing.assert_array_equal(result, server.estimate_batch(workload))
-        with pytest.raises(InvalidParameterError):
-            server.estimate_batch_many(workloads, max_workers=0)
-
     def test_publish_writes_through_to_store(self, table, tmp_path) -> None:
         store = ModelStore(tmp_path / "models")
         server = EstimatorServer(
@@ -506,6 +495,9 @@ class TestServedEnsembleFeedback:
             expected[round_index + 2] = replay.estimate_batch(plan).tobytes()
 
         server = EstimatorServer(EnsembleEstimator(seed=0).fit(table), cache_size=16)
+        # Cache a generation-1 entry before any thread starts: the writer's
+        # first publish must evict it, however the threads are scheduled.
+        assert server.estimate_batch(plan).tobytes() == expected[1]
         errors: list[str] = []
         observed: list[tuple[int, bytes]] = []
         observed_lock = threading.Lock()
@@ -606,7 +598,8 @@ class TestServerTelemetry:
         assert gauges["serve.generation"]["value"] == 2.0
         assert gauges["serve.generation_swaps"]["value"] == 1.0
         assert gauges["serve.hit_rate"]["value"] == pytest.approx(2 / 3)
-        server.estimate_batch_many([plan, plan], tenant="b")  # label forwarded
+        server.estimate_batch(plan, tenant="b")
+        server.estimate_batch(plan, tenant="b")
         assert metrics.histogram("serve.request_seconds", tenant="b").count == 2
 
     def test_dropped_instrumented_server_is_freed(self, table, plan) -> None:

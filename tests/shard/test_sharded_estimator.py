@@ -137,9 +137,10 @@ class TestFrontEndContract:
         with pytest.raises(InvalidParameterError, match="process"):
             ShardedEstimator("equiwidth", parallel="process")
 
-    def test_merge_combine_requires_mergeable_base(self) -> None:
-        with pytest.raises(InvalidParameterError, match="merge"):
-            ShardedEstimator("kde", combine="merge")
+    @pytest.mark.parametrize("combine", ["merge", "mean"])
+    def test_unknown_combine_raises(self, combine: str) -> None:
+        with pytest.raises(InvalidParameterError, match="combine"):
+            ShardedEstimator("equiwidth", combine=combine)
 
     def test_shard_row_counts_cover_the_table(self, mixture_table_2d) -> None:
         estimator = ShardedEstimator("equiwidth", shards=4).fit(mixture_table_2d)
@@ -157,9 +158,10 @@ class TestFrontEndContract:
         # merged histogram.  (Over multiple attributes the AVI *product* is
         # nonlinear across columns and the two modes legitimately differ —
         # which is exactly why the exact family defaults to the merge path.)
-        merged = ShardedEstimator("equiwidth", shards=4, combine="merge").fit(
+        merged = ShardedEstimator("equiwidth", shards=4, combine="auto").fit(
             small_table
         )
+        assert merged.merge_mode
         weighted = ShardedEstimator("equiwidth", shards=4, combine="weighted").fit(
             small_table
         )
@@ -446,14 +448,14 @@ class TestPerShardLifecycle:
 
 
 class TestCatalogIntegration:
-    def test_attach_sharded_and_shard_refresh(self, workload_2d) -> None:
+    def test_attach_a_sharded_estimator_then_refresh_a_shard(self, workload_2d) -> None:
         from repro.data.generators import gaussian_mixture_table
 
         table = gaussian_mixture_table(rows=5000, dimensions=2, seed=16, name="tbl")
         catalog = Catalog()
         catalog.add_table(table)
-        estimator = catalog.attach_sharded(
-            "tbl", "equidepth", shards=3, partitioner="range"
+        estimator = catalog.attach_estimator(
+            "tbl", ShardedEstimator("equidepth", shards=3, partitioner="range")
         )
         assert catalog.estimator("tbl") is estimator
         estimates = catalog.estimate_batch("tbl", workload_2d)

@@ -72,8 +72,9 @@ class TestModelStoreIntegration:
     ) -> None:
         catalog = Catalog()
         catalog.add_table(mixture_table_2d)
-        catalog.attach_sharded(
-            mixture_table_2d.name, "equiwidth", shards=2, partitioner="hash"
+        catalog.attach_estimator(
+            mixture_table_2d.name,
+            ShardedEstimator("equiwidth", shards=2, partitioner="hash"),
         )
         before = catalog.estimate_batch(mixture_table_2d.name, workload_2d)
         store = ModelStore(tmp_path / "store")

@@ -1,4 +1,4 @@
-"""Unit tests for reservoir samplers and sliding windows."""
+"""Unit tests for the reservoir samplers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.errors import InvalidParameterError
 from repro.stream.reservoir import DecayedReservoirSampler, ReservoirSampler
-from repro.stream.windows import SlidingWindow
 
 
 class TestReservoirSampler:
@@ -89,43 +88,6 @@ class TestDecayedReservoirSampler:
         np.testing.assert_array_equal(np.sort(sampler.sample()[:, 0]), np.arange(5.0))
 
 
-class TestSlidingWindow:
-    def test_invalid_parameters(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            SlidingWindow(0, 1)
-        with pytest.raises(InvalidParameterError):
-            SlidingWindow(10, 0)
-
-    def test_keeps_most_recent_rows_in_order(self) -> None:
-        window = SlidingWindow(capacity=5, dimensions=1)
-        window.insert(np.arange(8, dtype=float).reshape(-1, 1))
-        contents = window.contents()[:, 0]
-        np.testing.assert_array_equal(contents, [3.0, 4.0, 5.0, 6.0, 7.0])
-        assert window.is_full
-        assert window.seen == 8
-        assert window.size == 5
-
-    def test_partial_fill(self) -> None:
-        window = SlidingWindow(capacity=10, dimensions=2)
-        window.insert(np.ones((4, 2)))
-        assert window.size == 4
-        assert not window.is_full
-        assert window.contents().shape == (4, 2)
-
-    def test_wrong_dimension_raises(self) -> None:
-        window = SlidingWindow(capacity=4, dimensions=2)
-        with pytest.raises(InvalidParameterError):
-            window.insert(np.zeros((2, 1)))
-
-    def test_clear(self) -> None:
-        window = SlidingWindow(capacity=4, dimensions=1)
-        window.insert(np.ones((4, 1)))
-        window.clear()
-        assert window.size == 0
-        assert window.seen == 4
-        assert window.contents().shape == (0, 1)
-
-
 class TestEmptyBatches:
     def test_reservoir_empty_insert_is_noop(self) -> None:
         sampler = ReservoirSampler(capacity=5, dimensions=2, seed=0)
@@ -139,37 +101,8 @@ class TestEmptyBatches:
         sampler.insert(np.empty((0, 2)))
         assert sampler.size == 0
 
-    def test_window_empty_insert_is_noop(self) -> None:
-        window = SlidingWindow(capacity=5, dimensions=1)
-        window.insert(np.empty((0, 1)))
-        window.insert(np.empty(0))
-        assert window.size == 0
-        assert window.seen == 0
-
 
 class TestVectorizedEquivalence:
-    def test_window_bulk_matches_row_at_a_time(self) -> None:
-        data = np.arange(37, dtype=float).reshape(-1, 1)
-        bulk = SlidingWindow(capacity=7, dimensions=1)
-        rowwise = SlidingWindow(capacity=7, dimensions=1)
-        bulk.insert(data)
-        for row in data:
-            rowwise.insert(row)
-        np.testing.assert_array_equal(bulk.contents(), rowwise.contents())
-        assert bulk.seen == rowwise.seen
-
-    def test_window_inserts_crossing_wraparound(self) -> None:
-        window = SlidingWindow(capacity=5, dimensions=1)
-        window.insert(np.arange(3, dtype=float).reshape(-1, 1))
-        window.insert(np.arange(3, 7, dtype=float).reshape(-1, 1))  # wraps
-        np.testing.assert_array_equal(window.contents()[:, 0], [2.0, 3.0, 4.0, 5.0, 6.0])
-
-    def test_window_oversized_batch_keeps_last_rows(self) -> None:
-        window = SlidingWindow(capacity=4, dimensions=1)
-        window.insert(np.ones((2, 1)))
-        window.insert(np.arange(100, dtype=float).reshape(-1, 1))
-        np.testing.assert_array_equal(window.contents()[:, 0], [96.0, 97.0, 98.0, 99.0])
-
     @pytest.mark.parametrize("sampler_type", [ReservoirSampler, DecayedReservoirSampler])
     def test_reservoir_bulk_matches_row_at_a_time(self, sampler_type) -> None:
         # One uniform variate is consumed per replacement row in stream
@@ -188,8 +121,6 @@ class TestVectorizedEquivalence:
         # an empty no-op: surface it immediately.
         with pytest.raises(InvalidParameterError):
             ReservoirSampler(capacity=5, dimensions=2, seed=0).insert(np.empty((0, 5)))
-        with pytest.raises(InvalidParameterError):
-            SlidingWindow(capacity=5, dimensions=2).insert(np.empty((0, 5)))
 
 
 class TestNonFiniteRows:
@@ -198,9 +129,8 @@ class TestNonFiniteRows:
         [
             lambda: ReservoirSampler(capacity=8, dimensions=2, seed=0),
             lambda: DecayedReservoirSampler(capacity=8, dimensions=2, seed=0),
-            lambda: SlidingWindow(capacity=8, dimensions=2),
         ],
-        ids=["reservoir", "decayed_reservoir", "window"],
+        ids=["reservoir", "decayed_reservoir"],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_with_a_non_finite_value_is_rejected_whole(self, make, bad) -> None:

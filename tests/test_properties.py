@@ -13,14 +13,23 @@ from hypothesis.extra import numpy as npst
 from repro.baselines.histogram import EquiDepthHistogram, EquiWidthHistogram, Histogram1D
 from repro.baselines.wavelet import haar_transform, inverse_haar_transform, top_k_coefficients
 from repro.core.bandwidth import local_bandwidth_factors, scott_bandwidth
+from repro.core.errors import ReproError
+from repro.core.estimator import (
+    SelectivityEstimator,
+    StreamingEstimator,
+    available_estimators,
+    create_estimator,
+)
+from repro.core.fastpath import DEFAULT_ATOL
 from repro.core.kde import KDESelectivityEstimator
 from repro.core.kernels import KERNELS, get_kernel
 from repro.core.streaming import StreamingADE
+from repro.data.generators import gaussian_mixture_table
 from repro.engine.table import Table
 from repro.metrics.errors import q_errors, relative_errors
 from repro.stream.reservoir import ReservoirSampler
-from repro.stream.windows import SlidingWindow
-from repro.workload.queries import Interval, RangeQuery, compile_queries
+from repro.workload.generators import UniformWorkload
+from repro.workload.queries import CompiledQueries, Interval, RangeQuery, compile_queries
 
 # Shared strategies -----------------------------------------------------------
 
@@ -302,6 +311,130 @@ class TestEstimatorInvariants:
         assert np.all(factors >= 0.25 - 1e-9)
 
 
+#: Constructor overrides keeping per-fit cost small (the sizes
+#: ``tests/core/test_batch_api.py`` fits the registry with).
+_FAST_KWARGS: dict[str, dict] = {
+    "kde": {"sample_size": 200},
+    "adaptive_kde": {"sample_size": 200},
+    "sampling": {"sample_size": 200},
+    "reservoir_sampling": {"sample_size": 200},
+    "streaming_ade": {"max_kernels": 32},
+    "grid": {"cells_per_dim": 8},
+    "st_histogram": {"cells_per_dim": 6},
+    "wavelet": {"resolution": 64, "coefficients": 16},
+}
+
+ALL_ESTIMATORS = available_estimators()
+STREAMING_ESTIMATORS = [
+    name
+    for name in ALL_ESTIMATORS
+    if isinstance(create_estimator(name, **_FAST_KWARGS.get(name, {})), StreamingEstimator)
+]
+
+
+def _fit(name: str, table: Table) -> SelectivityEstimator:
+    return create_estimator(name, **_FAST_KWARGS.get(name, {})).fit(table)
+
+
+@pytest.fixture(scope="module")
+def invariant_table() -> Table:
+    return gaussian_mixture_table(rows=3000, dimensions=2, seed=3)
+
+
+@pytest.fixture(scope="module")
+def edge_plan(invariant_table: Table) -> CompiledQueries:
+    """Boxes at and past the domain edges of ``invariant_table``."""
+    columns = tuple(invariant_table.column_names)
+    domain = invariant_table.domain()
+    lo = np.array([domain[c][0] for c in columns], dtype=float)
+    hi = np.array([domain[c][1] for c in columns], dtype=float)
+    mid, span = (lo + hi) / 2, hi - lo
+    inf = np.full(len(columns), np.inf)
+    boxes = [
+        (lo, lo),  # a point at the domain minimum
+        (-inf, mid),  # one-sided in every attribute
+        (mid, inf),
+        (hi + span, hi + 2 * span),  # beyond the domain
+        (lo - 2 * span, lo - span),
+        (lo, hi),  # the full domain
+        (-inf, inf),  # unbounded
+    ]
+    for d in range(len(columns)):  # one-sided in one attribute, open elsewhere
+        high = inf.copy()
+        high[d] = mid[d]
+        boxes.append((-inf, high))
+        low = -inf.copy()
+        low[d] = mid[d]
+        boxes.append((low, inf))
+    lows, highs = zip(*boxes)
+    return CompiledQueries(columns, np.array(lows), np.array(highs))
+
+
+@pytest.fixture(scope="module")
+def mixed_plan(invariant_table: Table, edge_plan: CompiledQueries) -> CompiledQueries:
+    """A uniform workload followed by the edge boxes, as one plan."""
+    queries = UniformWorkload(invariant_table, volume_fraction=0.3, seed=9).generate(40)
+    plan = compile_queries(queries, edge_plan.columns)
+    return CompiledQueries(
+        plan.columns,
+        np.vstack([plan.lows, edge_plan.lows]),
+        np.vstack([plan.highs, edge_plan.highs]),
+    )
+
+
+@pytest.mark.parametrize("name", ALL_ESTIMATORS)
+class TestRegistryInvariants:
+    """Invariants every registered estimator keeps, on one 2-D table."""
+
+    def test_edge_boxes_read_finite_fractions(self, name, invariant_table, edge_plan) -> None:
+        estimates = _fit(name, invariant_table).estimate_batch(edge_plan)
+        assert estimates.shape == (len(edge_plan),)
+        assert np.all(np.isfinite(estimates))
+        assert np.all((estimates >= 0.0) & (estimates <= 1.0)), estimates
+
+    def test_unbounded_box_reads_one(self, name, invariant_table) -> None:
+        columns = tuple(invariant_table.column_names)
+        everything = CompiledQueries(
+            columns, np.full((1, len(columns)), -np.inf), np.full((1, len(columns)), np.inf)
+        )
+        estimate = _fit(name, invariant_table).estimate_batch(everything)[0]
+        assert estimate == pytest.approx(1.0, abs=1e-6)
+
+    def test_permuted_plan_permutes_answers(self, name, invariant_table, mixed_plan) -> None:
+        estimator = _fit(name, invariant_table)
+        answers = estimator.estimate_batch(mixed_plan)
+        order = np.random.default_rng(5).permutation(len(mixed_plan))
+        permuted = CompiledQueries(
+            mixed_plan.columns, mixed_plan.lows[order], mixed_plan.highs[order]
+        )
+        np.testing.assert_allclose(
+            estimator.estimate_batch(permuted), answers[order], rtol=0.0, atol=DEFAULT_ATOL
+        )
+
+    def test_refit_reproduces_answers_bitwise(self, name, invariant_table, mixed_plan) -> None:
+        first = _fit(name, invariant_table).estimate_batch(mixed_plan)
+        second = _fit(name, invariant_table).estimate_batch(mixed_plan)
+        np.testing.assert_array_equal(first, second)
+
+
+@pytest.mark.parametrize("name", STREAMING_ESTIMATORS)
+class TestStreamingRegistryInvariants:
+    """Invariants every registered streaming estimator keeps on insert."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_insert_is_refused_and_changes_nothing(
+        self, name, bad, invariant_table, mixed_plan
+    ) -> None:
+        estimator = _fit(name, invariant_table)
+        rows, answers = estimator.row_count, estimator.estimate_batch(mixed_plan)
+        batch = np.random.default_rng(6).normal(size=(8, len(estimator.columns)))
+        batch[5, 1] = bad
+        with pytest.raises(ReproError):
+            estimator.insert(batch)
+        assert estimator.row_count == rows
+        np.testing.assert_array_equal(estimator.estimate_batch(mixed_plan), answers)
+
+
 class TestStreamSubstrateProperties:
     @given(
         capacity=st.integers(1, 50),
@@ -314,19 +447,6 @@ class TestStreamSubstrateProperties:
             sampler.insert(np.arange(stream_length, dtype=float).reshape(-1, 1))
         assert sampler.size == min(capacity, stream_length)
         assert sampler.seen == stream_length
-
-    @given(
-        capacity=st.integers(1, 50),
-        stream_length=st.integers(0, 300),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_window_holds_exactly_last_rows(self, capacity: int, stream_length: int) -> None:
-        window = SlidingWindow(capacity, 1)
-        data = np.arange(stream_length, dtype=float).reshape(-1, 1)
-        if stream_length:
-            window.insert(data)
-        expected = data[-capacity:] if stream_length else np.empty((0, 1))
-        np.testing.assert_array_equal(window.contents(), expected)
 
 
 class TestMetricProperties:

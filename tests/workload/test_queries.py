@@ -1,4 +1,4 @@
-"""Unit tests for the query model (Interval, RangeQuery, QueryRegion)."""
+"""Unit tests for the query model (Interval, RangeQuery, compiled plans)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.core.errors import DimensionMismatchError, InvalidQueryError
 from repro.workload.queries import (
     CompiledQueries,
     Interval,
-    QueryRegion,
     RangeQuery,
     compile_queries,
 )
@@ -151,21 +150,6 @@ class TestRangeQuery:
     def test_invalid_interval_raises(self) -> None:
         with pytest.raises(InvalidQueryError):
             RangeQuery({"a": (5, 1)})
-
-
-class TestQueryRegion:
-    def test_valid_region(self) -> None:
-        region = QueryRegion(RangeQuery({"a": (0, 1)}), true_fraction=0.25)
-        assert region.true_fraction == 0.25
-        assert region.weight == 1.0
-
-    def test_invalid_fraction_raises(self) -> None:
-        with pytest.raises(InvalidQueryError):
-            QueryRegion(RangeQuery({"a": (0, 1)}), true_fraction=1.5)
-
-    def test_invalid_weight_raises(self) -> None:
-        with pytest.raises(InvalidQueryError):
-            QueryRegion(RangeQuery({"a": (0, 1)}), true_fraction=0.5, weight=0.0)
 
 
 class TestCompiledQueries:

@@ -361,11 +361,3 @@ class TestRoundTrip:
                     assert isinstance(predicate, (SetMembership, StringPrefix))
                 else:
                     assert isinstance(predicate, Interval)
-
-    def test_generate_workload_registry_has_typed(self) -> None:
-        from repro.workload.generators import generate_workload
-
-        table = mixed_type_table(200, seed=0)
-        queries = generate_workload("typed", table, 5, seed=4)
-        assert len(queries) == 5
-        assert all(isinstance(q, TypedQuery) for q in queries)

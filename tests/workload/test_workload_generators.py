@@ -14,7 +14,6 @@ from repro.workload.generators import (
     DataCenteredWorkload,
     SkewedWorkload,
     UniformWorkload,
-    generate_workload,
 )
 
 
@@ -123,14 +122,3 @@ class TestSkewedWorkload:
             SkewedWorkload(table, hot_probability=1.5)
         with pytest.raises(InvalidParameterError):
             SkewedWorkload(table, hot_position=-0.2)
-
-
-class TestGenerateWorkloadHelper:
-    def test_all_kinds(self, table: Table) -> None:
-        for kind in ("uniform", "data_centered", "skewed"):
-            queries = generate_workload(kind, table, 5, seed=11)
-            assert len(queries) == 5
-
-    def test_unknown_kind_raises(self, table: Table) -> None:
-        with pytest.raises(InvalidParameterError):
-            generate_workload("mystery", table, 5)
