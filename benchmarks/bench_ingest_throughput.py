@@ -8,9 +8,11 @@ window of tuples, averaged over periodic checkpoints — within 5%.  The
 streaming reservoir estimator is reported alongside as the
 vectorized-vs-row-loop baseline of the sampling family.
 
-Set ``BENCH_SMOKE=1`` to run a tiny stream (CI smoke mode); the
-throughput and accuracy gates are skipped there — a 5k-row stream on shared
-CI hardware says nothing about either.
+Set ``BENCH_SMOKE=1`` to run a tiny stream (CI smoke mode).  There the
+accuracy-parity gate is still enforced — relative errors on a seeded drift
+stream depend on the data, not the hardware — while the two throughput
+gates are recorded without being enforced: a 5k-row stream on shared CI
+hardware says nothing about throughput.
 """
 
 from __future__ import annotations
@@ -142,17 +144,18 @@ def test_ingest_throughput(report):
         rep.gate("bulk_ingest_speedup_ge_10x", speedup >= 10.0, detail=speedup)
         accuracy_ok = bulk[4] <= sequential[4] * 1.05 + 1e-3
         rep.gate("bulk_accuracy_parity_5pct", accuracy_ok,
-                 detail={"bulk": bulk[4], "sequential": sequential[4]})
+                 detail={"bulk": bulk[4], "sequential": sequential[4]}, enforced=True)
         reservoir_ok = rows[("reservoir_sampling", "bulk")][3] >= 1.0
         rep.gate("reservoir_bulk_not_slower", reservoir_ok,
                  detail=rows[("reservoir_sampling", "bulk")][3])
-        if SMOKE:
-            return
-        assert speedup >= 10.0, f"bulk ingest speedup {speedup:.1f}x < 10x"
         # Accuracy parity: the bulk maintenance policy must not cost accuracy
         # on the drift workload (5% relative slack per acceptance criteria).
+        # Enforced in smoke mode too: it depends on the data, not the host.
         assert accuracy_ok, (
             f"bulk rel err {bulk[4]:.4f} vs sequential {sequential[4]:.4f}"
         )
+        if SMOKE:
+            return
+        assert speedup >= 10.0, f"bulk ingest speedup {speedup:.1f}x < 10x"
         # The vectorized reservoir must not be slower than its row loop.
         assert reservoir_ok

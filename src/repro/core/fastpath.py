@@ -9,7 +9,8 @@ query as a weighted sum of per-kernel product masses,
 The dense evaluation is O(kernels × queries × dims) normal-CDF calls even
 though a kernel more than a few bandwidths away from the query box
 contributes essentially nothing.  This module supplies the two pieces that
-make the family fast without changing its answers:
+make the family fast while keeping its answers within :data:`DEFAULT_ATOL`
+of the dense path:
 
 :class:`KernelSupportIndex`
     A per-dimension sorted index of kernel positions with *effective support
@@ -60,6 +61,25 @@ the block shape.  Upstream,
 one pass over the queries into Python lists, so a 1-query request reaches
 the route after a few microseconds of compilation.
 
+*Broad boxes* skip the normal CDF in the Gaussian tails.  A box is broad
+when it is at least twice the index's largest support radius wide on every
+axis (:meth:`KernelSupportIndex.broad`; the one-box route asks
+:meth:`KernelSupportIndex.is_broad`, the same test on Python floats).
+Most CDF arguments of a broad box's pairs lie far in the tails, where
+``ndtr`` is at its slowest and Φ is within 1e-14 of 0 or 1.  So every
+micro-kernel call of a broad box passes ``tail=`` the index's
+:attr:`~KernelSupportIndex.clamp_radius`, and :func:`clamped_normal_mass`
+takes an argument beyond it as exactly 0 or 1.  On all three routes — the
+one-box route, the grouped route, whose broad boxes form their own spatial
+groups, and the dense route of wide boxes — a micro-kernel call is all
+broad or all narrow, so a box's arithmetic depends only on the box and the
+index, and the bitwise one-box and block guarantees above hold for broad
+boxes too.  Narrow boxes, plans the route declines and everything inside
+:func:`fastpath_disabled` keep the exact arithmetic; a plan with no broad
+box runs the exact code after one vectorised width test.  Only broad boxes
+clamp because the clamp costs six to eight numpy calls per micro-kernel
+call, more than it saves on a narrow box's few tail arguments.
+
 The repository benchmark (``perfbench/``) traces this module through the
 module attributes ``estimate_boxes``, ``weighted_box_masses`` (reading the
 box count from ``lows.shape[0]``) and ``KernelSupportIndex`` with its
@@ -76,16 +96,27 @@ Culling an unbounded (Gaussian) kernel drops real mass, so the cull radius is
 derived from a deviation budget: with per-image tail tolerance
 ``ε = atol / 24`` the radius is ``-ndtri(ε)`` (≈ 7.5 at the default
 ``atol = 1e-12``).  Every culled kernel image then contributes at most ``ε``
-axis mass, and because the per-kernel weights are normalised the *total*
-deviation of a fast-path estimate from the dense path is bounded by
-``3·ε ≤ atol/8`` (three kernel images per axis under boundary reflection —
-the reflected images of significant kernels provably fall inside the same
-candidate interval, see ``KernelSupportIndex.box_candidates``).  The safety
-factor 24 also absorbs summation-order differences — the per-pair sum of
-the culled routes against the dense ``matmul``, and the dense ``matmul``
-across block shapes — which is what keeps one-row batches (the scalar
-``estimate`` sugar) within 1e-12 of large batches.  Estimates are culled
-*downward* only: the fast path never reports more mass than the dense path.
+axis mass, and because the per-kernel weights are normalised, culling moves
+an estimate by at most ``3·ε`` (three kernel images per axis under boundary
+reflection — the reflected images of significant kernels provably fall
+inside the same candidate interval, see ``KernelSupportIndex.box_candidates``).
+
+Clamping a broad box's CDF arguments spends a second ``3·ε``.  In ``d``
+dimensions the clamp radius is ``T_d = -ndtri(ε / (2d))`` (7.55, 7.65 and
+7.70 for d = 1, 2 and 3), so a clamped CDF value moves by at most
+``ε/(2d)``; an image's interval mass, a difference of two such values
+clipped to ``[0, 1]``, by at most ``ε/d``; an axis mass of up to three
+images by at most ``3ε/d``; and a product of ``d`` factors in ``[0, 1]`` by
+at most the sum of its factors' moves, ``3ε``.  Normalised weights keep the
+estimate's move within ``3·ε`` as well, so the documented deviation of a
+fast-path estimate from the dense path is ``6·ε = atol/4``.  The safety
+factor 24 leaves the rest for summation-order differences — the per-pair
+sum of the culled routes against the dense ``matmul``, and the dense
+``matmul`` across block shapes — which is what keeps one-row batches (the
+scalar ``estimate`` sugar) within 1e-12 of large batches.  Culling only
+drops mass, but a clamped value moves either way (a tail CDF of
+``1 - 1e-16`` becomes 1), so a fast-path estimate may read above or below
+the dense one.
 
 Staleness contract
 ------------------
@@ -120,6 +151,7 @@ from repro.core.slot import Slot
 __all__ = [
     "DEFAULT_ATOL",
     "KernelSupportIndex",
+    "clamped_normal_mass",
     "cull_epsilon",
     "estimate_boxes",
     "fastpath_disabled",
@@ -157,13 +189,14 @@ _TARGET_GROUP = 64
 #: and pair blocks by the same count.
 _BUFFER_ELEMENTS = 1 << 17
 
-#: ``axis_mass(ids, axis, lows, highs)`` — per-axis kernel mass, with the
-#: bounds already shaped for broadcasting.  With ``ids=None`` the bounds are
-#: ``(block, 1)`` columns against all kernels and the result is
-#: ``(block, kernels)``; otherwise ``ids`` are the ``(P,)`` kernel ids of
+#: ``axis_mass(ids, axis, lows, highs, *, tail=None)`` — per-axis kernel
+#: mass, with the bounds already shaped for broadcasting.  With ``ids=None``
+#: the bounds are ``(block, 1)`` columns against all kernels and the result
+#: is ``(block, kernels)``; otherwise ``ids`` are the ``(P,)`` kernel ids of
 #: (box, kernel) pairs, the bounds their ``(P,)`` boxes' bounds, and the
-#: result is ``(P,)``.
-AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
+#: result is ``(P,)``.  A Gaussian kernel given ``tail`` clamps its normal
+#: CDF beyond ``±tail`` (:func:`clamped_normal_mass`); other kernels ignore it.
+AxisMass = Callable[..., np.ndarray]
 
 #: The process-wide fast-path switch (see :func:`fastpath_disabled`).
 _ENABLED = Slot(True)
@@ -231,24 +264,47 @@ def normal_box_mass(
     highs: np.ndarray,
     means: np.ndarray,
     stds: np.ndarray,
-    out: np.ndarray | None = None,
+    *,
+    tail: float | None = None,
 ) -> np.ndarray:
     """Mass of ``N(means, stds²)`` inside ``[lows, highs]``, elementwise.
 
     Uses ``ndtr`` (the normal CDF evaluated directly) — several times faster
     than composing ``erf``, and this is the hot function of batch estimation.
-    ``out`` may supply a preallocated result buffer of the broadcast shape.
+    With ``tail`` the standardised bounds go through
+    :func:`clamped_normal_mass`, which skips ``ndtr`` beyond ``±tail``.
     """
-    if out is None:
-        mass = np.subtract(highs, means)
-    else:
-        mass = np.subtract(highs, means, out=out)
+    if tail is not None:
+        z = np.subtract(np.stack((highs, lows)), means)
+        np.divide(z, stds, out=z)
+        return clamped_normal_mass(z, tail)
+    mass = np.subtract(highs, means)
     np.divide(mass, stds, out=mass)
     special.ndtr(mass, out=mass)
     work = np.subtract(lows, means)
     np.divide(work, stds, out=work)
     special.ndtr(work, out=work)
     np.subtract(mass, work, out=mass)
+    np.maximum(mass, 0.0, out=mass)
+    return np.minimum(mass, 1.0, out=mass)
+
+
+def clamped_normal_mass(z: np.ndarray, tail: float) -> np.ndarray:
+    """``Φ(z[0]) − Φ(z[1])`` clipped to ``[0, 1]``, with Φ clamped beyond ``±tail``.
+
+    ``z`` stacks the standardised upper and lower bounds of an interval
+    mass.  An argument with ``|z| ≥ tail`` takes Φ's limit — exactly 1.0
+    when it is positive, else 0.0 — which moves it by at most ``Φ(−tail)``;
+    ``ndtr`` runs on the other arguments only, in one gather and one
+    scatter.  The rest is :func:`normal_box_mass`'s arithmetic, so an
+    interval whose two arguments lie inside ``±tail`` gets bitwise its
+    unclamped mass.  (``ndtr(..., where=)`` is not an option: it corrupts
+    the heap on scipy 1.17 with numpy 2.4.)
+    """
+    cdf = (z > 0).astype(float)
+    inner = np.flatnonzero(np.abs(z) < tail)
+    cdf.reshape(-1)[inner] = special.ndtr(z.reshape(-1)[inner])
+    mass = np.subtract(cdf[0], cdf[1], out=cdf[0])
     np.maximum(mass, 0.0, out=mass)
     return np.minimum(mass, 1.0, out=mass)
 
@@ -268,6 +324,8 @@ class KernelSupportIndex:
         "axis_orders",
         "axis_positions",
         "max_radii",
+        "broad_widths",
+        "clamp_radius",
         "lower_edges",
         "upper_edges",
         "sorted_lower_edges",
@@ -288,6 +346,11 @@ class KernelSupportIndex:
         self.axis_orders = orders
         self.axis_positions = np.take_along_axis(centers.T, orders, axis=1)
         self.max_radii = radii.max(axis=0) if self.kernel_count else np.zeros(self.dims)
+        #: a box at least this wide on every axis is *broad* (:meth:`broad`)
+        self.broad_widths = 2.0 * self.max_radii
+        #: the standardised radius beyond which a broad box's micro-kernel
+        #: takes the normal CDF as exactly 0 or 1 (see the module docstring)
+        self.clamp_radius = gaussian_tail_radius(cull_epsilon() / (2 * self.dims))
         #: per-axis support edges ``c - r`` / ``c + r`` of every kernel, by
         #: kernel id and in the axis's sort order (the primary-axis refinement
         #: of :meth:`box_candidates` is then a contiguous slice)
@@ -332,6 +395,26 @@ class KernelSupportIndex:
             if best is None or stop - start < best[1] - best[0]:
                 best = (start, stop, axis)
         return best
+
+    def broad(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """Per-box flags: is the box at least :attr:`broad_widths` wide on every axis.
+
+        A broad box is at least twice the largest support radius wide on
+        each axis, so most of its pairs' CDF arguments lie in the Gaussian
+        tails; the micro-kernel clamps them (see the module docstring).
+        """
+        return (highs - lows >= self.broad_widths).all(axis=1)
+
+    def is_broad(self, low: np.ndarray, high: np.ndarray) -> bool:
+        """:meth:`broad` for a single box, made with Python floats.
+
+        The same float64 differences and comparisons, so the one-box route
+        and the grouped route always agree on a box.
+        """
+        return all(
+            hi - lo >= width
+            for lo, hi, width in zip(low.tolist(), high.tolist(), self.broad_widths.tolist())
+        )
 
     def box_candidates(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Ascending kernel ids whose support can overlap the box ``[low, high]``.
@@ -387,6 +470,8 @@ def weighted_box_masses(
     total_weight: float,
     ids: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    *,
+    tail: float | None = None,
 ) -> np.ndarray:
     """The product-kernel CDF micro-kernel: ``(1/W) Σ_i w_i Π_d mass_d(i)``.
 
@@ -401,6 +486,8 @@ def weighted_box_masses(
     code order with ``np.bincount`` (a box without pairs gets 0).  This is
     the single inner loop of the whole estimator family — the dense
     reference path runs it over all kernels, the fast path over culled pairs.
+    ``tail`` is handed to every ``axis_mass`` call: the clamp radius for a
+    call made only of broad boxes, else ``None`` (exact CDFs).
     """
     n = lows.shape[0]
     dims = lows.shape[1]
@@ -413,7 +500,9 @@ def weighted_box_masses(
         boxes, kernels = np.divmod(ids, weights.size)
         terms = np.ones(ids.size)
         for axis in range(dims):
-            terms *= axis_mass(kernels, axis, lows[:, axis][boxes], highs[:, axis][boxes])
+            terms *= axis_mass(
+                kernels, axis, lows[:, axis][boxes], highs[:, axis][boxes], tail=tail
+            )
         terms *= weights[kernels]
         out[:n] = np.bincount(boxes, weights=terms, minlength=n)
         out[:n] /= total_weight
@@ -431,7 +520,7 @@ def weighted_box_masses(
         for axis in range(dims):
             low = lows[start:stop, axis, None]
             high = highs[start:stop, axis, None]
-            np.multiply(masses, axis_mass(None, axis, low, high), out=masses)
+            np.multiply(masses, axis_mass(None, axis, low, high, tail=tail), out=masses)
         np.matmul(masses, weights, out=out[start:stop])
     out[:n] /= total_weight
     return out
@@ -499,7 +588,9 @@ def estimate_boxes(
     arrays), and then skips the grouping: one ``box_candidates`` probe
     supplies its pairs.  A culled box is answered bitwise as the grouped
     route answers it; a dense-routed box within :data:`DEFAULT_ATOL` (the
-    dense ``matmul`` sums in a block-shape-dependent order).
+    dense ``matmul`` sums in a block-shape-dependent order).  Broad boxes
+    are answered apart from the others, with the normal CDF clamped in the
+    tails (see "Routes" in the module docstring).
     """
     n = lows.shape[0]
     route_metrics = _ROUTE_METRICS.value
@@ -508,17 +599,21 @@ def estimate_boxes(
             route_metrics.counter("fastpath.dense_queries").inc(n)
         return None
     if n == 1:
-        start, stop, _ = index.tightest_slice(lows[0], highs[0])
+        low, high = lows[0], highs[0]
+        start, stop, _ = index.tightest_slice(low, high)
         if stop - start >= index.kernel_count * _DENSE_FRACTION:
             if route_metrics is not None:
                 route_metrics.counter("fastpath.dense_queries").inc(1)
             return None
         if route_metrics is not None:
             route_metrics.counter("fastpath.culled_queries").inc(1)
-        ids = index.box_candidates(lows[0], highs[0])
+        ids = index.box_candidates(low, high)
         if ids.size == 0:
             return np.zeros(1)  # no kernel reaches the box: mass 0
-        return weighted_box_masses(lows, highs, axis_mass, weights, total_weight, ids=ids)
+        tail = index.clamp_radius if index.is_broad(low, high) else None
+        return weighted_box_masses(
+            lows, highs, axis_mass, weights, total_weight, ids=ids, tail=tail
+        )
     counts = index.candidate_counts(lows, highs)
     tightest = counts.min(axis=1)
     selective = tightest < index.kernel_count * _DENSE_FRACTION
@@ -527,30 +622,47 @@ def estimate_boxes(
             route_metrics.counter("fastpath.dense_queries").inc(n)
         return None
     out = np.zeros(n)
-    wide = np.flatnonzero(~selective)
     if route_metrics is not None:
+        wide = int(n - np.count_nonzero(selective))
+        if wide:
+            route_metrics.counter("fastpath.dense_queries").inc(wide)
+        route_metrics.counter("fastpath.culled_queries").inc(n - wide)
+
+    def evaluate(members: np.ndarray | bool, tail: float | None) -> None:
+        """Answer the ``members`` boxes into ``out``, every call with ``tail``."""
+        wide = np.flatnonzero(members & ~selective)
         if wide.size:
-            route_metrics.counter("fastpath.dense_queries").inc(int(wide.size))
-        route_metrics.counter("fastpath.culled_queries").inc(int(n - wide.size))
-    if wide.size:
-        out[wide] = weighted_box_masses(
-            lows[wide], highs[wide], axis_mass, weights, total_weight
-        )
-    chosen = np.flatnonzero(selective)
-    for group in _spatial_groups(lows[chosen], highs[chosen], index):
-        queries = chosen[group]
-        group_lows, group_highs = lows[queries], highs[queries]
-        ids = index.box_candidates(group_lows.min(axis=0), group_highs.max(axis=0))
-        if ids.size == 0:
-            continue  # no kernel reaches any box in the group: mass 0
-        # The overlap mask and its pairs are built per block of boxes, under
-        # the same element bound as the dense micro-kernel's buffer.
-        block = max(_BUFFER_ELEMENTS // ids.size, 1)
-        for start in range(0, queries.size, block):
-            block_lows = group_lows[start : start + block]
-            block_highs = group_highs[start : start + block]
-            pairs = index.overlaps(block_lows, block_highs, ids)
-            out[queries[start : start + block]] = weighted_box_masses(
-                block_lows, block_highs, axis_mass, weights, total_weight, ids=pairs
+            out[wide] = weighted_box_masses(
+                lows[wide], highs[wide], axis_mass, weights, total_weight, tail=tail
             )
+        chosen = np.flatnonzero(members & selective)
+        if chosen.size == 0:
+            return
+        for group in _spatial_groups(lows[chosen], highs[chosen], index):
+            queries = chosen[group]
+            group_lows, group_highs = lows[queries], highs[queries]
+            ids = index.box_candidates(group_lows.min(axis=0), group_highs.max(axis=0))
+            if ids.size == 0:
+                continue  # no kernel reaches any box in the group: mass 0
+            # The overlap mask and its pairs are built per block of boxes, under
+            # the same element bound as the dense micro-kernel's buffer.
+            block = max(_BUFFER_ELEMENTS // ids.size, 1)
+            for start in range(0, queries.size, block):
+                block_lows = group_lows[start : start + block]
+                block_highs = group_highs[start : start + block]
+                pairs = index.overlaps(block_lows, block_highs, ids)
+                out[queries[start : start + block]] = weighted_box_masses(
+                    block_lows, block_highs, axis_mass, weights, total_weight,
+                    ids=pairs, tail=tail,
+                )
+
+    # Broad boxes are answered apart, so every micro-kernel call is all
+    # broad (clamped) or all narrow (exact), and no narrow group shares a
+    # broad box's union probe.
+    broad = index.broad(lows, highs)
+    if broad.any():
+        evaluate(~broad, None)
+        evaluate(broad, index.clamp_radius)
+    else:
+        evaluate(True, None)
     return out

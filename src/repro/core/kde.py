@@ -32,7 +32,7 @@ from repro.core.estimator import (
     SelectivityEstimator,
     register_estimator,
 )
-from repro.core.kernels import Kernel, get_kernel
+from repro.core.kernels import GaussianKernel, Kernel, get_kernel
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids a package cycle)
@@ -271,7 +271,13 @@ class KDESelectivityEstimator(SelectivityEstimator):
         return float(self._bandwidths[axis])
 
     def _axis_mass(
-        self, ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
+        self,
+        ids: np.ndarray | None,
+        axis: int,
+        low: np.ndarray,
+        high: np.ndarray,
+        *,
+        tail: float | None = None,
     ) -> np.ndarray:
         """Kernel mass on one axis, with reflection (the micro-kernel's ``AxisMass``).
 
@@ -280,7 +286,9 @@ class KDESelectivityEstimator(SelectivityEstimator):
         ``(P,)`` point ids of (box, point) pairs and the bounds their ``(P,)``
         per-pair values.  Centers are pre-divided by the bandwidth so each CDF
         argument costs a single broadcast pass — this is the hot loop of
-        batch estimation.
+        batch estimation.  ``tail`` clamps a Gaussian kernel's CDF arguments
+        (:func:`repro.core.fastpath.clamped_normal_mass`), image by image;
+        other kernels ignore it.
         """
         centers = self._points[:, axis] if ids is None else self._points[ids, axis]
         h = self._axis_bandwidths(axis, ids)
@@ -291,18 +299,18 @@ class KDESelectivityEstimator(SelectivityEstimator):
         if not self.boundary_correction or not (
             math.isfinite(domain_low) and math.isfinite(domain_high)
         ):
-            return self._scaled_axis_mass(scaled_centers, inv_h, low, high)
+            return self._scaled_axis_mass(scaled_centers, inv_h, low, high, tail)
         # Reflection: mirror each kernel at the domain boundaries and fold the
         # reflected mass that re-enters the query interval back in.  The query
         # interval is clipped to the domain first because no data exists outside.
         clipped_low = np.maximum(low, domain_low)
         clipped_high = np.minimum(high, domain_high)
-        mass = self._scaled_axis_mass(scaled_centers, inv_h, clipped_low, clipped_high)
+        mass = self._scaled_axis_mass(scaled_centers, inv_h, clipped_low, clipped_high, tail)
         mass += self._scaled_axis_mass(
-            (2.0 * domain_low - centers) * inv_h, inv_h, clipped_low, clipped_high
+            (2.0 * domain_low - centers) * inv_h, inv_h, clipped_low, clipped_high, tail
         )
         mass += self._scaled_axis_mass(
-            (2.0 * domain_high - centers) * inv_h, inv_h, clipped_low, clipped_high
+            (2.0 * domain_high - centers) * inv_h, inv_h, clipped_low, clipped_high, tail
         )
         np.clip(mass, 0.0, 1.0, out=mass)
         empty = clipped_low > clipped_high
@@ -316,8 +324,12 @@ class KDESelectivityEstimator(SelectivityEstimator):
         inv_bandwidth: float | np.ndarray,
         low: np.ndarray,
         high: np.ndarray,
+        tail: float | None,
     ) -> np.ndarray:
         """Kernel mass from pre-scaled centers: args are ``bound/h - center/h``."""
+        if tail is not None and isinstance(self.kernel, GaussianKernel):
+            z = np.stack((high, low)) * inv_bandwidth - scaled_centers
+            return fastpath.clamped_normal_mass(z, tail)
         lower = low * inv_bandwidth - scaled_centers
         upper = high * inv_bandwidth - scaled_centers
         return self.kernel.interval_mass(lower, upper)

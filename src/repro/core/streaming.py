@@ -984,12 +984,17 @@ class StreamingADE(StreamingEstimator):
             stds = self._kernel_stds()
 
         def axis_mass(
-            ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
+            ids: np.ndarray | None,
+            axis: int,
+            low: np.ndarray,
+            high: np.ndarray,
+            *,
+            tail: float | None = None,
         ) -> np.ndarray:
             means, scale = self._means[:, axis], stds[:, axis]
             if ids is not None:
                 means, scale = means[ids], scale[ids]
-            return _normal_interval_mass(low, high, means, scale)
+            return _normal_interval_mass(low, high, means, scale, tail=tail)
 
         if use_fastpath:
             culled = fastpath.estimate_boxes(

@@ -82,6 +82,24 @@ __all__ = ["EstimatorServer", "ServerCacheInfo"]
 _OUTCOMES = ("hit", "miss", "empty", "uncached", "stale", "fallback")
 
 
+class _HashedTuple(tuple):
+    """A tuple that hashes its items once, when it is built.
+
+    A plain tuple rehashes its items on every dict operation, and the items
+    of a ``RangeQuery`` request are Python-level ``__hash__`` calls.  It
+    equals, and hashes like, the plain tuple of the same items, so either
+    finds the other's cache entry.
+    """
+
+    def __new__(cls, items: tuple) -> "_HashedTuple":
+        hashed = super().__new__(cls, items)
+        hashed._hash = tuple.__hash__(hashed)
+        return hashed
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @dataclass(frozen=True)
 class ServerCacheInfo:
     """Cache counters of an :class:`EstimatorServer` (one consistent read)."""
@@ -222,8 +240,12 @@ class EstimatorServer:
             gauge("serve.cache_hits", lambda s: s._hits)
             gauge("serve.cache_misses", lambda s: s._misses)
             gauge("serve.hit_rate", lambda s: hit_rate(s._hits, s._misses))
-            gauge("serve.generation", lambda s: s._current[0])
+            # A snapshot reads the gauges one by one, in this order, without
+            # the server's lock.  publish() sets the generation before it
+            # counts the swap, and the generation only grows, so reading the
+            # swap count first keeps a snapshot's generation above it.
             gauge("serve.generation_swaps", lambda s: s._generation_swaps)
+            gauge("serve.generation", lambda s: s._current[0])
             gauge("serve.cache_invalidations", lambda s: s._cache_invalidations)
             gauge("serve.cached_plans", lambda s: len(s._cache))
             if breaker is not None:
@@ -444,6 +466,10 @@ class EstimatorServer:
                 return self._serve_degraded(generation, plan, key, error)
             breaker.record_success(now)
         result.setflags(write=False)
+        if isinstance(request, tuple) and key is not None:
+            # The stores below hash the key four times: hash the queries
+            # once, here, instead of in each of them.
+            key = self._cache_key(generation, columns, _HashedTuple(request))
         with self._lock:
             if self._last_good_size:
                 last_good_key = key[1:]

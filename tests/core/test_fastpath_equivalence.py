@@ -180,9 +180,9 @@ class TestOneBoxRoute:
         index = fastpath.KernelSupportIndex(centers, 0.5)
         weights = np.ones(40)
 
-        def axis_mass(ids, axis, low, high):
+        def axis_mass(ids, axis, low, high, *, tail=None):
             means = centers[:, axis] if ids is None else centers[ids, axis]
-            return fastpath.normal_box_mass(low, high, means, 0.1)
+            return fastpath.normal_box_mass(low, high, means, 0.1, tail=tail)
 
         def route(low_x: float, high_x: float):
             lows, highs = np.array([[low_x, -1.0]]), np.array([[high_x, 1.0]])
@@ -210,11 +210,11 @@ class TestOneBoxRoute:
         # Gaussian kernels whose cull radius is the index's support radius.
         stds = radii / fastpath.gaussian_cull_radius()
 
-        def axis_mass(ids, axis, low, high):
+        def axis_mass(ids, axis, low, high, *, tail=None):
             means, scale = centers[:, axis], stds[:, axis]
             if ids is not None:
                 means, scale = means[ids], scale[ids]
-            return fastpath.normal_box_mass(low, high, means, scale)
+            return fastpath.normal_box_mass(low, high, means, scale, tail=tail)
 
         inf = np.full(dims, np.inf)
         random_lows = rng.uniform(-2.0, 1.5, size=(40, dims))
@@ -358,6 +358,41 @@ class TestCulledPairs:
         with fastpath_disabled():
             dense = estimator.estimate_batch(plan)
         np.testing.assert_allclose(blocked, dense, rtol=0.0, atol=DEFAULT_ATOL)
+
+
+    @pytest.mark.parametrize("name", sorted(_FINE_MODELS))
+    def test_only_broad_boxes_clamp_the_normal_cdf(self, name: str, monkeypatch) -> None:
+        estimator = _fine(name)
+        selective = _selective_plan(estimator)
+        # ±0.2 boxes: narrower than twice every fine model's largest radius
+        narrow = CompiledQueries(selective.columns, selective.lows + 0.2, selective.highs - 0.2)
+        expected = estimator.estimate_batch(narrow)
+        clamped = []
+        clamped_normal_mass = fastpath.clamped_normal_mass
+
+        def counted(z, tail):
+            clamped.append(z.size)
+            return clamped_normal_mass(z, tail)
+
+        monkeypatch.setattr(fastpath, "clamped_normal_mass", counted)
+        assert estimator.estimate_batch(narrow).tobytes() == expected.tobytes()
+        assert clamped == []
+        # Unbounded boxes are broad: the full domain (dense-routed) and a
+        # half-plane (culled on its bounded axis).
+        inf = np.inf
+        plan = CompiledQueries(
+            narrow.columns,
+            np.vstack([narrow.lows, [[-inf, -inf], [-inf, -inf]]]),
+            np.vstack([narrow.highs, [[inf, inf], [-3.0, inf]]]),
+        )
+        mixed = estimator.estimate_batch(plan)
+        assert clamped
+        assert mixed[: len(narrow)].tobytes() == expected.tobytes()
+        clamped.clear()
+        with fastpath_disabled():
+            dense = estimator.estimate_batch(plan)
+        assert clamped == []
+        np.testing.assert_allclose(mixed, dense, rtol=0.0, atol=DEFAULT_ATOL)
 
 
 class TestDenseReferenceReachable:

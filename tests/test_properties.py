@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
+from scipy import special
+
+from repro import MetricsRegistry
 
 from repro.baselines.histogram import EquiDepthHistogram, EquiWidthHistogram, Histogram1D
 from repro.baselines.wavelet import haar_transform, inverse_haar_transform, top_k_coefficients
 from repro.core.bandwidth import local_bandwidth_factors, scott_bandwidth
 from repro.core.errors import ReproError
+from repro.core import fastpath
+from repro.core.adaptive import AdaptiveKDEEstimator
 from repro.core.estimator import (
     SelectivityEstimator,
     StreamingEstimator,
@@ -433,6 +439,166 @@ class TestStreamingRegistryInvariants:
             estimator.insert(batch)
         assert estimator.row_count == rows
         np.testing.assert_array_equal(estimator.estimate_batch(mixed_plan), answers)
+
+
+# The fast path's contract ------------------------------------------------------
+
+#: Gaussian kernel synopses the fast path serves, by dimensionality, with
+#: bandwidths narrow enough against the data that boxes route both ways.
+_KERNEL_SYNOPSES = {
+    "streaming_ade": lambda dims: StreamingADE(max_kernels=256),
+    "kde": lambda dims: KDESelectivityEstimator(sample_size=160, bandwidths=[0.2] * dims),
+    "kde_unreflected": lambda dims: KDESelectivityEstimator(
+        sample_size=160, bandwidths=[0.2] * dims, boundary_correction=False
+    ),
+    "adaptive_kde": lambda dims: AdaptiveKDEEstimator(sample_size=160, bandwidths=[0.2] * dims),
+}
+_KERNEL_FITTED: dict[tuple[str, int, int], tuple] = {}
+
+_BOX_KINDS = ("random", "point", "full", "one_sided", "near_edge", "broad", "outside")
+
+
+def _kernel_synopsis(name: str, dims: int, seed: int):
+    """``(estimator, data minimum, data maximum)``, fitted once per key."""
+    key = (name, dims, seed)
+    if key not in _KERNEL_FITTED:
+        table = gaussian_mixture_table(
+            rows=2000, dimensions=dims, components=3, separation=4.0, seed=seed
+        )
+        data = table.columns(table.column_names)
+        estimator = _KERNEL_SYNOPSES[name](dims).fit(table)
+        _KERNEL_FITTED[key] = (estimator, data.min(axis=0), data.max(axis=0))
+    return _KERNEL_FITTED[key]
+
+
+def _support_index(estimator: SelectivityEstimator) -> fastpath.KernelSupportIndex:
+    if isinstance(estimator, StreamingADE):
+        return estimator._support_state()[0]
+    return estimator._support_index()
+
+
+def _contract_plan(estimator, low_edge, high_edge, kinds, seed: int) -> CompiledQueries:
+    """One box per kind, placed around the data and its domain edges."""
+    dims = low_edge.size
+    span = high_edge - low_edge
+    index = _support_index(estimator)
+    inf = np.full(dims, np.inf)
+    rng = np.random.default_rng(seed)
+    lows, highs = [], []
+    for kind in kinds:
+        centre = rng.uniform(low_edge - 0.1 * span, high_edge + 0.1 * span)
+        if kind == "random":
+            half = rng.uniform(0.0, 0.3, dims) * span
+            low, high = centre - half, centre + half
+        elif kind == "point":
+            low, high = centre, centre
+        elif kind == "full":
+            low, high = -inf, inf
+        elif kind == "one_sided":
+            upward = rng.random(dims) < 0.5
+            low, high = np.where(upward, -inf, centre), np.where(upward, centre, inf)
+        elif kind == "near_edge":  # straddles an edge by up to two support radii
+            edge = np.where(rng.random(dims) < 0.5, low_edge, high_edge)
+            low = edge - rng.uniform(0.0, 2.0, dims) * index.max_radii
+            high = edge + rng.uniform(0.0, 2.0, dims) * index.max_radii
+        elif kind == "broad":
+            half = index.broad_widths / 2 * rng.uniform(1.0, 2.5, dims)
+            low, high = centre - half, centre + half
+        else:  # outside every kernel's support
+            low, high = high_edge + span, high_edge + 2 * span
+        lows.append(low)
+        highs.append(high)
+    return CompiledQueries(estimator.columns, np.array(lows), np.array(highs))
+
+
+def _unclamped_answer(estimator: SelectivityEstimator, low: np.ndarray, high: np.ndarray):
+    """One box's answer from the exact ``ndtr`` formula, in the dense path's order.
+
+    Per axis, each kernel's (reflected) interval mass ``Φ(b) − Φ(a)`` clipped
+    to [0, 1]; the product over the axes; the weighted sum as a ``(1, K)``
+    matmul; the clip of ``estimate_batch``.
+    """
+    weights = estimator._weights
+    masses = np.ones((1, weights.size))
+    for axis in range(low.size):
+        lo, hi = np.array([[low[axis]]]), np.array([[high[axis]]])
+        if isinstance(estimator, StreamingADE):
+            means, stds = estimator._means[:, axis], estimator._kernel_stds()[:, axis]
+            mass = special.ndtr((hi - means) / stds) - special.ndtr((lo - means) / stds)
+            masses *= np.minimum(np.maximum(mass, 0.0), 1.0)
+            continue
+        centers = estimator._points[:, axis]
+        inv_h = 1.0 / estimator._axis_bandwidths(axis, None)
+
+        def image(scaled, lo=lo, hi=hi, inv_h=inv_h):
+            mass = special.ndtr(hi * inv_h - scaled) - special.ndtr(lo * inv_h - scaled)
+            return np.clip(mass, 0.0, 1.0)
+
+        if not estimator.boundary_correction:
+            masses *= image(centers * inv_h)
+            continue
+        domain_low, domain_high = estimator._domain_low[axis], estimator._domain_high[axis]
+        lo, hi = np.maximum(lo, domain_low), np.minimum(hi, domain_high)
+        mass = image(centers * inv_h, lo, hi)
+        mass += image((2.0 * domain_low - centers) * inv_h, lo, hi)
+        mass += image((2.0 * domain_high - centers) * inv_h, lo, hi)
+        mass = np.clip(mass, 0.0, 1.0)
+        if lo[0, 0] > hi[0, 0]:
+            mass[:] = 0.0
+        masses *= mass
+    answer = np.matmul(masses, weights) / float(weights.sum())
+    return np.minimum(np.fmax(answer, 0.0), 1.0)
+
+
+class TestFastPathContract:
+    """The support-culling fast path against the dense reference path.
+
+    Over Gaussian kernel synopses in 1–3 dimensions (``streaming_ade``,
+    ``kde`` with and without boundary reflection, ``adaptive_kde``) and
+    random plans of random, point, full-domain, one-sided, near-edge, broad
+    and out-of-domain boxes: the two paths agree within ``DEFAULT_ATOL``; a
+    culled box answers bitwise alike as a 1-box plan, inside the plan, and
+    with its group split into blocks of one box; and on the dense path a
+    broad box reads bitwise the unclamped ``ndtr`` formula.
+    """
+
+    @given(
+        name=st.sampled_from(sorted(_KERNEL_SYNOPSES)),
+        dims=st.integers(1, 3),
+        data_seed=st.integers(0, 1),
+        kinds=st.lists(st.sampled_from(_BOX_KINDS), min_size=2, max_size=10),
+        box_seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fast_path_contract(self, name, dims, data_seed, kinds, box_seed) -> None:
+        estimator, low_edge, high_edge = _kernel_synopsis(name, dims, data_seed)
+        plan = _contract_plan(estimator, low_edge, high_edge, kinds, box_seed)
+        fast = estimator.estimate_batch(plan)
+        with fastpath.fastpath_disabled():
+            dense = estimator.estimate_batch(plan)
+        np.testing.assert_allclose(fast, dense, rtol=0.0, atol=DEFAULT_ATOL)
+        with mock.patch.object(fastpath, "_BUFFER_ELEMENTS", 1):
+            blocked = estimator.estimate_batch(plan)
+        np.testing.assert_allclose(blocked, dense, rtol=0.0, atol=DEFAULT_ATOL)
+
+        index = _support_index(estimator)
+        broad = index.broad(plan.lows, plan.highs)
+        for row, (low, high) in enumerate(zip(plan.lows, plan.highs)):
+            assert index.is_broad(low, high) == broad[row]
+            single = CompiledQueries(plan.columns, low[None], high[None])
+            registry = MetricsRegistry()
+            fastpath.set_route_metrics(registry)
+            try:
+                alone = estimator.estimate_batch(single)
+            finally:
+                fastpath.set_route_metrics(None)
+            if registry.counter("fastpath.culled_queries").value:
+                rows = slice(row, row + 1)
+                assert alone.tobytes() == fast[rows].tobytes() == blocked[rows].tobytes()
+            if broad[row]:
+                with fastpath.fastpath_disabled():
+                    exact = estimator.estimate_batch(single)
+                assert exact.tobytes() == _unclamped_answer(estimator, low, high).tobytes()
 
 
 class TestStreamSubstrateProperties:
