@@ -403,7 +403,7 @@ class KernelSupportIndex:
         each axis, so most of its pairs' CDF arguments lie in the Gaussian
         tails; the micro-kernel clamps them (see the module docstring).
         """
-        return (highs - lows >= self.broad_widths).all(axis=1)
+        return np.logical_and.reduce(highs - lows >= self.broad_widths, axis=1)
 
     def is_broad(self, low: np.ndarray, high: np.ndarray) -> bool:
         """:meth:`broad` for a single box, made with Python floats.
@@ -411,10 +411,10 @@ class KernelSupportIndex:
         The same float64 differences and comparisons, so the one-box route
         and the grouped route always agree on a box.
         """
-        return all(
-            hi - lo >= width
-            for lo, hi, width in zip(low.tolist(), high.tolist(), self.broad_widths.tolist())
-        )
+        for lo, hi, width in zip(low.tolist(), high.tolist(), self.broad_widths.tolist()):
+            if not hi - lo >= width:
+                return False
+        return True
 
     def box_candidates(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Ascending kernel ids whose support can overlap the box ``[low, high]``.
@@ -622,20 +622,21 @@ def estimate_boxes(
             route_metrics.counter("fastpath.dense_queries").inc(n)
         return None
     out = np.zeros(n)
+    wide = ~selective
     if route_metrics is not None:
-        wide = int(n - np.count_nonzero(selective))
-        if wide:
-            route_metrics.counter("fastpath.dense_queries").inc(wide)
-        route_metrics.counter("fastpath.culled_queries").inc(n - wide)
+        wide_count = int(np.count_nonzero(wide))
+        if wide_count:
+            route_metrics.counter("fastpath.dense_queries").inc(wide_count)
+        route_metrics.counter("fastpath.culled_queries").inc(n - wide_count)
 
-    def evaluate(members: np.ndarray | bool, tail: float | None) -> None:
-        """Answer the ``members`` boxes into ``out``, every call with ``tail``."""
-        wide = np.flatnonzero(members & ~selective)
-        if wide.size:
-            out[wide] = weighted_box_masses(
-                lows[wide], highs[wide], axis_mass, weights, total_weight, tail=tail
+    def evaluate(dense_flags: np.ndarray, culled_flags: np.ndarray, tail: float | None) -> None:
+        """Answer the flagged boxes into ``out``, every micro-kernel call with ``tail``."""
+        dense = np.flatnonzero(dense_flags)
+        if dense.size:
+            out[dense] = weighted_box_masses(
+                lows[dense], highs[dense], axis_mass, weights, total_weight, tail=tail
             )
-        chosen = np.flatnonzero(members & selective)
+        chosen = np.flatnonzero(culled_flags)
         if chosen.size == 0:
             return
         for group in _spatial_groups(lows[chosen], highs[chosen], index):
@@ -660,9 +661,10 @@ def estimate_boxes(
     # broad (clamped) or all narrow (exact), and no narrow group shares a
     # broad box's union probe.
     broad = index.broad(lows, highs)
-    if broad.any():
-        evaluate(~broad, None)
-        evaluate(broad, index.clamp_radius)
+    if np.count_nonzero(broad):
+        narrow = ~broad
+        evaluate(wide & narrow, selective & narrow, None)
+        evaluate(wide & broad, selective & broad, index.clamp_radius)
     else:
-        evaluate(True, None)
+        evaluate(wide, selective, None)
     return out

@@ -16,10 +16,13 @@ Cache keys (:meth:`EstimatorServer._cache_key`):
   and looked up *before* it is compiled, so a hit neither compiles nor
   digests it.  ``RangeQuery`` is immutable and hashes by value (with a
   cached hash), so equal requests — the same objects or fresh equal ones —
-  compile to the same plan.  The key holds references to the request's
-  queries for as long as the entry lives, so the cache keeps up to
-  ``cache_size`` requests' queries alive (a fresh 2-attribute ``RangeQuery``
-  takes about 490 bytes on 64-bit CPython 3.11);
+  compile to the same plan.  A miss of several queries rebuilds the key
+  around a ``_HashedTuple`` of them, so its stores into the cache and the
+  last-good map hash the queries once between them, not once each.  The
+  key holds references to the request's queries for as long as the entry
+  lives, so the cache keeps up to ``cache_size`` requests' queries alive
+  (a fresh 2-attribute ``RangeQuery`` takes about 490 bytes on 64-bit
+  CPython 3.11);
 * a :class:`~repro.workload.queries.CompiledQueries` plan, or a request
   holding anything else, is compiled first and keyed by
   ``(generation, row count, SHA-256 of the plan's columns and bounds)``.
@@ -83,7 +86,7 @@ _OUTCOMES = ("hit", "miss", "empty", "uncached", "stale", "fallback")
 
 
 class _HashedTuple(tuple):
-    """A tuple that hashes its items once, when it is built.
+    """A tuple whose hash :func:`_hashed` computes once, when it builds it.
 
     A plain tuple rehashes its items on every dict operation, and the items
     of a ``RangeQuery`` request are Python-level ``__hash__`` calls.  It
@@ -91,13 +94,19 @@ class _HashedTuple(tuple):
     finds the other's cache entry.
     """
 
-    def __new__(cls, items: tuple) -> "_HashedTuple":
-        hashed = super().__new__(cls, items)
-        hashed._hash = tuple.__hash__(hashed)
-        return hashed
-
     def __hash__(self) -> int:
         return self._hash
+
+
+def _hashed(items: tuple) -> _HashedTuple:
+    """``items`` as a :class:`_HashedTuple`.
+
+    Built here rather than in a ``__new__`` override, whose Python-level
+    call would cost about as much as the rehashes it saves.
+    """
+    hashed = _HashedTuple(items)
+    hashed._hash = hash(items)
+    return hashed
 
 
 @dataclass(frozen=True)
@@ -466,10 +475,11 @@ class EstimatorServer:
                 return self._serve_degraded(generation, plan, key, error)
             breaker.record_success(now)
         result.setflags(write=False)
-        if isinstance(request, tuple) and key is not None:
-            # The stores below hash the key four times: hash the queries
-            # once, here, instead of in each of them.
-            key = self._cache_key(generation, columns, _HashedTuple(request))
+        if isinstance(request, tuple) and len(request) > 1 and key is not None:
+            # The stores below hash the key up to four times: hash the
+            # queries once, here, instead of in each of them.  (One query
+            # rehashes about as fast as the wrapper is built.)
+            key = self._cache_key(generation, columns, _hashed(request))
         with self._lock:
             if self._last_good_size:
                 last_good_key = key[1:]
