@@ -16,9 +16,10 @@ Cache keys (:meth:`EstimatorServer._cache_key`):
   and looked up *before* it is compiled, so a hit neither compiles nor
   digests it.  ``RangeQuery`` is immutable and hashes by value (with a
   cached hash), so equal requests — the same objects or fresh equal ones —
-  compile to the same plan.  A miss of several queries rebuilds the key
-  around a ``_HashedTuple`` of them, so its stores into the cache and the
-  last-good map hash the queries once between them, not once each.  The
+  compile to the same plan.  With a breaker, a miss of several queries
+  rebuilds the key around a ``_HashedTuple`` of them, so its four stores
+  into the cache and the last-good map hash the queries once between
+  them, not once each.  The
   key holds references to the request's queries for as long as the entry
   lives, so the cache keeps up to ``cache_size`` requests' queries alive
   (a fresh 2-attribute ``RangeQuery`` takes about 490 bytes on 64-bit
@@ -475,10 +476,10 @@ class EstimatorServer:
                 return self._serve_degraded(generation, plan, key, error)
             breaker.record_success(now)
         result.setflags(write=False)
-        if isinstance(request, tuple) and len(request) > 1 and key is not None:
-            # The stores below hash the key up to four times: hash the
-            # queries once, here, instead of in each of them.  (One query
-            # rehashes about as fast as the wrapper is built.)
+        if self._last_good_size and isinstance(request, tuple) and len(request) > 1:
+            # With the last-good map the stores below hash the key four
+            # times: hash the queries once, here, instead.  (Two stores, or
+            # one query, rehash for less than the wrapper costs.)
             key = self._cache_key(generation, columns, _hashed(request))
         with self._lock:
             if self._last_good_size:
