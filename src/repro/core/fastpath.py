@@ -298,8 +298,9 @@ def clamped_normal_mass(z: np.ndarray, tail: float) -> np.ndarray:
     ``ndtr`` runs on the other arguments only, in one gather and one
     scatter.  The rest is :func:`normal_box_mass`'s arithmetic, so an
     interval whose two arguments lie inside ``±tail`` gets bitwise its
-    unclamped mass.  (``ndtr(..., where=)`` is not an option: it corrupts
-    the heap on scipy 1.17 with numpy 2.4.)
+    unclamped mass.  (``ndtr(..., out=, where=)`` is not an option: on
+    scipy 1.17.1 with numpy 2.4.6 it crashes the process from about 1,000
+    elements.)
     """
     cdf = (z > 0).astype(float)
     inner = np.flatnonzero(np.abs(z) < tail)
