@@ -511,12 +511,17 @@ def _contract_plan(estimator, low_edge, high_edge, kinds, seed: int) -> Compiled
     return CompiledQueries(estimator.columns, np.array(lows), np.array(highs))
 
 
+def _interval_mass(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``Φ(upper) − Φ(lower)`` clipped to [0, 1], with ``ndtr`` on every argument."""
+    return np.clip(special.ndtr(upper) - special.ndtr(lower), 0.0, 1.0)
+
+
 def _unclamped_answer(estimator: SelectivityEstimator, low: np.ndarray, high: np.ndarray):
     """One box's answer from the exact ``ndtr`` formula, in the dense path's order.
 
-    Per axis, each kernel's (reflected) interval mass ``Φ(b) − Φ(a)`` clipped
-    to [0, 1]; the product over the axes; the weighted sum as a ``(1, K)``
-    matmul; the clip of ``estimate_batch``.
+    Per axis, each kernel's (reflected) interval mass; the product over the
+    axes; the weighted sum as a ``(1, K)`` matmul; the clip of
+    ``estimate_batch``.
     """
     weights = estimator._weights
     masses = np.ones((1, weights.size))
@@ -524,24 +529,22 @@ def _unclamped_answer(estimator: SelectivityEstimator, low: np.ndarray, high: np
         lo, hi = np.array([[low[axis]]]), np.array([[high[axis]]])
         if isinstance(estimator, StreamingADE):
             means, stds = estimator._means[:, axis], estimator._kernel_stds()[:, axis]
-            mass = special.ndtr((hi - means) / stds) - special.ndtr((lo - means) / stds)
-            masses *= np.minimum(np.maximum(mass, 0.0), 1.0)
+            masses *= _interval_mass((lo - means) / stds, (hi - means) / stds)
             continue
         centers = estimator._points[:, axis]
         inv_h = 1.0 / estimator._axis_bandwidths(axis, None)
-
-        def image(scaled, lo=lo, hi=hi, inv_h=inv_h):
-            mass = special.ndtr(hi * inv_h - scaled) - special.ndtr(lo * inv_h - scaled)
-            return np.clip(mass, 0.0, 1.0)
-
         if not estimator.boundary_correction:
-            masses *= image(centers * inv_h)
+            scaled = centers * inv_h
+            masses *= _interval_mass(lo * inv_h - scaled, hi * inv_h - scaled)
             continue
         domain_low, domain_high = estimator._domain_low[axis], estimator._domain_high[axis]
         lo, hi = np.maximum(lo, domain_low), np.minimum(hi, domain_high)
-        mass = image(centers * inv_h, lo, hi)
-        mass += image((2.0 * domain_low - centers) * inv_h, lo, hi)
-        mass += image((2.0 * domain_high - centers) * inv_h, lo, hi)
+        # the kernel and its reflections at both domain edges, pre-scaled
+        images = [centers, 2.0 * domain_low - centers, 2.0 * domain_high - centers]
+        scaled = [image * inv_h for image in images]
+        mass = _interval_mass(lo * inv_h - scaled[0], hi * inv_h - scaled[0])
+        for image in scaled[1:]:
+            mass += _interval_mass(lo * inv_h - image, hi * inv_h - image)
         mass = np.clip(mass, 0.0, 1.0)
         if lo[0, 0] > hi[0, 0]:
             mass[:] = 0.0
