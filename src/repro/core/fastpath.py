@@ -141,7 +141,7 @@ reading either costs one attribute load.
 
 from __future__ import annotations
 
-from typing import Callable, ContextManager, Iterator
+from typing import ContextManager, Iterator, Protocol
 
 import numpy as np
 from scipy import special
@@ -189,14 +189,29 @@ _TARGET_GROUP = 64
 #: and pair blocks by the same count.
 _BUFFER_ELEMENTS = 1 << 17
 
-#: ``axis_mass(ids, axis, lows, highs, *, tail=None)`` — per-axis kernel
-#: mass, with the bounds already shaped for broadcasting.  With ``ids=None``
-#: the bounds are ``(block, 1)`` columns against all kernels and the result
-#: is ``(block, kernels)``; otherwise ``ids`` are the ``(P,)`` kernel ids of
-#: (box, kernel) pairs, the bounds their ``(P,)`` boxes' bounds, and the
-#: result is ``(P,)``.  A Gaussian kernel given ``tail`` clamps its normal
-#: CDF beyond ``±tail`` (:func:`clamped_normal_mass`); other kernels ignore it.
-AxisMass = Callable[..., np.ndarray]
+
+class AxisMass(Protocol):
+    """Per-axis kernel mass, with the bounds already shaped for broadcasting.
+
+    With ``ids=None`` the bounds are ``(block, 1)`` columns against all
+    kernels and the result is ``(block, kernels)``; otherwise ``ids`` are the
+    ``(P,)`` kernel ids of (box, kernel) pairs, the bounds their ``(P,)``
+    boxes' bounds, and the result is ``(P,)``.  A Gaussian kernel given
+    ``tail`` clamps its normal CDF beyond ``±tail``
+    (:func:`clamped_normal_mass`); other kernels ignore it.
+    """
+
+    def __call__(
+        self,
+        ids: np.ndarray | None,
+        axis: int,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        /,
+        *,
+        tail: float | None = None,
+    ) -> np.ndarray: ...
+
 
 #: The process-wide fast-path switch (see :func:`fastpath_disabled`).
 _ENABLED = Slot(True)

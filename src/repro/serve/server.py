@@ -16,14 +16,10 @@ Cache keys (:meth:`EstimatorServer._cache_key`):
   and looked up *before* it is compiled, so a hit neither compiles nor
   digests it.  ``RangeQuery`` is immutable and hashes by value (with a
   cached hash), so equal requests — the same objects or fresh equal ones —
-  compile to the same plan.  With a breaker, a miss of several queries
-  rebuilds the key around a ``_HashedTuple`` of them, so its four stores
-  into the cache and the last-good map hash the queries once between
-  them, not once each.  The
-  key holds references to the request's queries for as long as the entry
-  lives, so the cache keeps up to ``cache_size`` requests' queries alive
-  (a fresh 2-attribute ``RangeQuery`` takes about 490 bytes on 64-bit
-  CPython 3.11);
+  compile to the same plan.  The key holds references to the request's
+  queries for as long as the entry lives, so the cache keeps up to
+  ``cache_size`` requests' queries alive (a fresh 2-attribute ``RangeQuery``
+  takes about 490 bytes on 64-bit CPython 3.11);
 * a :class:`~repro.workload.queries.CompiledQueries` plan, or a request
   holding anything else, is compiled first and keyed by
   ``(generation, row count, SHA-256 of the plan's columns and bounds)``.
@@ -84,30 +80,6 @@ __all__ = ["EstimatorServer", "ServerCacheInfo"]
 #: ``fallback`` are the degraded-path outcomes served while the circuit
 #: breaker refuses (or the model fails) fresh computation.
 _OUTCOMES = ("hit", "miss", "empty", "uncached", "stale", "fallback")
-
-
-class _HashedTuple(tuple):
-    """A tuple whose hash :func:`_hashed` computes once, when it builds it.
-
-    A plain tuple rehashes its items on every dict operation, and the items
-    of a ``RangeQuery`` request are Python-level ``__hash__`` calls.  It
-    equals, and hashes like, the plain tuple of the same items, so either
-    finds the other's cache entry.
-    """
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-def _hashed(items: tuple) -> _HashedTuple:
-    """``items`` as a :class:`_HashedTuple`.
-
-    Built here rather than in a ``__new__`` override, whose Python-level
-    call would cost about as much as the rehashes it saves.
-    """
-    hashed = _HashedTuple(items)
-    hashed._hash = hash(items)
-    return hashed
 
 
 @dataclass(frozen=True)
@@ -476,11 +448,6 @@ class EstimatorServer:
                 return self._serve_degraded(generation, plan, key, error)
             breaker.record_success(now)
         result.setflags(write=False)
-        if self._last_good_size and isinstance(request, tuple) and len(request) > 1:
-            # With the last-good map the stores below hash the key four
-            # times: hash the queries once, here, instead.  (Two stores, or
-            # one query, rehash for less than the wrapper costs.)
-            key = self._cache_key(generation, columns, _hashed(request))
         with self._lock:
             if self._last_good_size:
                 last_good_key = key[1:]
