@@ -30,11 +30,13 @@ around a chunked, vectorized pipeline rather than a per-tuple loop:
   most ``chunk_size`` tuples (a partial tail stays buffered between calls).
   Each full chunk is folded into the model with a bounded number of numpy
   operations: one nearest-kernel search against the current kernels, one
-  grouped moment-preserving merge (``np.add.at`` accumulation of weight /
-  Σwx / Σwx² per target kernel), one batched new-kernel creation for rows
+  grouped moment-preserving merge (weight / Σwx / Σwx² summed per target
+  kernel by one ``np.bincount``), one batched new-kernel creation for rows
   that open kernels (near-duplicate rows are coalesced on a
   ``merge_threshold``-sized grid first), then a single compress-to-budget and
-  prune step.
+  prune step.  Under budget pressure the candidate groups need their nearest
+  kernels too: a group whose mean is its first row reuses that row's answer,
+  and only the other groups, rare on continuous data, are searched again.
 * **Distance searches.**  Both searches of the fold use the max-norm distance
   between bandwidth-scaled means: the nearest kernel of every row, and the
   closest kernel pairs that compaction merges.  From ``_TREE_MIN_KERNELS``
@@ -45,8 +47,9 @@ around a chunked, vectorized pipeline rather than a per-tuple loop:
   and a compaction round whose closest pairs the tree's neighbour lists
   cannot order without ties (see :func:`_closest_pairs_tree`), run the dense
   code.  So the synopsis is bit for bit the one the dense code builds.
-  ``cKDTree`` holds the GIL while it builds and queries, so shards folding
-  on threads take turns in it.
+  ``cKDTree`` releases the GIL while it builds and queries (scipy 1.17), yet
+  shards folding on two threads of a 2-vCPU host ran no faster than one
+  after the other: the host did not deliver a second core's throughput.
 * **Batching invariance.**  Chunk boundaries depend only on the number of
   rows ingested since ``start()`` (and on explicit :meth:`StreamingADE.flush`
   points), never on how the caller sliced the stream into ``insert`` calls.
@@ -164,6 +167,44 @@ def _max_norm_distances(
 def _finite(values: np.ndarray) -> bool:
     """True when every entry is finite: ``cKDTree`` refuses anything else."""
     return bool(np.isfinite(values).all())
+
+
+def _group_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a non-empty ``(n, d)`` integer matrix.
+
+    Returns ``(inverse, first)``: ``inverse[i]`` is row ``i``'s group and
+    ``first[g]`` the lowest row index in group ``g``.  Groups are numbered in
+    the order ``np.unique(cells, axis=0)`` gives them, the lexicographic order
+    of the rows, first column first.  A stable ``lexsort`` and a row-change
+    mask find them several times faster than ``np.unique``.
+    """
+    order = np.lexsort(cells.T[::-1])
+    ordered = cells.take(order, axis=0)
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return inverse, order[starts]
+
+
+def _moments(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-row moment columns ``(w, w·x, w·x²)``: ``(n, 1 + 2d)``."""
+    wx = weights[:, None] * rows
+    return np.column_stack([weights, wx, wx * rows])
+
+
+def _sum_rows(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """``out[k]``: the sum of the rows ``values[i]`` with ``index[i] == k``.
+
+    One ``np.bincount`` over the flattened ``(row, column)`` cells.  It adds
+    from 0.0 in input order, one value after another, so every cell's sum is
+    bitwise that of ``np.add.at(out, index, values)``.
+    """
+    columns = values.shape[1]
+    cells = (index[:, None] * columns + np.arange(columns)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(), minlength=length * columns)
+    return sums.reshape(length, columns)
 
 
 def _dense_nearest(
@@ -500,7 +541,21 @@ class StreamingADE(StreamingEstimator):
         return normalize_batch(rows, self._dims, StreamError)
 
     def _process_chunk(self, rows: np.ndarray) -> None:
-        """Fold one sub-chunk into the model with a bounded number of numpy ops."""
+        """Fold one sub-chunk into the model with a bounded number of numpy ops.
+
+        Rows within ``merge_threshold`` of their nearest kernel merge into it;
+        the others are grouped on the merge grid (:meth:`_group_rows`).  Under
+        budget pressure a group inside its nearest kernel's catchment is
+        absorbed; every other group opens a kernel, in group order.  All
+        merges are summed per kernel at once, threshold merges first, and
+        applied before the new kernels are appended.
+
+        The chunk runs one nearest-kernel search over its rows.  Under budget
+        pressure the groups whose mean is not their first row are searched
+        too; every other group reuses its first row's answer, which is exact
+        because nothing the search reads (the kernel means and ``smoothing``)
+        changes before the merges are applied.
+        """
         self._mark_stale()
         m, d = rows.shape
         self._total_seen += float(m)
@@ -537,56 +592,55 @@ class StreamingADE(StreamingEstimator):
             nearest = np.zeros(m, dtype=np.int64)
             merge_mask = np.zeros(m, dtype=bool)
 
-        # Grouped moment-preserving merges: accumulate (weight, Σwx, Σwx²)
-        # per target kernel, from both threshold merges and — under budget
-        # pressure — catchment absorption of whole candidate groups.
-        acc_w = np.zeros(kernels)
-        acc_wx = np.zeros((kernels, d))
-        acc_wx2 = np.zeros((kernels, d))
-        if merge_mask.any():
-            targets = nearest[merge_mask]
-            w = stored_weights[merge_mask]
-            r = rows[merge_mask]
-            np.add.at(acc_w, targets, w)
-            np.add.at(acc_wx, targets, w[:, None] * r)
-            np.add.at(acc_wx2, targets, w[:, None] * r * r)
+        # Grouped moment-preserving merges: one (w, Σwx, Σwx²) part per
+        # threshold-merged row, then, under budget pressure, one per absorbed
+        # candidate group.  One bincount sums each kernel's parts in that
+        # order; two sums added afterwards would round differently.
+        targets = nearest[merge_mask]
+        parts = _moments(stored_weights[merge_mask], rows[merge_mask])
 
         new_w: np.ndarray | None = None
         new_means: np.ndarray | None = None
         new_vars: np.ndarray | None = None
         leftover = ~merge_mask
         if leftover.any():
-            new_w, new_wx, new_wx2 = self._group_rows(
-                rows[leftover], stored_weights[leftover], smoothing
-            )
-            new_means = new_wx / new_w[:, None]
-            new_vars = np.maximum(new_wx2 / new_w[:, None] - new_means**2, 0.0)
+            candidates = rows[leftover]
+            groups, first = self._group_rows(candidates, stored_weights[leftover], smoothing)
+            new_w = groups[:, 0]
+            new_means = groups[:, 1 : d + 1] / new_w[:, None]
+            new_vars = np.maximum(groups[:, d + 1 :] / new_w[:, None] - new_means**2, 0.0)
             if kernels and kernels + new_w.size > self.max_kernels:
                 # Budget pressure: absorb candidates that fall inside the
                 # natural catchment area of an existing kernel (the expected
                 # kernel spacing over the observed domain); only genuinely
                 # new structure opens kernels (the M-Kernel maintenance step).
-                cnearest, _ = self._nearest_kernels(new_means, smoothing)
-                spacing = self._kernel_spacing()
+                # A group whose mean equals its first row (a single row, or
+                # identical duplicates) takes the nearest kernel that row got
+                # above: each point's answer depends on the point alone.
+                cnearest = nearest[leftover][first]
+                again = ~(new_means == candidates[first]).all(axis=1)
+                if again.any():
+                    cnearest[again], _ = self._nearest_kernels(new_means[again], smoothing)
+                spacing = self._kernel_spacing(smoothing)
                 absorb = (np.abs(new_means - self._means[cnearest]) <= spacing).all(axis=1)
                 if absorb.any():
-                    t = cnearest[absorb]
-                    np.add.at(acc_w, t, new_w[absorb])
-                    np.add.at(acc_wx, t, new_wx[absorb])
-                    np.add.at(acc_wx2, t, new_wx2[absorb])
+                    targets = np.concatenate([targets, cnearest[absorb]])
+                    parts = np.concatenate([parts, groups[absorb]])
                     keep = ~absorb
                     new_w = new_w[keep]
                     new_means = new_means[keep]
                     new_vars = new_vars[keep]
 
-        touched = acc_w > 0
-        if touched.any():
+        if targets.size:
+            sums = _sum_rows(targets, parts, kernels)
+            touched = np.flatnonzero(sums[:, 0] > 0)
+            acc = sums[touched]
             w0 = self._weights[touched]
             m0 = self._means[touched]
             v0 = self._variances[touched]
-            total = w0 + acc_w[touched]
-            mean = (w0[:, None] * m0 + acc_wx[touched]) / total[:, None]
-            var = (w0[:, None] * (v0 + m0**2) + acc_wx2[touched]) / total[:, None] - mean**2
+            total = w0 + acc[:, 0]
+            mean = (w0[:, None] * m0 + acc[:, 1 : d + 1]) / total[:, None]
+            var = (w0[:, None] * (v0 + m0**2) + acc[:, d + 1 :]) / total[:, None] - mean**2
             self._weights[touched] = total
             self._means[touched] = mean
             self._variances[touched] = np.maximum(var, 0.0)
@@ -633,27 +687,22 @@ class StreamingADE(StreamingEstimator):
 
     def _group_rows(
         self, rows: np.ndarray, weights: np.ndarray, smoothing: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Coalesce near-duplicate rows on a ``merge_threshold``-sized grid.
 
-        Returns per-group ``(weight, Σwx, Σwx²)`` so each group can be
-        appended as one kernel — or absorbed into an existing one — without
-        losing moments.  Mirrors the sequential path's near-duplicate
-        coalescing, which would otherwise exhaust the budget on identical
-        points arriving inside one chunk.
+        Returns each group's summed :func:`_moments` ``(w, Σwx, Σwx²)``, so
+        it can be appended as one kernel — or absorbed into an existing one —
+        without losing moments, and the index of its first row.  Mirrors the
+        sequential path's near-duplicate coalescing, which would otherwise
+        exhaust the budget on identical points arriving inside one chunk.
+
+        Groups come in :func:`_group_cells` order, and each group's moments
+        are summed in input order.
         """
         width = max(self.merge_threshold, 1e-9) * smoothing
         cells = np.floor(np.clip(rows / width, -(2.0**62), 2.0**62)).astype(np.int64)
-        _, inverse = np.unique(cells, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        groups = int(inverse.max()) + 1
-        w = np.zeros(groups)
-        wx = np.zeros((groups, rows.shape[1]))
-        wx2 = np.zeros((groups, rows.shape[1]))
-        np.add.at(w, inverse, weights)
-        np.add.at(wx, inverse, weights[:, None] * rows)
-        np.add.at(wx2, inverse, weights[:, None] * rows * rows)
-        return w, wx, wx2
+        inverse, first = _group_cells(cells)
+        return _sum_rows(inverse, _moments(weights, rows), first.size), first
 
     def _insert_one(self, row: np.ndarray) -> None:
         self._mark_stale()
@@ -699,7 +748,7 @@ class StreamingADE(StreamingEstimator):
         # inflate an existing kernel's variance; instead the two closest
         # existing kernels are merged to free budget and the tuple becomes a
         # new, tight kernel (the classical M-Kernel maintenance step).
-        spacing = self._kernel_spacing()
+        spacing = self._kernel_spacing(smoothing)
         within_catchment = bool(np.all(distances[nearest] <= spacing))
         if within_catchment:
             self._merge_point(nearest, row)
@@ -708,12 +757,13 @@ class StreamingADE(StreamingEstimator):
             self._append_kernel(row)
         self._prune()
 
-    def _kernel_spacing(self) -> np.ndarray:
-        """Expected per-attribute spacing of ``max_kernels`` kernels over the domain."""
+    def _kernel_spacing(self, smoothing: np.ndarray) -> np.ndarray:
+        """Expected per-attribute spacing of ``max_kernels`` kernels over the
+        domain, at least the current ``smoothing`` bandwidths."""
         width = self._domain_high - self._domain_low
         width = np.where(np.isfinite(width) & (width > 0), width, 1.0)
         spacing = width * self.max_kernels ** (-1.0 / self._dims)
-        return np.maximum(spacing, self._smoothing_bandwidths())
+        return np.maximum(spacing, smoothing)
 
     def _append_kernel(self, row: np.ndarray) -> None:
         self._means = np.vstack([self._means, row[None, :]])

@@ -1,13 +1,17 @@
-"""Oracle tests for the distance work in the ``StreamingADE`` chunk fold.
+"""Oracle tests for the distance and merge work in the ``StreamingADE`` chunk fold.
 
 The fold computes max-norm distances with one 2-D pass per attribute and
 reads compaction candidates through an upper-triangle mask.  The references
 below are the dense 3-D formulations it replaced; every merge decision, and
 so the fitted synopsis, must match them bitwise, exact distance ties
-included (gridded means make ties common).
+included (gridded means make ties common).  The last section does the same
+for the fold's grouping, its merge sums and its one nearest-kernel search
+per chunk, against ``np.unique``, ``np.add.at`` and a search per candidate.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -424,3 +428,282 @@ def test_searches_over_non_finite_scaled_values_stay_dense(monkeypatch) -> None:
     centres[3] = np.inf
     assert streaming._closest_pairs_tree(centres, 20) is None
     assert spy.trees == 0
+
+
+# -- grouping, merge sums and one search per chunk ----------------------------
+#
+# The fold groups candidate rows with a stable lexsort, sums moments with
+# np.bincount and reuses a row's nearest kernel for a candidate group whose
+# mean is that row.  The references below are the np.unique grouping, the
+# np.add.at sums and a fresh search for every candidate group.
+
+def _reference_group_rows(
+    model: StreamingADE, rows: np.ndarray, weights: np.ndarray, smoothing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique`` grouping with ``np.add.at`` sums: per-group (w, Σwx, Σwx²)."""
+    width = max(model.merge_threshold, 1e-9) * smoothing
+    cells = np.floor(np.clip(rows / width, -(2.0**62), 2.0**62)).astype(np.int64)
+    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = np.asarray(inverse).reshape(-1)
+    groups = int(inverse.max()) + 1
+    w = np.zeros(groups)
+    wx = np.zeros((groups, rows.shape[1]))
+    wx2 = np.zeros((groups, rows.shape[1]))
+    np.add.at(w, inverse, weights)
+    np.add.at(wx, inverse, weights[:, None] * rows)
+    np.add.at(wx2, inverse, weights[:, None] * rows * rows)
+    return w, wx, wx2
+
+
+def _reference_process_chunk(model: StreamingADE, rows: np.ndarray) -> None:
+    """The fold with ``np.add.at`` sums and a fresh search for every candidate."""
+    model._mark_stale()
+    m, d = rows.shape
+    model._total_seen += float(m)
+    model._domain_low = np.minimum(model._domain_low, rows.min(axis=0))
+    model._domain_high = np.maximum(model._domain_high, rows.max(axis=0))
+    if model.decay < 1.0:
+        row_weights = model.decay ** np.arange(m - 1, -1, -1, dtype=float)
+        chunk_decay = model.decay**m
+        model._sum_w = model._sum_w * chunk_decay + float(row_weights.sum())
+        model._sum_wx = model._sum_wx * chunk_decay + row_weights @ rows
+        model._sum_wx2 = model._sum_wx2 * chunk_decay + row_weights @ (rows * rows)
+        if model._decay_scale < streaming._SCALE_FLOOR:
+            model._weights *= model._decay_scale
+            model._decay_scale = 1.0
+        model._decay_scale *= chunk_decay
+        stored_weights = row_weights / model._decay_scale
+    else:
+        model._sum_w += float(m)
+        model._sum_wx += rows.sum(axis=0)
+        model._sum_wx2 += (rows * rows).sum(axis=0)
+        stored_weights = np.ones(m)
+
+    smoothing = model._smoothing_bandwidths()
+    kernels = model._weights.size
+    if kernels:
+        nearest, scores = model._nearest_kernels(rows, smoothing)
+        merge_mask = scores <= model.merge_threshold
+    else:
+        nearest = np.zeros(m, dtype=np.int64)
+        merge_mask = np.zeros(m, dtype=bool)
+
+    acc_w = np.zeros(kernels)
+    acc_wx = np.zeros((kernels, d))
+    acc_wx2 = np.zeros((kernels, d))
+    if merge_mask.any():
+        targets = nearest[merge_mask]
+        w = stored_weights[merge_mask]
+        r = rows[merge_mask]
+        np.add.at(acc_w, targets, w)
+        np.add.at(acc_wx, targets, w[:, None] * r)
+        np.add.at(acc_wx2, targets, w[:, None] * r * r)
+
+    new_w = new_means = new_vars = None
+    leftover = ~merge_mask
+    if leftover.any():
+        new_w, new_wx, new_wx2 = _reference_group_rows(
+            model, rows[leftover], stored_weights[leftover], smoothing
+        )
+        new_means = new_wx / new_w[:, None]
+        new_vars = np.maximum(new_wx2 / new_w[:, None] - new_means**2, 0.0)
+        if kernels and kernels + new_w.size > model.max_kernels:
+            cnearest, _ = model._nearest_kernels(new_means, smoothing)
+            spacing = model._kernel_spacing(model._smoothing_bandwidths())
+            absorb = (np.abs(new_means - model._means[cnearest]) <= spacing).all(axis=1)
+            if absorb.any():
+                t = cnearest[absorb]
+                np.add.at(acc_w, t, new_w[absorb])
+                np.add.at(acc_wx, t, new_wx[absorb])
+                np.add.at(acc_wx2, t, new_wx2[absorb])
+                keep = ~absorb
+                new_w, new_means, new_vars = new_w[keep], new_means[keep], new_vars[keep]
+
+    touched = acc_w > 0
+    if touched.any():
+        w0 = model._weights[touched]
+        m0 = model._means[touched]
+        v0 = model._variances[touched]
+        total = w0 + acc_w[touched]
+        mean = (w0[:, None] * m0 + acc_wx[touched]) / total[:, None]
+        var = (w0[:, None] * (v0 + m0**2) + acc_wx2[touched]) / total[:, None] - mean**2
+        model._weights[touched] = total
+        model._means[touched] = mean
+        model._variances[touched] = np.maximum(var, 0.0)
+    if new_w is not None and new_w.size:
+        model._means = np.concatenate([model._means, new_means])
+        model._variances = np.concatenate([model._variances, new_vars])
+        model._weights = np.concatenate([model._weights, new_w])
+    if model._weights.size > model.max_kernels:
+        model._compress_to(model.max_kernels)
+    if model.decay < 1.0:
+        model._prune()
+
+
+def _assert_same_model(model: StreamingADE, reference: StreamingADE) -> None:
+    """Kernels, running sums and domain, bitwise."""
+    _assert_same_kernels(model, reference)
+    for name in ("_sum_w", "_sum_wx", "_sum_wx2", "_domain_low", "_domain_high", "_decay_scale"):
+        got, want = np.asarray(getattr(model, name)), np.asarray(getattr(reference, name))
+        assert got.tobytes() == want.tobytes(), name
+
+
+_CLIP = 2**62
+
+
+@st.composite
+def _cell_matrices(draw) -> np.ndarray:
+    """Integer cells with negatives, duplicates and the ±2⁶² clip values."""
+    dims = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 60))
+    values = st.one_of(st.integers(-3, 3), st.sampled_from([-_CLIP, _CLIP]))
+    cells = draw(arrays(np.int64, (rows, dims), elements=values))
+    repeats = draw(arrays(np.int64, rows, elements=st.integers(1, 3)))
+    order = draw(st.permutations(range(int(repeats.sum()))))
+    return np.repeat(cells, repeats, axis=0)[list(order)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_cell_matrices())
+def test_group_cells_reproduce_np_unique(cells) -> None:
+    inverse, first = streaming._group_cells(cells)
+    unique, want_first, want_inverse = np.unique(
+        cells, axis=0, return_index=True, return_inverse=True
+    )
+    np.testing.assert_array_equal(inverse, np.asarray(want_inverse).reshape(-1))
+    np.testing.assert_array_equal(first, want_first)
+    np.testing.assert_array_equal(cells[first], unique)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_group_rows_sum_like_np_add_at(data) -> None:
+    """The moments of every group, in group order, are ``np.add.at``'s bitwise;
+    the rows straddle zero and reach the clip values, and the weights are
+    decayed ones, so the sums round."""
+    dims = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(1, 120))
+    finite = st.floats(-50.0, 50.0, allow_nan=False, width=64)
+    rows = data.draw(arrays(np.float64, (count, dims), elements=st.one_of(
+        finite, st.sampled_from([-1e300, 1e300, 0.1, -0.1, 0.0, -0.0]))
+    ))
+    weights = 0.999 ** data.draw(arrays(np.float64, count, elements=st.integers(0, 300)))
+    model = StreamingADE(merge_threshold=data.draw(st.sampled_from([0.0, 0.25, 1.0])))
+    model.start([f"x{axis}" for axis in range(dims)])
+    smoothing = np.array(data.draw(st.lists(
+        st.sampled_from([1e-9, 0.03, 0.5, 2.0]), min_size=dims, max_size=dims
+    )))
+    with np.errstate(over="ignore", invalid="ignore"):  # ±1e300 squared is the case
+        groups, first = model._group_rows(rows, weights, smoothing)
+        want_w, want_wx, want_wx2 = _reference_group_rows(model, rows, weights, smoothing)
+    assert groups[:, 0].tobytes() == want_w.tobytes()
+    assert groups[:, 1 : dims + 1].tobytes() == want_wx.tobytes()
+    assert groups[:, dims + 1 :].tobytes() == want_wx2.tobytes()
+    assert first.size == want_w.size
+
+
+def _fold_stream(kind: str, dims: int) -> np.ndarray:
+    """A drifting stream: gridded (duplicates and distance ties) or continuous."""
+    rng = np.random.default_rng(dims + (kind == "gridded"))
+    drift = np.linspace(0.0, 20.0, 6000)[:, None]
+    rows = (rng.normal(size=(6000, dims)) + drift) * np.array([1.0, 3.0, 10.0])[:dims]
+    if kind == "gridded":
+        # Power-of-two steps: exact duplicates and exact distance ties.
+        step = np.array([1 / 16] if dims == 1 else [0.25, 1.0])
+        rows = np.round(rows / step) * step
+    return rows
+
+
+@pytest.mark.parametrize("max_kernels", [48, streaming._TREE_MIN_KERNELS + 64])
+@pytest.mark.parametrize("decay", [1.0, 0.999])
+@pytest.mark.parametrize("kind, dims", [("gridded", 1), ("gridded", 2), ("continuous", 2),
+                                        ("continuous", 3)])
+def test_fold_matches_the_add_at_fold_searching_every_candidate(
+    monkeypatch, kind, dims, decay, max_kernels
+) -> None:
+    rows = _fold_stream(kind, dims)
+    columns = [f"x{axis}" for axis in range(dims)]
+    spacing = StreamingADE._kernel_spacing
+    pressed: list[int] = []  # kernels at each chunk under budget pressure
+
+    def counting_spacing(model, smoothing):
+        pressed.append(model._weights.size)
+        return spacing(model, smoothing)
+
+    monkeypatch.setattr(StreamingADE, "_kernel_spacing", counting_spacing)
+    model = StreamingADE(max_kernels=max_kernels, decay=decay, chunk_size=128)
+    model.start(columns).insert(rows)
+    model.flush()
+    # Candidates were absorbed under budget pressure, above the crossover too.
+    assert max(pressed, default=0) >= min(max_kernels, streaming._TREE_MIN_KERNELS)
+    monkeypatch.setattr(StreamingADE, "_process_chunk", _reference_process_chunk)
+    reference = StreamingADE(max_kernels=max_kernels, decay=decay, chunk_size=128)
+    reference.start(columns).insert(rows)
+    reference.flush()
+    _assert_same_model(model, reference)
+
+
+class _SearchSpy:
+    """Records the points of every nearest-kernel search and the candidate
+    groups (candidate rows, groups) of every chunk."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.searches: list[int] = []
+        self.groups: list[tuple[int, int]] = []
+        search, group = StreamingADE._nearest_kernels, StreamingADE._group_rows
+
+        def counting_search(model, points, smoothing):
+            self.searches.append(points.shape[0])
+            return search(model, points, smoothing)
+
+        def counting_groups(model, rows, weights, smoothing):
+            answer = group(model, rows, weights, smoothing)
+            self.groups.append((rows.shape[0], answer[1].size))
+            return answer
+
+        monkeypatch.setattr(StreamingADE, "_nearest_kernels", counting_search)
+        monkeypatch.setattr(StreamingADE, "_group_rows", counting_groups)
+
+
+def _full_model(kernels: int) -> StreamingADE:
+    """A model at its budget of continuous kernels, with some spread each."""
+    rng = np.random.default_rng(kernels)
+    return _model(
+        _continuous_means(kernels, kernels, 2), rng.uniform(0.5, 3.0, kernels),
+        rng.uniform(0.0, 0.5, (kernels, 2)),
+    )
+
+
+@pytest.mark.parametrize("kernels", [64, streaming._TREE_MIN_KERNELS + 32])
+def test_an_at_budget_chunk_of_single_rows_searches_once(monkeypatch, kernels) -> None:
+    """Every candidate group is one row, so each reuses its row's search."""
+    model = _full_model(kernels)
+    reference = copy.deepcopy(model)
+    rows = _continuous_means(kernels + 1, model.chunk_size, 2)
+    spy = _SearchSpy(monkeypatch)
+    model.insert(rows)
+    assert spy.searches == [model.chunk_size]
+    [(candidates, groups)] = spy.groups
+    assert candidates == groups > 0  # at budget, singles only
+    monkeypatch.setattr(StreamingADE, "_process_chunk", _reference_process_chunk)
+    reference.insert(rows)
+    _assert_same_model(model, reference)
+
+
+@pytest.mark.parametrize("kernels", [64, streaming._TREE_MIN_KERNELS + 32])
+def test_groups_whose_mean_is_not_a_row_are_searched_again(monkeypatch, kernels) -> None:
+    """Each of 24 rows gets a partner 1e-7 away, in its cell: the 24 pair
+    means are none of their rows and make the one further search."""
+    model = _full_model(kernels)
+    reference = copy.deepcopy(model)
+    pairs = 24
+    rows = _continuous_means(kernels + 2, model.chunk_size, 2)
+    rows[-pairs:] = rows[:pairs] + 1e-7
+    spy = _SearchSpy(monkeypatch)
+    model.insert(rows)
+    [(candidates, groups)] = spy.groups
+    assert candidates - groups == pairs  # every pair is one group
+    assert spy.searches == [model.chunk_size, pairs]
+    monkeypatch.setattr(StreamingADE, "_process_chunk", _reference_process_chunk)
+    reference.insert(rows)
+    _assert_same_model(model, reference)
