@@ -47,9 +47,9 @@ around a chunked, vectorized pipeline rather than a per-tuple loop:
   and a compaction round whose closest pairs the tree's neighbour lists
   cannot order without ties (see :func:`_closest_pairs_tree`), run the dense
   code.  So the synopsis is bit for bit the one the dense code builds.
-  ``cKDTree`` releases the GIL while it builds and queries (scipy 1.17), yet
-  shards folding on two threads of a 2-vCPU host ran no faster than one
-  after the other: the host did not deliver a second core's throughput.
+  ``cKDTree`` releases the GIL while it builds and queries (scipy 1.17), but
+  on a 2-vCPU host two threads of it ran no faster than one after the
+  other: the host did not deliver a second core's throughput.
 * **Batching invariance.**  Chunk boundaries depend only on the number of
   rows ingested since ``start()`` (and on explicit :meth:`StreamingADE.flush`
   points), never on how the caller sliced the stream into ``insert`` calls.
