@@ -1,23 +1,37 @@
-"""Parallel execution layer for per-shard work.
+"""Execution layer for per-shard work.
 
-A :class:`ShardExecutor` runs one task per shard — fit, bulk insert,
-``estimate_batch`` — on a thread pool, and runs serially when a pool is not
-worth spinning up (one shard, one worker).
+A :class:`ShardExecutor` maps one task per shard through the ``shard.task``
+fault point, the transient retries and the per-task telemetry.  Where the
+tasks run is chosen per call:
 
-Backends:
+* ``inline=True`` runs them on the calling thread, one after another,
+  whatever the backend.  :class:`~repro.shard.sharded.ShardedEstimator` runs
+  its maintenance — ``fit``, ``insert`` and ``flush`` — this way, because the
+  fold holds the GIL for most of its time and two folding threads only hand
+  it back and forth.  On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6, scipy
+  1.17.1, BLAS on one thread), 240 inserts of 2,000 rows into a 2-shard,
+  512-kernel ``streaming_ade`` took 1.53–1.62 s of wall time and 2.06–2.14 s
+  of CPU, with 39,445–60,011 voluntary context switches, on two threads;
+  inline they took 1.28–1.35 s, 1.28–1.34 s of CPU and no switches, and a
+  50k-row 2-shard fit took a median of 118 ms against 126 ms.
+* Otherwise the backend decides:
 
-* ``"thread"`` (default) — numpy releases the GIL inside the kernels that
-  dominate fitting and batch estimation, so threads overlap on multi-core
-  hardware with zero serialisation cost.  Safe for every task type.
-* ``"serial"`` — no pool at all; the deterministic reference path.
+  * ``"thread"`` (default) — a thread pool, when there are at least two
+    tasks and two workers.  Only the weighted estimate fan-out uses it: its
+    per-shard ``estimate_batch`` passes spend most of their time in numpy and
+    scipy kernels that release the GIL, and a 4,000-box weighted estimate on
+    a 2-shard ``kde`` took 1.02–1.05 s on threads against 1.85–1.88 s
+    serially on the same VM.
+  * ``"serial"`` — no pool at all; the deterministic reference path.
 
 Results preserve task order regardless of completion order, and a task
-exception propagates to the caller after the remaining tasks finish
-(the pool is always drained, never abandoned mid-flight).
+that still fails after its retries propagates to the caller (see
+:class:`ShardExecutor` for which other tasks run first).
 
 Fault tolerance: tasks that fail with a *transient* error (an injected
 fault, a timeout, a dropped connection) are retried in place with
-exponential backoff (``retries`` attempts, ``shard.task_retries`` counter).
+exponential backoff (``retries`` attempts, ``shard.task_retries`` counter),
+on whichever thread ran the failed attempt.
 """
 
 from __future__ import annotations
@@ -48,12 +62,13 @@ TRANSIENT_ERRORS = (
 
 
 class ShardExecutor:
-    """Maps a function over per-shard tasks, in parallel where possible.
+    """Maps a function over per-shard tasks, on a pool or the calling thread.
 
     Parameters
     ----------
     backend:
-        ``"serial"`` or ``"thread"`` (see module docstring).  ``None`` means
+        ``"serial"`` or ``"thread"`` (see module docstring): where a
+        :meth:`map` that is not ``inline`` runs.  ``None`` means
         ``"serial"``.
     max_workers:
         Pool width; defaults to ``min(tasks, cpu_count)`` at call time.
@@ -69,7 +84,13 @@ class ShardExecutor:
     (:func:`repro.obs.metrics.default_metrics`).  When it is enabled, every
     :meth:`map` records its wall-clock span (``shard.map_seconds``) and each
     task's span (``shard.task_seconds``), labelled with the caller-supplied
-    ``op``; transient retries bump ``shard.task_retries``.
+    ``op``; transient retries bump ``shard.task_retries``.  Inline calls
+    record the same series.
+
+    A task that still fails after its retries ends an inline or serial call
+    at that task: the tasks after it never run.  On the pool, every other
+    task runs to completion before the error propagates (the pool is
+    drained, never abandoned mid-flight).
     """
 
     def __init__(
@@ -112,14 +133,19 @@ class ShardExecutor:
                     time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
 
     def map(
-        self, fn: Callable[..., Any], *iterables: Iterable[Any], op: str | None = None
+        self,
+        fn: Callable[..., Any],
+        *iterables: Iterable[Any],
+        op: str | None = None,
+        inline: bool = False,
     ) -> list[Any]:
         """Apply ``fn`` across zipped task arguments, preserving order.
 
         Equivalent to ``[fn(*args) for args in zip(*iterables)]`` with the
-        work spread over the pool; runs exactly that loop when no pool is
-        worth it.  ``op`` labels the per-task telemetry series (``"fit"``,
-        ``"insert"``, ``"estimate"``, ...).
+        work spread over the pool; runs exactly that loop on the calling
+        thread when ``inline`` is set or no pool is worth it.  ``op`` labels
+        the per-task telemetry series (``"fit"``, ``"insert"``,
+        ``"estimate"``, ...).
         """
         tasks: Sequence[tuple] = list(zip(*iterables))
         if not tasks:
@@ -141,7 +167,7 @@ class ShardExecutor:
 
         try:
             workers = self.max_workers or min(len(tasks), os.cpu_count() or 1)
-            if self.backend == "serial" or workers < 2 or len(tasks) < 2:
+            if inline or self.backend == "serial" or workers < 2 or len(tasks) < 2:
                 return [self._run_task(fn, args) for args in tasks]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(lambda args: self._run_task(fn, args), tasks))

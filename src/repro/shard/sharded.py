@@ -4,10 +4,13 @@
 (and a :class:`~repro.core.estimator.StreamingEstimator` when its shard
 synopses are): it partitions the fitted table with a
 :class:`~repro.shard.partition.Partitioner`, fits one clone of the base
-synopsis per shard (in parallel on a thread pool, through a
-:class:`~repro.shard.parallel.ShardExecutor`), and serves the whole estimator
-contract — ``fit`` / ``insert`` / ``flush`` / ``estimate_batch`` /
-``state_dict`` — by routing per shard.
+synopsis per shard, and serves the whole estimator contract — ``fit`` /
+``insert`` / ``flush`` / ``estimate_batch`` / ``state_dict`` — by routing per
+shard.  Per-shard tasks go through one
+:class:`~repro.shard.parallel.ShardExecutor`: ``fit``, ``insert`` and
+``flush`` run on the calling thread, one shard after another, and only the
+weighted path's estimate fan-out of at least
+:data:`_PARALLEL_ESTIMATE_THRESHOLD` query-shards uses its thread pool.
 
 Estimation modes (the ``combine`` parameter)
 --------------------------------------------
@@ -114,10 +117,13 @@ class ShardedEstimator(StreamingEstimator):
         Estimation mode (see module docstring): ``"auto"`` or
         ``"weighted"``.
     parallel:
-        Execution backend for per-shard fit, ingest and estimation work:
-        ``"thread"`` (default) or ``"serial"`` (also ``None``).
+        Execution backend of the weighted path's estimate fan-out, the one
+        per-shard task that runs on a pool: ``"thread"`` (default) or
+        ``"serial"`` (also ``None``).  That is all it chooses; ``fit``,
+        ``insert`` and ``flush`` run on the calling thread under either
+        backend (see :mod:`repro.shard.parallel`).
     max_workers:
-        Pool width (default: ``min(shards, cpu_count)``).
+        The fan-out's pool width (default: ``min(shards, cpu_count)``).
     """
 
     name = "sharded"
@@ -181,6 +187,7 @@ class ShardedEstimator(StreamingEstimator):
             clones,
             sub_tables,
             op="fit",
+            inline=True,
         )
         self._merged = None
         self._lost = set()
@@ -305,6 +312,7 @@ class ShardedEstimator(StreamingEstimator):
             [shard for shard, _ in targets],
             [batch for _, batch in targets],
             op="insert",
+            inline=True,
         )
         self._row_count += rows.shape[0] - dropped
         self._merged = None
@@ -317,7 +325,9 @@ class ShardedEstimator(StreamingEstimator):
             if isinstance(s, StreamingEstimator) and i not in self._lost
         ]
         if streaming:
-            self._executor.map(lambda shard: shard.flush(), streaming, op="flush")
+            self._executor.map(
+                lambda shard: shard.flush(), streaming, op="flush", inline=True
+            )
             self._merged = None
 
     # -- estimation ------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.core.streaming import StreamingADE
 from repro.engine.catalog import Catalog
 from repro.engine.table import Table
 from repro.fault.plan import FaultPlan, use_fault_plan
-from repro.shard.sharded import ShardedEstimator
+from repro.shard.sharded import _PARALLEL_ESTIMATE_THRESHOLD, ShardedEstimator
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import CompiledQueries, compile_queries
 
@@ -174,13 +174,26 @@ class TestFrontEndContract:
     def test_parallel_backends_produce_identical_models(
         self, mixture_table_2d, workload_2d
     ) -> None:
+        # The 50-query plan stays below the fan-out threshold, so only the
+        # weighted plan of at least _PARALLEL_ESTIMATE_THRESHOLD query-shards
+        # runs its per-shard passes on the thread backend's pool.
+        wide = UniformWorkload(mixture_table_2d, volume_fraction=0.2, seed=8).generate(
+            _PARALLEL_ESTIMATE_THRESHOLD // 4
+        )
         results = {}
         for backend in ("serial", "thread"):
             estimator = ShardedEstimator(
                 "equidepth", shards=4, parallel=backend
             ).fit(mixture_table_2d)
-            results[backend] = estimator.estimate_batch(workload_2d)
-        np.testing.assert_array_equal(results["serial"], results["thread"])
+            weighted = ShardedEstimator(
+                "equidepth", shards=4, combine="weighted", parallel=backend
+            ).fit(mixture_table_2d)
+            results[backend] = (
+                estimator.estimate_batch(workload_2d),
+                weighted.estimate_batch(wide),
+            )
+        for serial, thread in zip(results["serial"], results["thread"]):
+            np.testing.assert_array_equal(serial, thread)
 
 
 class TestStreamingFrontEnd:
