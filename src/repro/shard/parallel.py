@@ -6,21 +6,24 @@ tasks run is chosen per call:
 
 * ``inline=True`` runs them on the calling thread, one after another,
   whatever the backend.  :class:`~repro.shard.sharded.ShardedEstimator` runs
-  its maintenance — ``fit``, ``insert`` and ``flush`` — this way, because the
-  fold holds the GIL for most of its time and two folding threads only hand
-  it back and forth.  On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6, scipy
-  1.17.1, BLAS on one thread), 240 inserts of 2,000 rows into a 2-shard,
-  512-kernel ``streaming_ade`` took 1.53–1.62 s of wall time and 2.06–2.14 s
-  of CPU, with 39,445–60,011 voluntary context switches, on two threads;
-  inline they took 1.28–1.35 s, 1.28–1.34 s of CPU and no switches, and a
-  50k-row 2-shard fit took a median of 118 ms against 126 ms.
+  its maintenance — ``fit``, ``insert`` and ``flush`` — this way.  The
+  streaming fold holds the GIL for most of its time, so two folding threads
+  mostly hand it back and forth.  On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6,
+  scipy 1.17.1, BLAS on one thread), 200 inserts of 2,000 rows into a
+  2-shard, 512-kernel ``streaming_ade`` took 1.37–1.83 s of wall time and
+  1.66–2.51 s of CPU, with 24,673–50,055 voluntary context switches, on two
+  threads; inline they took 1.11–1.38 s and 1.11–1.37 s of CPU, with none.
+  A 50k-row fit of that model took a median of 117 ms on threads and
+  119 ms inline.  A fit whose numpy kernels release the GIL does overlap:
+  a 2-shard ``adaptive_kde`` fit with ``lscv`` bandwidths took about 0.21 s
+  on threads and 0.45 s inline, once the process had warmed up.
 * Otherwise the backend decides:
 
   * ``"thread"`` (default) — a thread pool, when there are at least two
     tasks and two workers.  Only the weighted estimate fan-out uses it: its
     per-shard ``estimate_batch`` passes spend most of their time in numpy and
     scipy kernels that release the GIL, and a 4,000-box weighted estimate on
-    a 2-shard ``kde`` took 1.02–1.05 s on threads against 1.85–1.88 s
+    a 2-shard ``kde`` took 0.95–1.63 s on threads against 1.75–1.99 s
     serially on the same VM.
   * ``"serial"`` — no pool at all; the deterministic reference path.
 
