@@ -87,8 +87,7 @@ class ShardExecutor:
     (:func:`repro.obs.metrics.default_metrics`).  When it is enabled, every
     :meth:`map` records its wall-clock span (``shard.map_seconds``) and each
     task's span (``shard.task_seconds``), labelled with the caller-supplied
-    ``op``; transient retries bump ``shard.task_retries``.  Inline calls
-    record the same series.
+    ``op``; transient retries bump ``shard.task_retries``.
 
     A task that still fails after its retries ends an inline or serial call
     at that task: the tasks after it never run.  On the pool, every other
