@@ -17,7 +17,7 @@ to a versioned on-disk store and served back through an
 that built it (see ``examples/persistence_serving.py`` for the full
 save → restart → restore → serve walkthrough).  The closing section shards
 the relation: a :class:`~repro.shard.sharded.ShardedEstimator` fits one
-synopsis per hash partition, answers the same compiled plan
+synopsis per hash partition in parallel, answers the same compiled plan
 (bitwise-equal to the monolithic histogram — the histogram family merges
 shard states exactly), and refreshes a single shard without touching the
 others.  The last section serves several synopses as *one* estimator: a
@@ -170,7 +170,7 @@ def main() -> None:
 
     # 7. Sharding: partition the relation and the synopsis.  The sharded
     #    front end is itself an estimator — fit routes one base-synopsis
-    #    clone per partition (one after another), estimate_batch reduces
+    #    clone per partition (fitted in parallel), estimate_batch reduces
     #    per-shard answers (bitwise-equal to the monolithic histogram here,
     #    because the histogram family merges its shard states exactly), and
     #    one shard can be refreshed without rebuilding the rest.

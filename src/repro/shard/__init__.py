@@ -2,13 +2,14 @@
 
 This package horizontally partitions a table *and its synopsis*: a
 :class:`~repro.shard.partition.Partitioner` routes rows to shards, one clone
-of the base estimator is fitted per shard (one after another on the calling
-thread, through a :class:`~repro.shard.parallel.ShardExecutor`), and the
+of the base estimator is fitted per shard (in parallel on a thread pool,
+through a :class:`~repro.shard.parallel.ShardExecutor`), and the
 :class:`~repro.shard.sharded.ShardedEstimator` front end — itself a
 :class:`~repro.core.estimator.SelectivityEstimator`, registered as
 ``"sharded"`` — serves the full estimator contract by routing per shard.
-Large weighted estimate batches fan out over a thread pool, and one shard
-can be refreshed or swapped without rebuilding the world
+Fit and large weighted estimate batches run on the pool, bulk ingest folds
+the shards one after another on the calling thread, and one shard can be
+refreshed or swapped without rebuilding the world
 (:meth:`~repro.shard.sharded.ShardedEstimator.refit_shard` /
 :meth:`~repro.shard.sharded.ShardedEstimator.with_shard`).
 

@@ -1,31 +1,26 @@
-"""Execution layer for per-shard work.
+"""Parallel execution layer for per-shard work.
 
-A :class:`ShardExecutor` maps one task per shard through the ``shard.task``
-fault point, the transient retries and the per-task telemetry.  Where the
-tasks run is chosen per call:
+A :class:`ShardExecutor` runs one task per shard — fit, bulk insert,
+``estimate_batch`` — through the ``shard.task`` fault point, the transient
+retries and the per-task telemetry, on a thread pool, and runs serially when
+a pool is not worth spinning up (one shard, one worker).
 
-* ``inline=True`` runs them on the calling thread, one after another,
-  whatever the backend.  :class:`~repro.shard.sharded.ShardedEstimator` runs
-  its maintenance — ``fit``, ``insert`` and ``flush`` — this way.  The
-  streaming fold holds the GIL for most of its time, so two folding threads
-  mostly hand it back and forth.  On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6,
-  scipy 1.17.1, BLAS on one thread), 200 inserts of 2,000 rows into a
-  2-shard, 512-kernel ``streaming_ade`` took 1.37–1.83 s of wall time and
-  1.66–2.51 s of CPU, with 24,673–50,055 voluntary context switches, on two
-  threads; inline they took 1.11–1.38 s and 1.11–1.37 s of CPU, with none.
-  A 50k-row fit of that model took a median of 117 ms on threads and
-  119 ms inline.  A fit whose numpy kernels release the GIL does overlap:
-  a 2-shard ``adaptive_kde`` fit with ``lscv`` bandwidths took about 0.21 s
-  on threads and 0.45 s inline, once the process had warmed up.
-* Otherwise the backend decides:
+Backends:
 
-  * ``"thread"`` (default) — a thread pool, when there are at least two
-    tasks and two workers.  Only the weighted estimate fan-out uses it: its
-    per-shard ``estimate_batch`` passes spend most of their time in numpy and
-    scipy kernels that release the GIL, and a 4,000-box weighted estimate on
-    a 2-shard ``kde`` took 0.95–1.63 s on threads against 1.75–1.99 s
-    serially on the same VM.
-  * ``"serial"`` — no pool at all; the deterministic reference path.
+* ``"thread"`` (default) — threads overlap only where the tasks spend their
+  time in numpy and scipy kernels that release the GIL.  On a 2-vCPU VM
+  (Python 3.11.7, numpy 2.4.6, scipy 1.17.1, BLAS on one thread), a
+  4,000-box weighted estimate on a 2-shard ``kde`` took 0.95–1.63 s on
+  threads against 1.75–1.99 s serially, and a 2-shard ``adaptive_kde`` fit
+  with ``lscv`` bandwidths took about 0.21 s against 0.45 s once the process
+  had warmed up.  The streaming fold holds the GIL for most of its time, so
+  two folding threads mostly hand it back and forth: 200 inserts of 2,000
+  rows into a 2-shard, 512-kernel ``streaming_ade`` took 1.37–1.83 s of
+  wall time and 1.66–2.51 s of CPU, with 24,673–50,055 voluntary context
+  switches, on two threads, against 1.11–1.38 s, 1.11–1.37 s and none
+  serially.  :class:`~repro.shard.sharded.ShardedEstimator` therefore runs
+  its ``insert`` and ``flush`` on a serial executor.
+* ``"serial"`` — no pool at all; the deterministic reference path.
 
 Results preserve task order regardless of completion order, and a task
 that still fails after its retries propagates to the caller (see
@@ -33,8 +28,7 @@ that still fails after its retries propagates to the caller (see
 
 Fault tolerance: tasks that fail with a *transient* error (an injected
 fault, a timeout, a dropped connection) are retried in place with
-exponential backoff (``retries`` attempts, ``shard.task_retries`` counter),
-on whichever thread ran the failed attempt.
+exponential backoff (``retries`` attempts, ``shard.task_retries`` counter).
 """
 
 from __future__ import annotations
@@ -65,13 +59,12 @@ TRANSIENT_ERRORS = (
 
 
 class ShardExecutor:
-    """Maps a function over per-shard tasks, on a pool or the calling thread.
+    """Maps a function over per-shard tasks, in parallel where possible.
 
     Parameters
     ----------
     backend:
-        ``"serial"`` or ``"thread"`` (see module docstring): where a
-        :meth:`map` that is not ``inline`` runs.  ``None`` means
+        ``"serial"`` or ``"thread"`` (see module docstring).  ``None`` means
         ``"serial"``.
     max_workers:
         Pool width; defaults to ``min(tasks, cpu_count)`` at call time.
@@ -89,8 +82,8 @@ class ShardExecutor:
     task's span (``shard.task_seconds``), labelled with the caller-supplied
     ``op``; transient retries bump ``shard.task_retries``.
 
-    A task that still fails after its retries ends an inline or serial call
-    at that task: the tasks after it never run.  On the pool, every other
+    A task that still fails after its retries ends a serial :meth:`map` at
+    that task: the tasks after it never run.  On the pool, every other
     task runs to completion before the error propagates (the pool is
     drained, never abandoned mid-flight).
     """
@@ -135,19 +128,14 @@ class ShardExecutor:
                     time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
 
     def map(
-        self,
-        fn: Callable[..., Any],
-        *iterables: Iterable[Any],
-        op: str | None = None,
-        inline: bool = False,
+        self, fn: Callable[..., Any], *iterables: Iterable[Any], op: str | None = None
     ) -> list[Any]:
         """Apply ``fn`` across zipped task arguments, preserving order.
 
         Equivalent to ``[fn(*args) for args in zip(*iterables)]`` with the
-        work spread over the pool; runs exactly that loop on the calling
-        thread when ``inline`` is set or no pool is worth it.  ``op`` labels
-        the per-task telemetry series (``"fit"``, ``"insert"``,
-        ``"estimate"``, ...).
+        work spread over the pool; runs exactly that loop when no pool is
+        worth it.  ``op`` labels the per-task telemetry series (``"fit"``,
+        ``"insert"``, ``"estimate"``, ...).
         """
         tasks: Sequence[tuple] = list(zip(*iterables))
         if not tasks:
@@ -169,7 +157,7 @@ class ShardExecutor:
 
         try:
             workers = self.max_workers or min(len(tasks), os.cpu_count() or 1)
-            if inline or self.backend == "serial" or workers < 2 or len(tasks) < 2:
+            if self.backend == "serial" or workers < 2 or len(tasks) < 2:
                 return [self._run_task(fn, args) for args in tasks]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(lambda args: self._run_task(fn, args), tasks))

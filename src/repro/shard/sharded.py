@@ -4,13 +4,13 @@
 (and a :class:`~repro.core.estimator.StreamingEstimator` when its shard
 synopses are): it partitions the fitted table with a
 :class:`~repro.shard.partition.Partitioner`, fits one clone of the base
-synopsis per shard, and serves the whole estimator contract — ``fit`` /
-``insert`` / ``flush`` / ``estimate_batch`` / ``state_dict`` — by routing per
-shard.  Per-shard tasks go through one
-:class:`~repro.shard.parallel.ShardExecutor`: ``fit``, ``insert`` and
-``flush`` run on the calling thread, one shard after another, and only the
-weighted path's estimate fan-out of at least
-:data:`_PARALLEL_ESTIMATE_THRESHOLD` query-shards uses its thread pool.
+synopsis per shard (in parallel on a thread pool, through a
+:class:`~repro.shard.parallel.ShardExecutor`), and serves the whole estimator
+contract — ``fit`` / ``insert`` / ``flush`` / ``estimate_batch`` /
+``state_dict`` — by routing per shard.  ``insert`` and ``flush`` fold the
+shards one after another on the calling thread: the streaming fold holds the
+GIL, so folding threads only hand it back and forth
+(see :mod:`repro.shard.parallel`).
 
 Estimation modes (the ``combine`` parameter)
 --------------------------------------------
@@ -117,13 +117,12 @@ class ShardedEstimator(StreamingEstimator):
         Estimation mode (see module docstring): ``"auto"`` or
         ``"weighted"``.
     parallel:
-        Execution backend of the weighted path's estimate fan-out, the one
-        per-shard task that runs on a pool: ``"thread"`` (default) or
-        ``"serial"`` (also ``None``).  That is all it chooses; ``fit``,
-        ``insert`` and ``flush`` run on the calling thread under either
-        backend (see :mod:`repro.shard.parallel`).
+        Execution backend for per-shard fit and the weighted path's
+        estimate fan-out: ``"thread"`` (default) or ``"serial"`` (also
+        ``None``).  ``insert`` and ``flush`` run on the calling thread under
+        either backend.
     max_workers:
-        The fan-out's pool width (default: ``min(shards, cpu_count)``).
+        Pool width (default: ``min(shards, cpu_count)``).
     """
 
     name = "sharded"
@@ -154,6 +153,7 @@ class ShardedEstimator(StreamingEstimator):
         self._template = template
         self._partitioner_spec = partitioner
         self._executor = ShardExecutor(parallel, max_workers)
+        self._maintenance = ShardExecutor("serial")
         self._partitioner: Partitioner | None = None
         self._shards: list[SelectivityEstimator] = []
         self._frame: dict[str, np.ndarray] | None = None
@@ -187,7 +187,6 @@ class ShardedEstimator(StreamingEstimator):
             clones,
             sub_tables,
             op="fit",
-            inline=True,
         )
         self._merged = None
         self._lost = set()
@@ -279,7 +278,9 @@ class ShardedEstimator(StreamingEstimator):
         stream — given the shard synopses themselves honour that contract.
         The batch is validated before routing (a wrong width or a non-finite
         value raises :class:`DimensionMismatchError`), so a rejected batch
-        changes no shard.
+        changes no shard.  A shard task that still fails after its retries
+        stops the insert at that shard and propagates; the shards before it
+        keep their rows, and the row count and later estimates include them.
         """
         self._require_fitted()
         rows = normalize_batch(rows, len(self._columns), DimensionMismatchError)
@@ -307,15 +308,22 @@ class ShardedEstimator(StreamingEstimator):
             targets.append((self._shards[shard_id], batch))
         if dropped:
             default_metrics().counter("shard.dropped_rows").inc(dropped)
-        self._executor.map(
-            lambda shard, batch: shard.insert(batch),
-            [shard for shard, _ in targets],
-            [batch for _, batch in targets],
-            op="insert",
-            inline=True,
-        )
-        self._row_count += rows.shape[0] - dropped
-        self._merged = None
+        folded: list[int] = []
+
+        def fold(shard: StreamingEstimator, batch: np.ndarray) -> None:
+            shard.insert(batch)
+            folded.append(batch.shape[0])
+
+        try:
+            self._maintenance.map(
+                fold,
+                [shard for shard, _ in targets],
+                [batch for _, batch in targets],
+                op="insert",
+            )
+        finally:
+            self._row_count += sum(folded)
+            self._merged = None
 
     def flush(self) -> None:
         """Flush every surviving streaming shard's pending ingestion buffer."""
@@ -325,10 +333,12 @@ class ShardedEstimator(StreamingEstimator):
             if isinstance(s, StreamingEstimator) and i not in self._lost
         ]
         if streaming:
-            self._executor.map(
-                lambda shard: shard.flush(), streaming, op="flush", inline=True
-            )
-            self._merged = None
+            try:
+                self._maintenance.map(
+                    lambda shard: shard.flush(), streaming, op="flush"
+                )
+            finally:
+                self._merged = None
 
     # -- estimation ------------------------------------------------------------
     @property

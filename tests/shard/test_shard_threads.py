@@ -1,8 +1,8 @@
 """Which thread runs a sharded estimator's per-shard tasks.
 
-``fit``, ``insert`` and ``flush`` run every shard task on the calling thread,
-under the ``"thread"`` backend too; only the weighted path's estimate fan-out
-of at least ``_PARALLEL_ESTIMATE_THRESHOLD`` query-shards runs on the pool.
+``insert`` and ``flush`` run every shard task on the calling thread, under
+the ``"thread"`` backend too; ``fit`` and the weighted path's estimate fan-out
+of at least ``_PARALLEL_ESTIMATE_THRESHOLD`` query-shards run on the pool.
 The calling thread keeps the executor's fault point, retries and telemetry.
 """
 
@@ -47,32 +47,33 @@ def _rows(seed: int, count: int = 600) -> np.ndarray:
 def test_maintenance_runs_every_shard_task_on_the_calling_thread(
     monkeypatch, mixture_table_2d
 ) -> None:
-    calls: list[tuple[str, int]] = []
-    for method in ("fit", "insert", "flush"):
-        _spy(monkeypatch, StreamingADE, method, calls)
     estimator = _threaded().fit(mixture_table_2d)
+    calls: list[tuple[str, int]] = []
+    for method in ("insert", "flush"):
+        _spy(monkeypatch, StreamingADE, method, calls)
     estimator.insert(_rows(1))
     estimator.flush()
 
     ops = [op for op, _ in calls]
-    assert all(ops.count(op) >= 2 for op in ("fit", "insert", "flush")), ops
+    assert all(ops.count(op) >= 2 for op in ("insert", "flush")), ops
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-def test_estimate_fan_out_above_the_threshold_runs_on_the_pool(
+def test_fit_and_the_estimate_fan_out_run_on_the_pool(
     monkeypatch, mixture_table_2d
 ) -> None:
+    calls: list[tuple[str, int]] = []
+    for method in ("fit", "_estimate_batch"):
+        _spy(monkeypatch, StreamingADE, method, calls)
     estimator = _threaded(combine="weighted").fit(mixture_table_2d)
     count = _PARALLEL_ESTIMATE_THRESHOLD // estimator.shard_count
     queries = UniformWorkload(mixture_table_2d, volume_fraction=0.2, seed=8).generate(
         count
     )
-    plan = compile_queries(queries, estimator.columns)
-    calls: list[tuple[str, int]] = []
-    _spy(monkeypatch, StreamingADE, "_estimate_batch", calls)
-    estimator.estimate_batch(plan)
+    estimator.estimate_batch(compile_queries(queries, estimator.columns))
 
-    assert len(calls) == estimator.shard_count
+    ops = [op for op, _ in calls]
+    assert ops.count("fit") >= 2 and ops.count("_estimate_batch") == 2, ops
     assert threading.get_ident() not in {ident for _, ident in calls}
 
 
@@ -128,3 +129,32 @@ def test_insert_fault_that_survives_its_retries_stops_at_that_shard(
     # The second shard's task never ran.
     np.testing.assert_array_equal(estimator.shard_row_counts(), counts)
     assert estimator.shard(1)._pending_count == pending
+
+
+def test_failed_insert_keeps_the_rows_of_the_shards_that_folded(
+    mixture_table_2d,
+) -> None:
+    estimator = _threaded().fit(mixture_table_2d)
+    plan = compile_queries(
+        UniformWorkload(mixture_table_2d, volume_fraction=0.2, seed=8).generate(40),
+        estimator.columns,
+    )
+    before = estimator.estimate_batch(plan)  # caches the union of the shards
+    row_count = estimator.row_count
+    rows = _rows(4)
+    first = int(np.sum(estimator.partitioner.assign_static(rows) == 0))
+    fault = FaultPlan(seed=1)
+    # The first shard folds; the second shard's three attempts all fail.
+    fault.arm("shard.task", action="raise", at=(2, 3, 4))
+    with use_fault_plan(fault):
+        with pytest.raises(InjectedFault):
+            estimator.insert(rows)
+
+    assert 0 < first < rows.shape[0]
+    assert estimator.row_count == row_count + first
+    # A front end rebuilt from the same shards serves their union afresh.
+    rebuilt = estimator.with_shard(0, estimator.shard(0))
+    assert rebuilt.row_count == estimator.row_count
+    after = estimator.estimate_batch(plan)
+    assert not np.array_equal(after, before)
+    np.testing.assert_array_equal(after, rebuilt.estimate_batch(plan))
