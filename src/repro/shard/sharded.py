@@ -333,12 +333,8 @@ class ShardedEstimator(StreamingEstimator):
             if isinstance(s, StreamingEstimator) and i not in self._lost
         ]
         if streaming:
-            try:
-                self._maintenance.map(
-                    lambda shard: shard.flush(), streaming, op="flush"
-                )
-            finally:
-                self._merged = None
+            self._maintenance.map(lambda shard: shard.flush(), streaming, op="flush")
+            self._merged = None
 
     # -- estimation ------------------------------------------------------------
     @property

@@ -44,6 +44,11 @@ def _rows(seed: int, count: int = 600) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(count, 2))
 
 
+def _plan(table, estimator: ShardedEstimator, count: int):
+    queries = UniformWorkload(table, volume_fraction=0.2, seed=8).generate(count)
+    return compile_queries(queries, estimator.columns)
+
+
 def test_maintenance_runs_every_shard_task_on_the_calling_thread(
     monkeypatch, mixture_table_2d
 ) -> None:
@@ -67,10 +72,7 @@ def test_fit_and_the_estimate_fan_out_run_on_the_pool(
         _spy(monkeypatch, StreamingADE, method, calls)
     estimator = _threaded(combine="weighted").fit(mixture_table_2d)
     count = _PARALLEL_ESTIMATE_THRESHOLD // estimator.shard_count
-    queries = UniformWorkload(mixture_table_2d, volume_fraction=0.2, seed=8).generate(
-        count
-    )
-    estimator.estimate_batch(compile_queries(queries, estimator.columns))
+    estimator.estimate_batch(_plan(mixture_table_2d, estimator, count))
 
     ops = [op for op, _ in calls]
     assert ops.count("fit") >= 2 and ops.count("_estimate_batch") == 2, ops
@@ -135,10 +137,7 @@ def test_failed_insert_keeps_the_rows_of_the_shards_that_folded(
     mixture_table_2d,
 ) -> None:
     estimator = _threaded().fit(mixture_table_2d)
-    plan = compile_queries(
-        UniformWorkload(mixture_table_2d, volume_fraction=0.2, seed=8).generate(40),
-        estimator.columns,
-    )
+    plan = _plan(mixture_table_2d, estimator, 40)
     before = estimator.estimate_batch(plan)  # caches the union of the shards
     row_count = estimator.row_count
     rows = _rows(4)
